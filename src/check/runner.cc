@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "generator.hh"
@@ -44,29 +45,6 @@ asExpected(Cook cook, const OracleOutcome &outcome)
     if (!outcome.applicable)
         return true;
     return cook == Cook::None ? outcome.passed : !outcome.passed;
-}
-
-/** FNV-1a over a 64-bit word, for the outcome fingerprint. */
-void
-mixHash(std::uint64_t &hash, std::uint64_t word)
-{
-    constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (word >> (8 * i)) & 0xff;
-        hash *= kFnvPrime;
-    }
-}
-
-/** FNV-1a over a string's bytes (length-delimited). */
-void
-mixHash(std::uint64_t &hash, const std::string &text)
-{
-    constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-    mixHash(hash, (std::uint64_t)text.size());
-    for (char c : text) {
-        hash ^= (unsigned char)c;
-        hash *= kFnvPrime;
-    }
 }
 
 std::string
@@ -244,7 +222,7 @@ runCases(const RunnerOptions &options, const sfq::CellLibrary &library,
     // shrinks, repro files) land in exactly the order the serial
     // sweep produces, no matter how the tasks interleaved above.
     CheckSummary summary;
-    std::uint64_t hash = 0xcbf29ce484222325ull;
+    Fnv1a hash;
     for (std::size_t index = 0; index < results.size(); ++index) {
         const CaseResult &result = results[index];
         for (std::size_t o = 0; o < catalog.size(); ++o) {
@@ -258,10 +236,10 @@ runCases(const RunnerOptions &options, const sfq::CellLibrary &library,
                 continue;
             }
             ++summary.ran;
-            mixHash(hash, (std::uint64_t)index);
-            mixHash(hash, catalog[o]);
-            mixHash(hash, (std::uint64_t)outcome.passed);
-            mixHash(hash, outcome.detail);
+            hash.word((std::uint64_t)index);
+            hash.text(catalog[o]);
+            hash.word((std::uint64_t)outcome.passed);
+            hash.text(outcome.detail);
             if (asExpected(options.cook, outcome))
                 continue;
             ++summary.failures;
@@ -269,7 +247,7 @@ runCases(const RunnerOptions &options, const sfq::CellLibrary &library,
                 on_failure(catalog[o], result.c, outcome);
         }
     }
-    summary.outcomeHash = hash;
+    summary.outcomeHash = hash.value();
     return summary;
 }
 

@@ -5,118 +5,81 @@
 
 #include "sim_cache.hh"
 
+#include "common/hash.hh"
 #include "common/logging.hh"
-#include "perf/profile.hh"
 
 namespace supernpu {
 namespace npusim {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-/** FNV-1a over one 64-bit word. */
-void
-mix(std::uint64_t &hash, std::uint64_t word)
-{
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (word >> (8 * i)) & 0xff;
-        hash *= kFnvPrime;
-    }
-}
-
-/** FNV-1a over a string's bytes (length-delimited). */
-void
-mix(std::uint64_t &hash, const std::string &text)
-{
-    mix(hash, (std::uint64_t)text.size());
-    for (char c : text) {
-        hash ^= (unsigned char)c;
-        hash *= kFnvPrime;
-    }
-}
-
-/** Doubles participate bit-exactly. */
-void
-mixDouble(std::uint64_t &hash, double value)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    __builtin_memcpy(&bits, &value, sizeof(bits));
-    mix(hash, bits);
-}
-
-} // namespace
-
 std::uint64_t
 hashNetwork(const dnn::Network &network)
 {
-    std::uint64_t hash = kFnvOffset;
-    mix(hash, network.name);
-    mix(hash, (std::uint64_t)network.layers.size());
+    Fnv1a hash;
+    hash.text(network.name);
+    hash.word((std::uint64_t)network.layers.size());
     for (const auto &layer : network.layers) {
-        mix(hash, layer.name);
-        mix(hash, (std::uint64_t)layer.kind);
-        mix(hash, (std::uint64_t)layer.inChannels);
-        mix(hash, (std::uint64_t)layer.inHeight);
-        mix(hash, (std::uint64_t)layer.inWidth);
-        mix(hash, (std::uint64_t)layer.outChannels);
-        mix(hash, (std::uint64_t)layer.kernelH);
-        mix(hash, (std::uint64_t)layer.kernelW);
-        mix(hash, (std::uint64_t)layer.stride);
-        mix(hash, (std::uint64_t)layer.padding);
+        hash.text(layer.name);
+        hash.word((std::uint64_t)layer.kind);
+        hash.word((std::uint64_t)layer.inChannels);
+        hash.word((std::uint64_t)layer.inHeight);
+        hash.word((std::uint64_t)layer.inWidth);
+        hash.word((std::uint64_t)layer.outChannels);
+        hash.word((std::uint64_t)layer.kernelH);
+        hash.word((std::uint64_t)layer.kernelW);
+        hash.word((std::uint64_t)layer.stride);
+        hash.word((std::uint64_t)layer.padding);
     }
-    return hash;
+    return hash.value();
 }
 
 std::uint64_t
 hashConfig(const estimator::NpuConfig &config)
 {
-    std::uint64_t hash = kFnvOffset;
-    mix(hash, config.name);
-    mix(hash, (std::uint64_t)config.peWidth);
-    mix(hash, (std::uint64_t)config.peHeight);
-    mix(hash, (std::uint64_t)config.bitWidth);
-    mix(hash, (std::uint64_t)config.regsPerPe);
-    mix(hash, config.ifmapBufferBytes);
-    mix(hash, (std::uint64_t)config.integratedOutputBuffer);
-    mix(hash, config.outputBufferBytes);
-    mix(hash, config.psumBufferBytes);
-    mix(hash, config.ofmapBufferBytes);
-    mix(hash, config.weightBufferBytes);
-    mix(hash, (std::uint64_t)config.ifmapDivision);
-    mix(hash, (std::uint64_t)config.outputDivision);
-    mixDouble(hash, config.memoryBandwidth);
-    mix(hash, (std::uint64_t)config.weightDoubleBuffering);
-    return hash;
+    Fnv1a hash;
+    hash.text(config.name);
+    hash.word((std::uint64_t)config.peWidth);
+    hash.word((std::uint64_t)config.peHeight);
+    hash.word((std::uint64_t)config.bitWidth);
+    hash.word((std::uint64_t)config.regsPerPe);
+    hash.word(config.ifmapBufferBytes);
+    hash.word((std::uint64_t)config.integratedOutputBuffer);
+    hash.word(config.outputBufferBytes);
+    hash.word(config.psumBufferBytes);
+    hash.word(config.ofmapBufferBytes);
+    hash.word(config.weightBufferBytes);
+    hash.word((std::uint64_t)config.ifmapDivision);
+    hash.word((std::uint64_t)config.outputDivision);
+    hash.real(config.memoryBandwidth);
+    hash.word((std::uint64_t)config.weightDoubleBuffering);
+    return hash.value();
 }
 
 std::uint64_t
 hashEstimate(const estimator::NpuEstimate &estimate)
 {
-    std::uint64_t hash = hashConfig(estimate.config);
-    mixDouble(hash, estimate.frequencyGhz);
-    mixDouble(hash, estimate.peakMacPerSec);
-    mix(hash, estimate.ifmapRowLength);
-    mix(hash, estimate.ifmapChunkLength);
-    mix(hash, estimate.outputRowLength);
-    mix(hash, estimate.outputChunkLength);
-    return hash;
+    Fnv1a hash(hashConfig(estimate.config));
+    hash.real(estimate.frequencyGhz);
+    hash.real(estimate.peakMacPerSec);
+    hash.word(estimate.ifmapRowLength);
+    hash.word(estimate.ifmapChunkLength);
+    hash.word(estimate.outputRowLength);
+    hash.word(estimate.outputChunkLength);
+    return hash.value();
 }
 
 std::size_t
-SimCache::KeyHash::operator()(const SimKey &key) const
+SimKeyHash::operator()(const SimKey &key) const
 {
-    std::uint64_t hash = kFnvOffset;
-    mix(hash, key.networkHash);
-    mix(hash, key.configHash);
-    mix(hash, (std::uint64_t)key.batch);
-    mix(hash, key.faultHash);
-    return (std::size_t)hash;
+    return (std::size_t)Fnv1a()
+        .word(key.networkHash)
+        .word(key.configHash)
+        .word((std::uint64_t)key.batch)
+        .word(key.faultHash)
+        .value();
 }
 
-SimCache::SimCache(std::size_t max_entries) : _maxEntries(max_entries)
+SimCache::SimCache(std::size_t max_entries)
+    : Memo(max_entries, "simCache")
 {
 }
 
@@ -125,129 +88,6 @@ SimCache::global()
 {
     static SimCache cache;
     return cache;
-}
-
-std::shared_ptr<const SimResult>
-SimCache::peekLocked(const SimKey &key)
-{
-    const auto it = _index.find(key);
-    if (it == _index.end())
-        return nullptr;
-    _lru.splice(_lru.begin(), _lru, it->second);
-    return it->second->result;
-}
-
-void
-SimCache::countHitLocked()
-{
-    ++_stats.hits;
-    if (perf::enabled()) {
-        static perf::Counter &hits = perf::counter("simCache.hits");
-        hits.add(1);
-    }
-}
-
-void
-SimCache::countMissLocked()
-{
-    ++_stats.misses;
-    if (perf::enabled()) {
-        static perf::Counter &misses =
-            perf::counter("simCache.misses");
-        misses.add(1);
-    }
-}
-
-std::shared_ptr<const SimResult>
-SimCache::lookupLocked(const SimKey &key)
-{
-    auto result = peekLocked(key);
-    if (result) {
-        countHitLocked();
-    } else {
-        countMissLocked();
-    }
-    return result;
-}
-
-std::shared_ptr<const SimResult>
-SimCache::insertLocked(const SimKey &key,
-                       std::shared_ptr<const SimResult> result)
-{
-    const auto it = _index.find(key);
-    if (it != _index.end()) {
-        // Another thread simulated the same key first; keep its
-        // entry (the results are identical by determinism).
-        return it->second->result;
-    }
-    _lru.push_front(Entry{key, std::move(result)});
-    _index.emplace(key, _lru.begin());
-    while (_maxEntries != 0 && _lru.size() > _maxEntries) {
-        _index.erase(_lru.back().key);
-        _lru.pop_back();
-        ++_stats.evictions;
-    }
-    return _lru.front().result;
-}
-
-std::shared_ptr<const SimResult>
-SimCache::find(const SimKey &key)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return lookupLocked(key);
-}
-
-std::shared_ptr<const SimResult>
-SimCache::getOrCompute(const SimKey &key,
-                       const std::function<SimResult()> &compute)
-{
-    std::shared_ptr<Flight> flight;
-    {
-        std::unique_lock<std::mutex> lock(_mutex);
-        if (auto result = peekLocked(key)) {
-            countHitLocked();
-            return result;
-        }
-        const auto it = _inflight.find(key);
-        if (it != _inflight.end()) {
-            // Another thread is simulating this exact key. Joining
-            // its flight counts as a hit: the serial run would find
-            // the leader's freshly-inserted entry resident by the
-            // time it reached this lookup, so totals stay identical
-            // at any job count.
-            countHitLocked();
-            flight = it->second;
-            _flightDone.wait(lock, [&] { return flight->done; });
-            if (flight->error)
-                std::rethrow_exception(flight->error);
-            return flight->result;
-        }
-        countMissLocked();
-        flight = std::make_shared<Flight>();
-        _inflight.emplace(key, flight);
-    }
-    // Leader: compute outside the lock so misses on *different* keys
-    // run in parallel; same-key arrivals wait on the flight above.
-    std::shared_ptr<const SimResult> inserted;
-    try {
-        auto result = std::make_shared<const SimResult>(compute());
-        std::lock_guard<std::mutex> lock(_mutex);
-        inserted = insertLocked(key, std::move(result));
-        flight->result = inserted;
-        flight->done = true;
-        _inflight.erase(key);
-    } catch (...) {
-        {
-            std::lock_guard<std::mutex> lock(_mutex);
-            flight->error = std::current_exception();
-            flight->done = true;
-            _inflight.erase(key);
-        }
-        _flightDone.notify_all();
-        throw;
-    }
-    _flightDone.notify_all();
-    return inserted;
 }
 
 std::shared_ptr<const SimResult>
@@ -266,29 +106,6 @@ SimCache::getOrRun(const NpuSimulator &sim, const dnn::Network &network,
     const SimKey key{hashNetwork(network),
                      hashEstimate(sim.estimate()), batch};
     return getOrRun(key, sim, network);
-}
-
-std::size_t
-SimCache::size() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _lru.size();
-}
-
-SimCacheStats
-SimCache::stats() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _stats;
-}
-
-void
-SimCache::clear()
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _lru.clear();
-    _index.clear();
-    _stats = SimCacheStats{};
 }
 
 } // namespace npusim

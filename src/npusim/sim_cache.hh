@@ -8,37 +8,21 @@
  * workload at every candidate, the ablation benches re-run the Table
  * I configs, and the serving simulator's service model needs one
  * simulation per distinct batch size — so results are memoized here
- * under a key of (workload hash, config hash, batch).
+ * under a key of (workload hash, config hash, batch, fault hash).
  *
- * The cache is safe for concurrent use from a ThreadPool sweep: a
- * lookup/insert holds one mutex, and a miss releases it while the
- * simulation runs so other keys proceed in parallel. Concurrent
- * misses on the SAME key are collapsed into one flight: the first
- * arrival simulates, later arrivals block until the result lands and
- * then share it. Waiters are accounted as hits — exactly what the
- * serial run would count when it reached the same lookup after the
- * leader's insert — so hit/miss/eviction totals are identical at any
- * job count. The parallel planner and check sweeps embed these
- * counters in byte-compared ledgers, which makes that determinism
- * load-bearing, and the dedup also stops a sweep from burning cores
- * on N identical simulations of one hot key.
- *
- * Entries are evicted least-recently-used past `maxEntries`. Handing
- * out shared_ptr<const SimResult> keeps a result valid even if it is
- * evicted while a caller still reads it.
+ * The store is a common/memo.hh Memo, LRU-bounded at `maxEntries`;
+ * its header states the single-flight and accounting contract the
+ * parallel sweeps and byte-compared ledgers rely on. This file owns
+ * only what is specific to simulations: the key and its hashes.
  */
 
 #ifndef SUPERNPU_NPUSIM_SIM_CACHE_HH
 #define SUPERNPU_NPUSIM_SIM_CACHE_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
+#include "common/memo.hh"
 #include "dnn/layer.hh"
 #include "estimator/npu_config.hh"
 #include "result.hh"
@@ -90,16 +74,22 @@ struct SimKey
     }
 };
 
-/** Monotonically-counted cache statistics. */
-struct SimCacheStats
+/** FNV-1a over every SimKey field. */
+struct SimKeyHash
 {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
+    std::size_t operator()(const SimKey &key) const;
 };
 
-/** Thread-safe LRU-memoized store of SimResults. */
-class SimCache
+/** Monotonically-counted cache statistics. */
+using SimCacheStats = MemoStats;
+
+/**
+ * Thread-safe LRU-memoized store of SimResults. getOrCompute (from
+ * Memo) is the generic entry point — the reliability injector caches
+ * fault-augmented results through it under fault-qualified keys;
+ * getOrRun is sugar for a plain simulation.
+ */
+class SimCache : public Memo<SimKey, SimResult, SimKeyHash>
 {
   public:
     /** @param max_entries LRU capacity; 0 means unbounded. */
@@ -124,77 +114,12 @@ class SimCache
              const dnn::Network &network);
 
     /**
-     * Generic memoizing entry point: return the cached result for
-     * `key`, invoking `compute` on this thread when absent. The
-     * reliability injector uses this to cache fault-augmented
-     * results under fault-schedule-qualified keys; getOrRun is sugar
-     * over it. `compute` must be deterministic for the key and must
-     * not re-enter the cache for the same key (it may freely compute
-     * through the cache for *other* keys — the in-flight wait is per
-     * key, never global).
-     */
-    std::shared_ptr<const SimResult>
-    getOrCompute(const SimKey &key,
-                 const std::function<SimResult()> &compute);
-
-    /** Lookup without simulating; null when absent. Counts a hit. */
-    std::shared_ptr<const SimResult> find(const SimKey &key);
-
-    /** Entries currently resident. */
-    std::size_t size() const;
-
-    /** Hit/miss/eviction counters since construction or clear(). */
-    SimCacheStats stats() const;
-
-    /** Drop every entry and reset the counters. */
-    void clear();
-
-    /**
      * The process-wide cache every sweep shares by default, so e.g.
      * an explore sweep warms the serving service model's entries.
      */
     static SimCache &global();
 
     static constexpr std::size_t kDefaultMaxEntries = 4096;
-
-  private:
-    struct Entry
-    {
-        SimKey key;
-        std::shared_ptr<const SimResult> result;
-    };
-    struct KeyHash
-    {
-        std::size_t operator()(const SimKey &key) const;
-    };
-    /** One in-progress simulation other threads can wait on. */
-    struct Flight
-    {
-        std::shared_ptr<const SimResult> result;
-        std::exception_ptr error;
-        bool done = false; ///< under _mutex
-    };
-
-    /** Lookup + LRU promote under the lock; no accounting. */
-    std::shared_ptr<const SimResult> peekLocked(const SimKey &key);
-    /** Lookup under the lock; promotes and counts a hit or miss. */
-    std::shared_ptr<const SimResult> lookupLocked(const SimKey &key);
-    void countHitLocked();
-    void countMissLocked();
-    /** Insert under the lock; evicts LRU entries past capacity. */
-    std::shared_ptr<const SimResult>
-    insertLocked(const SimKey &key,
-                 std::shared_ptr<const SimResult> result);
-
-    mutable std::mutex _mutex;
-    std::condition_variable _flightDone; ///< any flight completed
-    std::list<Entry> _lru; ///< front = most recently used
-    std::unordered_map<SimKey, std::list<Entry>::iterator, KeyHash>
-        _index;
-    std::unordered_map<SimKey, std::shared_ptr<Flight>, KeyHash>
-        _inflight;
-    std::size_t _maxEntries;
-    SimCacheStats _stats;
 };
 
 } // namespace npusim

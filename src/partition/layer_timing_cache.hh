@@ -9,32 +9,26 @@
  * every candidate boundary. Only (network, batch) determine them —
  * the design point and link fabric are fixed per Partitioner — so a
  * DP×TP×PP sweep that evaluates K = 1..layers for each (R, T)
- * re-derives identical vectors K times. This cache keys the finished
- * derivation on (network hash, batch) and shares it across one
- * search, so only the first K of each (R, T) pays for the
+ * re-derives identical vectors K times. LayerTimingCache keys the
+ * finished derivation on (network hash, batch) and shares it across
+ * one search, so only the first K of each (R, T) pays for the
  * whole-network SimResult walk and the guarded link-cost arithmetic.
  *
- * Concurrency & accounting: the planner sweeps factorizations on a
- * ThreadPool, so builds are single-flight — the first arrival on a
- * key builds, later arrivals block and share, counted as hits (what
- * the serial run would count after the leader's insert). Hit/miss
- * totals are therefore identical at any job count, which the
- * byte-compared shard ledgers rely on. Entries are never evicted:
- * the cache lives inside one Partitioner and holds one small vector
- * set per (sub-network, batch) a search touches.
+ * It is an unbounded common/memo.hh Memo (single-flight, so its
+ * totals match the serial run at any job count, as the byte-compared
+ * shard ledgers require): it lives inside one Partitioner and holds
+ * one small vector set per (sub-network, batch) a search touches.
  */
 
 #ifndef SUPERNPU_PARTITION_LAYER_TIMING_CACHE_HH
 #define SUPERNPU_PARTITION_LAYER_TIMING_CACHE_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
+
+#include "common/hash.hh"
+#include "common/memo.hh"
 
 namespace supernpu {
 namespace partition {
@@ -55,72 +49,36 @@ struct LayerTimings
     int layerCount() const { return (int)prefix.size() - 1; }
 };
 
-/** Monotonically-counted cache statistics. */
-struct LayerTimingCacheStats
+/** Which derivation a LayerTimings belongs to. */
+struct LayerTimingKey
 {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
+    std::uint64_t networkHash = 0; ///< npusim::hashNetwork
+    int batch = 0;
+
+    bool operator==(const LayerTimingKey &other) const
+    {
+        return networkHash == other.networkHash && batch == other.batch;
+    }
+};
+
+/** FNV-1a over both LayerTimingKey fields. */
+struct LayerTimingKeyHash
+{
+    std::size_t operator()(const LayerTimingKey &key) const
+    {
+        return (std::size_t)Fnv1a()
+            .word(key.networkHash)
+            .word((std::uint64_t)key.batch)
+            .value();
+    }
 };
 
 /** Single-flight memo of LayerTimings keyed (network hash, batch). */
-class LayerTimingCache
-{
-  public:
-    /**
-     * Return the timings for (network_hash, batch), invoking `build`
-     * on this thread when absent. `build` must be deterministic for
-     * the key and must not re-enter the cache for the same key; it
-     * may simulate through npusim::SimCache (no lock is held while
-     * it runs).
-     */
-    std::shared_ptr<const LayerTimings>
-    getOrBuild(std::uint64_t network_hash, int batch,
-               const std::function<LayerTimings()> &build);
+using LayerTimingCache =
+    Memo<LayerTimingKey, LayerTimings, LayerTimingKeyHash>;
 
-    /** Entries currently resident. */
-    std::size_t size() const;
-
-    /** Hit/miss counters since construction or clear(). */
-    LayerTimingCacheStats stats() const;
-
-    /** Drop every entry and reset the counters. */
-    void clear();
-
-  private:
-    struct Key
-    {
-        std::uint64_t networkHash = 0;
-        int batch = 0;
-        bool operator==(const Key &other) const
-        {
-            return networkHash == other.networkHash &&
-                   batch == other.batch;
-        }
-    };
-    struct KeyHash
-    {
-        std::size_t operator()(const Key &key) const;
-    };
-    /** One in-progress build other threads can wait on. */
-    struct Flight
-    {
-        std::shared_ptr<const LayerTimings> result;
-        std::exception_ptr error;
-        bool done = false; ///< under _mutex
-    };
-
-    void countHitLocked();
-    void countMissLocked();
-
-    mutable std::mutex _mutex;
-    std::condition_variable _flightDone; ///< any flight completed
-    std::unordered_map<Key, std::shared_ptr<const LayerTimings>,
-                       KeyHash>
-        _entries;
-    std::unordered_map<Key, std::shared_ptr<Flight>, KeyHash>
-        _inflight;
-    LayerTimingCacheStats _stats;
-};
+/** Monotonically-counted cache statistics (evictions stay 0). */
+using LayerTimingCacheStats = MemoStats;
 
 } // namespace partition
 } // namespace supernpu

@@ -39,7 +39,8 @@ Partitioner::Partitioner(const estimator::NpuEstimate &estimate,
                          LinkConfig link, npusim::SimCache *cache)
     : _sim(estimate), _link(link),
       _cache(cache ? cache : &npusim::SimCache::global()),
-      _configHash(npusim::hashEstimate(estimate))
+      _configHash(npusim::hashEstimate(estimate)),
+      _timings(0, "partition.timingCache")
 {
     _link.check();
 }
@@ -118,8 +119,8 @@ Partitioner::partition(const dnn::Network &network, int stages,
     // with identical inputs, and only the first K pays for the
     // derivation (and its whole-network simulation lookup).
     const std::uint64_t net_hash = npusim::hashNetwork(network);
-    const auto timings = _timings.getOrBuild(
-        net_hash, batch,
+    const auto timings = _timings.getOrCompute(
+        {net_hash, batch},
         [&] { return buildTimings(network, net_hash, batch); });
     const double freq = timings->frequencyGhz;
     const std::vector<double> &prefix = timings->prefix;

@@ -86,31 +86,24 @@ PipelineServiceModel::PipelineServiceModel(
     _net.check();
 }
 
-PipelineServiceModel::Timing
+const PipelineServiceModel::Timing &
 PipelineServiceModel::timing(int batch) const
 {
-    {
-        std::lock_guard<std::mutex> guard(_mutex);
-        auto it = _memo.find(batch);
-        if (it != _memo.end())
-            return it->second;
-    }
-
-    PartitionPlan plan = _partitioner.partition(_net, _stages, batch);
-    const double hz = plan.frequencyGhz * 1e9;
-    Timing timing;
-    timing.latencySec = plan.fillLatencySec();
-    timing.intervalSec = plan.intervalSec();
-    double start = 0.0;
-    for (const auto &stage : plan.stages) {
-        double busy = (double)stage.occupancyCycles() / hz;
-        timing.stageStartSec.push_back(start);
-        timing.stageBusySec.push_back(busy);
-        start += busy;
-    }
-
-    std::lock_guard<std::mutex> guard(_mutex);
-    return _memo.emplace(batch, std::move(timing)).first->second;
+    return *_memo.getOrCompute(batch, [&] {
+        PartitionPlan plan = _partitioner.partition(_net, _stages, batch);
+        const double hz = plan.frequencyGhz * 1e9;
+        Timing timing;
+        timing.latencySec = plan.fillLatencySec();
+        timing.intervalSec = plan.intervalSec();
+        double start = 0.0;
+        for (const auto &stage : plan.stages) {
+            double busy = (double)stage.occupancyCycles() / hz;
+            timing.stageStartSec.push_back(start);
+            timing.stageBusySec.push_back(busy);
+            start += busy;
+        }
+        return timing;
+    });
 }
 
 } // namespace partition

@@ -24,11 +24,10 @@
 #ifndef SUPERNPU_PARTITION_PIPELINE_SIM_HH
 #define SUPERNPU_PARTITION_PIPELINE_SIM_HH
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
+#include "common/memo.hh"
 #include "partitioner.hh"
 
 namespace supernpu {
@@ -85,7 +84,8 @@ class PipelineSimulator
  * Memoized per-batch pipeline timing of one network on one K-chip
  * group — the pipelined counterpart of serving::BatchServiceModel.
  * Thread-safe; the partition is recomputed per distinct batch size
- * (the balance point moves with batch) through the shared SimCache.
+ * (the balance point moves with batch) through the shared SimCache,
+ * and each batch size's Timing is kept in an unbounded Memo.
  */
 class PipelineServiceModel
 {
@@ -108,8 +108,11 @@ class PipelineServiceModel
         std::vector<double> stageBusySec;
     };
 
-    /** Timing of one batch of the given size (memoized). */
-    Timing timing(int batch) const;
+    /**
+     * Timing of one batch of the given size (memoized). The
+     * reference stays valid for the model's lifetime.
+     */
+    const Timing &timing(int batch) const;
 
     int stages() const { return _stages; }
     const dnn::Network &network() const { return _net; }
@@ -119,9 +122,8 @@ class PipelineServiceModel
     Partitioner _partitioner;
     dnn::Network _net;
     int _stages;
-
-    mutable std::mutex _mutex;
-    mutable std::map<int, Timing> _memo;
+    /** timing() is const; the memo mutates under its own lock. */
+    mutable Memo<int, Timing> _memo;
 };
 
 } // namespace partition

@@ -8,10 +8,10 @@
 #include "bench_runner.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 
 #include "check/runner.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "dnn/networks.hh"
@@ -61,26 +61,13 @@ addMetric(CaseRun &run, const char *name, std::uint64_t value)
     run.metrics.push_back({name, value});
 }
 
-/** FNV-1a over bytes; truncated to 32 bits so JSON numbers stay
- *  exactly representable as doubles for baseline comparison. */
-class Fingerprint
+/** Low 32 bits of a fingerprint, so JSON numbers stay exactly
+ *  representable as doubles for baseline comparison. */
+std::uint64_t
+low32(std::uint64_t hash)
 {
-  public:
-    void mix(const void *bytes, std::size_t len)
-    {
-        const unsigned char *p = (const unsigned char *)bytes;
-        for (std::size_t i = 0; i < len; ++i) {
-            _hash ^= p[i];
-            _hash *= 0x100000001b3ull;
-        }
-    }
-    void mix(const std::string &text) { mix(text.data(), text.size()); }
-    void mix(double value) { mix(&value, sizeof value); }
-    std::uint64_t value32() const { return _hash & 0xffffffffull; }
-
-  private:
-    std::uint64_t _hash = 0xcbf29ce484222325ull;
-};
+    return hash & 0xffffffffull;
+}
 
 /** The paper's RSFQ 1.0 um SuperNPU design point. */
 estimator::NpuEstimate
@@ -174,16 +161,16 @@ caseSweepScaling(const CaseCtx &ctx)
     CaseRun run;
     run.work = ranked.size();
     std::uint64_t operable = 0;
-    Fingerprint print;
+    Fnv1a print;
     for (const auto &cand : ranked) {
         operable += cand.operable ? 1 : 0;
-        print.mix(cand.config.name);
-        print.mix(cand.score);
-        print.mix(cand.avgMacPerSec);
+        print.bytes(cand.config.name.data(), cand.config.name.size());
+        print.real(cand.score);
+        print.real(cand.avgMacPerSec);
     }
     addMetric(run, "candidates", ranked.size());
     addMetric(run, "operable", operable);
-    addMetric(run, "rankHash32", print.value32());
+    addMetric(run, "rankHash32", low32(print.value()));
     const auto pool_stats = pool.stats();
     addMetric(run, "poolTasks", pool_stats.tasks);
     return run;
@@ -370,14 +357,14 @@ casePlannerSearch(const CaseCtx &ctx)
 
     CaseRun run;
     run.work = search.evaluated.size();
-    Fingerprint print;
+    Fnv1a print;
     for (const auto &plan : search.evaluated) {
-        print.mix(&plan.dataParallel, sizeof plan.dataParallel);
-        print.mix(&plan.tensorShards, sizeof plan.tensorShards);
-        print.mix(&plan.pipelineStages, sizeof plan.pipelineStages);
-        print.mix(&plan.intervalCycles, sizeof plan.intervalCycles);
-        print.mix(&plan.latencyCycles, sizeof plan.latencyCycles);
-        print.mix(plan.throughput());
+        print.bytes(&plan.dataParallel, sizeof plan.dataParallel);
+        print.bytes(&plan.tensorShards, sizeof plan.tensorShards);
+        print.bytes(&plan.pipelineStages, sizeof plan.pipelineStages);
+        print.bytes(&plan.intervalCycles, sizeof plan.intervalCycles);
+        print.bytes(&plan.latencyCycles, sizeof plan.latencyCycles);
+        print.real(plan.throughput());
     }
     const partition::LayerTimingCacheStats timings =
         planner.timingCacheStats();
@@ -385,7 +372,7 @@ casePlannerSearch(const CaseCtx &ctx)
     addMetric(run, "bestIndex", (std::uint64_t)search.bestIndex);
     addMetric(run, "bestIntervalCycles",
               search.best().intervalCycles);
-    addMetric(run, "planHash32", print.value32());
+    addMetric(run, "planHash32", low32(print.value()));
     addMetric(run, "timingCacheHits", timings.hits);
     addMetric(run, "timingCacheMisses", timings.misses);
     return run;
@@ -415,10 +402,7 @@ caseCheckFuzz(const CaseCtx &ctx)
     addMetric(run, "oracleRuns", summary.ran);
     addMetric(run, "skipped", summary.skipped);
     addMetric(run, "failures", summary.failures);
-    // Truncated like Fingerprint::value32 so the JSON number stays
-    // exactly representable as a double.
-    addMetric(run, "outcomeHash32",
-              summary.outcomeHash & 0xffffffffull);
+    addMetric(run, "outcomeHash32", low32(summary.outcomeHash));
     return run;
 }
 

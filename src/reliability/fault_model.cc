@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
@@ -232,29 +233,17 @@ FaultSchedule::hash() const
 {
     if (_events.empty())
         return 0; // the clean-run SimKey value
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    const auto mix = [&hash](std::uint64_t word) {
-        for (int i = 0; i < 8; ++i) {
-            hash ^= (word >> (8 * i)) & 0xff;
-            hash *= 0x100000001b3ull;
-        }
-    };
-    const auto mix_double = [&mix](double value) {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(value));
-        __builtin_memcpy(&bits, &value, sizeof(bits));
-        mix(bits);
-    };
-    mix((std::uint64_t)_events.size());
+    Fnv1a hash;
+    hash.word((std::uint64_t)_events.size());
     for (const FaultEvent &event : _events) {
-        mix_double(event.timeSec);
-        mix((std::uint64_t)event.kind);
-        mix((std::uint64_t)event.chip);
-        mix_double(event.magnitude);
-        mix_double(event.durationSec);
-        mix((std::uint64_t)event.trapTarget);
+        hash.real(event.timeSec);
+        hash.word((std::uint64_t)event.kind);
+        hash.word((std::uint64_t)event.chip);
+        hash.real(event.magnitude);
+        hash.real(event.durationSec);
+        hash.word((std::uint64_t)event.trapTarget);
     }
-    return hash;
+    return hash.value();
 }
 
 } // namespace reliability

@@ -29,18 +29,7 @@ BatchServiceModel::batchSeconds(int batch) const
     const auto run = _cache->getOrRun(key, _sim, _net);
     const double seconds = run->seconds();
     SUPERNPU_ASSERT(seconds > 0.0, "service time must be positive");
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        _batches.insert(batch);
-    }
     return seconds;
-}
-
-std::size_t
-BatchServiceModel::cachedBatches() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _batches.size();
 }
 
 } // namespace serving

@@ -22,9 +22,6 @@
 #ifndef SUPERNPU_SERVING_SERVICE_MODEL_HH
 #define SUPERNPU_SERVING_SERVICE_MODEL_HH
 
-#include <mutex>
-#include <set>
-
 #include "dnn/layer.hh"
 #include "npusim/sim.hh"
 #include "npusim/sim_cache.hh"
@@ -63,9 +60,6 @@ class BatchServiceModel
         return _sim.estimate();
     }
 
-    /** Distinct batch sizes this model has resolved so far. */
-    std::size_t cachedBatches() const;
-
     /** The simulation memo store this model resolves through. */
     npusim::SimCache *cache() const { return _cache; }
 
@@ -75,9 +69,6 @@ class BatchServiceModel
     npusim::SimCache *_cache;
     std::uint64_t _netHash = 0;    ///< hashed once at construction
     std::uint64_t _configHash = 0;
-
-    mutable std::mutex _mutex;
-    mutable std::set<int> _batches; ///< distinct sizes resolved
 };
 
 } // namespace serving

@@ -404,7 +404,7 @@ ServingSimulator::run()
             // and completions stay FIFO — a faster later batch
             // queues behind its predecessor's drain.
             const int size = (int)batch.size();
-            const partition::PipelineServiceModel::Timing timing =
+            const partition::PipelineServiceModel::Timing &timing =
                 pipe->timing(size);
             double scale = chip.permDerate;
             if (clock < chip.skewUntilSec)
@@ -614,55 +614,41 @@ ServingSimulator::run()
             ++faults_seen;
             const bool detects =
                 res.recovery != RecoveryPolicy::None;
-            // In pipelined mode corruption hits every batch in
-            // flight in the group — each is mid-stream through the
-            // faulted stage's pipeline. Returns whether any batch
-            // was *newly* corrupted (Detect is armed once per wave).
-            const auto corrupt_pipeline = [&]() {
-                bool newly = false;
-                for (PipeBatch &pipe_batch : chip.pipeInFlight) {
-                    if (!pipe_batch.corrupted) {
-                        pipe_batch.corrupted = true;
-                        newly = true;
+            // A pulse drop or flux trap corrupts the work in flight
+            // and arms Detect once per corruption wave. In pipelined
+            // mode that is every batch in flight in the group — each
+            // is mid-stream through the faulted stage's pipeline.
+            const auto corrupt_in_flight = [&]() {
+                if (pipelined) {
+                    bool newly = false;
+                    for (PipeBatch &pipe_batch : chip.pipeInFlight) {
+                        if (!pipe_batch.corrupted) {
+                            pipe_batch.corrupted = true;
+                            newly = true;
+                        }
+                    }
+                    if (newly && detects) {
+                        schedule_tagged(clock + res.detectLatencySec,
+                                        EventKind::Detect, target, 0);
+                    }
+                } else if (chip.busy && !chip.corrupted) {
+                    chip.corrupted = true;
+                    chip.corruptedAtSec = clock;
+                    chip.glitchAtCorruptSec = chip.glitchSec;
+                    if (detects) {
+                        schedule_tagged(clock + res.detectLatencySec,
+                                        EventKind::Detect, target,
+                                        chip.launchGen);
                     }
                 }
-                return newly;
             };
             switch (fault.kind) {
               case reliability::FaultKind::PulseDrop:
-                if (pipelined) {
-                    if (corrupt_pipeline() && detects) {
-                        schedule_tagged(clock + res.detectLatencySec,
-                                        EventKind::Detect, target, 0);
-                    }
-                } else if (chip.busy && !chip.corrupted) {
-                    chip.corrupted = true;
-                    chip.corruptedAtSec = clock;
-                    chip.glitchAtCorruptSec = chip.glitchSec;
-                    if (detects) {
-                        schedule_tagged(clock + res.detectLatencySec,
-                                        EventKind::Detect, target,
-                                        chip.launchGen);
-                    }
-                }
+                corrupt_in_flight();
                 break;
               case reliability::FaultKind::FluxTrap:
                 // The trap corrupts in-flight work like a drop...
-                if (pipelined) {
-                    if (corrupt_pipeline() && detects) {
-                        schedule_tagged(clock + res.detectLatencySec,
-                                        EventKind::Detect, target, 0);
-                    }
-                } else if (chip.busy && !chip.corrupted) {
-                    chip.corrupted = true;
-                    chip.corruptedAtSec = clock;
-                    chip.glitchAtCorruptSec = chip.glitchSec;
-                    if (detects) {
-                        schedule_tagged(clock + res.detectLatencySec,
-                                        EventKind::Detect, target,
-                                        chip.launchGen);
-                    }
-                }
+                corrupt_in_flight();
                 // ...and permanently derates the remapped array —
                 // in pipelined mode the derated stage throttles the
                 // whole group, so the loss covers all K chips.

@@ -1,16 +1,21 @@
 /**
  * @file
- * Unit tests for the common module: units, stats, tables, RNG.
+ * Unit tests for the common module: units, stats, tables, RNG, the
+ * FNV-1a hasher and the single-flight memo.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <set>
+#include <thread>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/memo.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -416,6 +421,66 @@ TEST(Rng, NormalMoments)
     }
     EXPECT_NEAR(sum / n, 0.0, 0.05);
     EXPECT_NEAR(sq / n, 1.0, 0.05);
+}
+
+// --- hashing ---------------------------------------------------------
+
+TEST(Fnv1a, MatchesTheStandard64BitVectors)
+{
+    EXPECT_EQ(Fnv1a().value(), 0xcbf29ce484222325ull);
+    EXPECT_EQ(Fnv1a().bytes("a", 1).value(), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(Fnv1a().bytes("foobar", 6).value(), 0x85944171f73967e8ull);
+    // word() is the little-endian byte order on any host; text() is
+    // the length as a word, then the bytes.
+    EXPECT_EQ(Fnv1a().word(0x61).value(),
+              Fnv1a().bytes("a\0\0\0\0\0\0\0", 8).value());
+    EXPECT_EQ(Fnv1a().text("a").value(),
+              Fnv1a().word(1).bytes("a", 1).value());
+}
+
+// --- memo ------------------------------------------------------------
+
+TEST(Memo, ComputeErrorReachesLeaderAndEveryWaiter)
+{
+    struct ComputeFailed
+    {
+    };
+    Memo<int, int> memo;
+    constexpr int kWaiters = 3;
+    std::atomic<int> computes{0};
+    const auto failing = [&]() -> int {
+        ++computes;
+        // Hold the flight open until every waiter has joined it
+        // (joining counts a hit), so each of them must see the error.
+        while (memo.stats().hits < (std::uint64_t)kWaiters)
+            std::this_thread::yield();
+        throw ComputeFailed{};
+    };
+    std::vector<int> caught(kWaiters + 1, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t <= kWaiters; ++t) {
+        threads.emplace_back([&, t] {
+            try {
+                memo.getOrCompute(7, failing);
+            } catch (const ComputeFailed &) {
+                caught[(std::size_t)t] = 1;
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (int c : caught)
+        EXPECT_EQ(c, 1);
+    EXPECT_EQ(computes.load(), 1);
+    EXPECT_EQ(memo.size(), 0u);
+    EXPECT_EQ(memo.stats().misses, 1u);
+    EXPECT_EQ(memo.stats().hits, (std::uint64_t)kWaiters);
+
+    // Nothing was stored: the next call is a fresh miss that succeeds.
+    EXPECT_EQ(*memo.getOrCompute(7, [] { return 42; }), 42);
+    EXPECT_EQ(memo.stats().misses, 2u);
+    EXPECT_EQ(memo.size(), 1u);
 }
 
 } // namespace

@@ -472,9 +472,16 @@ struct AndFixture
 };
 
 /** Truth table of the analog clocked AND. */
+// gtest names each case by the raw bytes of its parameter, so the
+// padding after `b` is spelled out and zeroed to keep names stable.
 struct AndCase
 {
+    AndCase(bool a_, bool b_, std::size_t expect_)
+        : a(a_), b(b_), expect(expect_)
+    {
+    }
     bool a, b;
+    unsigned char pad[sizeof(std::size_t) - 2] = {};
     std::size_t expect;
 };
 
@@ -508,9 +515,16 @@ TEST(ClockedAndExtra, OperatesOverMultipleCycles)
 
 // --- clocked OR gate --------------------------------------------------------
 
+// gtest names each case by the raw bytes of its parameter, so the
+// padding after `b` is spelled out and zeroed to keep names stable.
 struct OrCase
 {
+    OrCase(bool a_, bool b_, std::size_t expect_)
+        : a(a_), b(b_), expect(expect_)
+    {
+    }
     bool a, b;
+    unsigned char pad[sizeof(std::size_t) - 2] = {};
     std::size_t expect;
 };
 

@@ -207,14 +207,18 @@ class ServingFixture : public ::testing::Test
 
 TEST_F(ServingFixture, ServiceModelCachesPerBatch)
 {
-    const double once = service.batchSeconds(4);
+    npusim::SimCache cache;
+    BatchServiceModel model(estimate, net, &cache);
+    const double once = model.batchSeconds(4);
     EXPECT_GT(once, 0.0);
-    EXPECT_DOUBLE_EQ(service.batchSeconds(4), once);
-    EXPECT_EQ(service.cachedBatches(), 1u);
+    EXPECT_DOUBLE_EQ(model.batchSeconds(4), once);
+    // One simulation per distinct batch size: the repeat is a hit.
+    EXPECT_EQ(model.cache()->size(), 1u);
+    EXPECT_EQ(model.cache()->stats().misses, 1u);
     // Larger batches amortize preparation: strictly cheaper per
     // inference than batch 1.
-    EXPECT_LT(service.batchSeconds(solver_max) / solver_max,
-              service.batchSeconds(1));
+    EXPECT_LT(model.batchSeconds(solver_max) / solver_max,
+              model.batchSeconds(1));
 }
 
 TEST_F(ServingFixture, ConservesRequestsAndBoundsBatches)
@@ -383,7 +387,8 @@ TEST_F(ServingFixture, ColdAndParallelWarmedCachesServeIdentically)
     pool.parallelFor((std::size_t)solver_max, [&](std::size_t i) {
         warm.batchSeconds((int)i + 1);
     });
-    EXPECT_EQ(warm.cachedBatches(), (std::size_t)solver_max);
+    EXPECT_EQ(warm.cache()->size(), (std::size_t)solver_max);
+    EXPECT_EQ(warm.cache()->stats().misses, (std::uint64_t)solver_max);
 
     const auto a =
         ServingSimulator(cold, baseConfig(0.7 * capacity)).run();

@@ -138,10 +138,10 @@ TEST_F(SimCacheFixture, ConcurrentLookupsAreConsistent)
     }
     const auto stats = cache.stats();
     EXPECT_EQ(cache.size(), 4u);
-    // Duplicate misses on a racing key are allowed (both simulate,
-    // first insert wins) but hits + misses must cover every call.
-    EXPECT_EQ(stats.hits + stats.misses, 64u + 64u);
-    EXPECT_GE(stats.misses, 4u);
+    // Single flight: one miss per distinct key whatever the race, and
+    // every other call (joined waiters included) is a hit.
+    EXPECT_EQ(stats.misses, 4u);
+    EXPECT_EQ(stats.hits, 64u + 64u - 4u);
 }
 
 TEST_F(SimCacheFixture, EvictedResultsStayValidWhileHeld)
