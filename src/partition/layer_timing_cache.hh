@@ -13,6 +13,9 @@
  * finished derivation on (network hash, batch) and shares it across
  * one search, so only the first K of each (R, T) pays for the
  * whole-network SimResult walk and the guarded link-cost arithmetic.
+ * The entry also carries the cut search's DP rows and stage hashes
+ * (CutTable), so a later K extends the table instead of rebuilding
+ * it.
  *
  * It is an unbounded common/memo.hh Memo (single-flight, so its
  * totals match the serial run at any job count, as the byte-compared
@@ -24,7 +27,10 @@
 #define SUPERNPU_PARTITION_LAYER_TIMING_CACHE_HH
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/hash.hh"
@@ -32,6 +38,39 @@
 
 namespace supernpu {
 namespace partition {
+
+/**
+ * What Partitioner::partition derives lazily from one LayerTimings
+ * and shares across every K of its (network, batch) point.
+ *
+ * The min-max DP grows to the largest stage count asked for so far.
+ * Row s (the best s-stage split of every layer prefix) is built from
+ * row s-1 alone and never reads the requested K, so one table
+ * answers every K. Only what reconstruction and extension need is
+ * kept: every cut row and the frontier dp row.
+ *
+ * The stage sub-networks those cuts produce are hashed once per
+ * range, so a later K (or a repeat of the same K) that ends a stage
+ * at the same boundaries reuses the hash instead of re-running the
+ * byte-serial npusim::hashNetwork over the stage's layers.
+ */
+struct CutTable
+{
+    /** Guards every member: extension, reconstruction, hashing. */
+    std::mutex mutex;
+    /**
+     * cut[s][j] = last layer of stage s-1 in the best s-stage split
+     * of layers [0, j], or -1 where no such split exists. Rows 0
+     * and 1 stay empty (one stage has no interior cut).
+     */
+    std::vector<std::vector<int>> cut;
+    /** dp row cut.size()-1 (best bottleneck per prefix); empty
+     *  until the first partition() builds row 1. */
+    std::vector<double> frontier;
+    /** hashNetwork of the stage sub-network [first, last], keyed
+     *  first << 32 | last. */
+    std::unordered_map<std::uint64_t, std::uint64_t> stageHashes;
+};
 
 /** The cut-search inputs derived from one (network, batch) point. */
 struct LayerTimings
@@ -45,6 +84,12 @@ struct LayerTimings
     std::vector<double> linkAfter;
     std::vector<std::uint64_t> linkCycles; ///< size n
     std::vector<std::uint64_t> linkBytes;  ///< size n
+    /**
+     * The DP rows and stage hashes shared across K. Memo values are
+     * const; the table behind this pointer mutates under its own
+     * lock.
+     */
+    std::unique_ptr<CutTable> cuts = std::make_unique<CutTable>();
 
     int layerCount() const { return (int)prefix.size() - 1; }
 };

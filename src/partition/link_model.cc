@@ -26,24 +26,9 @@ std::unordered_set<std::string> warned_contexts;
 } // namespace
 
 std::uint64_t
-guardedBytes(std::initializer_list<std::uint64_t> factors,
-             const std::string &context)
+saturatedBytes(std::initializer_list<std::uint64_t> factors,
+               const std::string &context)
 {
-    // The factors come from ints the parser does not bound, so the
-    // uint64 product can wrap. Guard each multiply exactly — a
-    // chained double guard loses ~11 bits near 2^64 and can miss a
-    // product just past the boundary.
-    std::uint64_t exact = 1;
-    bool wrapped = false;
-    for (std::uint64_t f : factors) {
-        if (f != 0 && exact > kSaturated / f) {
-            wrapped = true;
-            break;
-        }
-        exact *= f;
-    }
-    if (!wrapped)
-        return exact;
     double approx = 1.0;
     for (std::uint64_t f : factors)
         approx *= (double)f;
@@ -70,8 +55,8 @@ void
 LinkConfig::check() const
 {
     if (bandwidthGBps <= 0.0)
-        fatal("link bandwidth must be positive, got %g GB/s",
-              bandwidthGBps);
+        fatal("link bandwidth must be positive, got ", bandwidthGBps,
+              " GB/s");
 }
 
 std::uint64_t
@@ -82,9 +67,11 @@ activationBytes(const dnn::Layer &boundary, int batch)
                          (std::uint64_t)boundary.outHeight(),
                          (std::uint64_t)boundary.outWidth(),
                          (std::uint64_t)batch},
-                        "layer '" + boundary.name +
-                            "' activation transfer at batch " +
-                            std::to_string(batch));
+                        [&] {
+                            return "layer '" + boundary.name +
+                                   "' activation transfer at batch " +
+                                   std::to_string(batch);
+                        });
 }
 
 std::uint64_t
@@ -100,8 +87,8 @@ transferCycles(const LinkConfig &link, std::uint64_t bytes,
                             link.bandwidthGBps);
     double total = (double)link.latencyCycles + wire;
     if (total >= (double)std::numeric_limits<std::uint64_t>::max()) {
-        warn("link transfer of %llu bytes saturates the 64-bit cycle "
-             "count", (unsigned long long)bytes);
+        warn("link transfer of ", bytes,
+             " bytes saturates the 64-bit cycle count");
         return std::numeric_limits<std::uint64_t>::max();
     }
     return (std::uint64_t)total;

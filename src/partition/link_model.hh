@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <string>
 
 #include "dnn/layer.hh"
@@ -54,21 +55,42 @@ struct LinkConfig
 };
 
 /**
- * Guarded transfer-size multiply shared by every byte-count
- * computation that multiplies unbounded parser shapes: the product
- * of `factors` is evaluated in double to detect 64-bit wrap before
- * the exact uint64 product is formed. When it fits, the exact
- * product is returned; when it does not, the result saturates to
- * UINT64_MAX and a warn() is emitted — once per distinct `context`
- * per process, not per call, because sweep loops re-evaluate the
- * same boundary thousands of times.
+ * The saturating half of guardedBytes: warn that the product of
+ * `factors` exceeds 64 bits — once per distinct `context` per
+ * process, not per call, because sweep loops re-evaluate the same
+ * boundary thousands of times — and return UINT64_MAX.
  */
-std::uint64_t guardedBytes(std::initializer_list<std::uint64_t> factors,
-                           const std::string &context);
+std::uint64_t saturatedBytes(std::initializer_list<std::uint64_t> factors,
+                             const std::string &context);
+
+/**
+ * Guarded transfer-size multiply shared by every byte-count
+ * computation that multiplies unbounded parser shapes: each uint64
+ * multiply is checked for wrap before it is formed. When the product
+ * fits it is returned exactly; when it does not, the result
+ * saturates through saturatedBytes. `context()` names the boundary
+ * for the warning and its dedup; it is called only on saturation, so
+ * the common path builds no string.
+ */
+template <typename Context>
+std::uint64_t
+guardedBytes(std::initializer_list<std::uint64_t> factors,
+             const Context &context)
+{
+    constexpr std::uint64_t kMax =
+        std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t exact = 1;
+    for (std::uint64_t f : factors) {
+        if (f != 0 && exact > kMax / f)
+            return saturatedBytes(factors, context());
+        exact *= f;
+    }
+    return exact;
+}
 
 /**
  * Count of distinct saturation contexts warned so far — the
- * observable contract of guardedBytes's once-per-boundary dedup,
+ * observable contract of saturatedBytes's once-per-boundary dedup,
  * pinned by tests.
  */
 std::size_t saturationWarningCount();

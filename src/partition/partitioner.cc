@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <mutex>
 
 #include "common/logging.hh"
 
@@ -43,12 +44,6 @@ Partitioner::Partitioner(const estimator::NpuEstimate &estimate,
       _timings(0, "partition.timingCache")
 {
     _link.check();
-}
-
-std::shared_ptr<const npusim::SimResult>
-Partitioner::simulate(const dnn::Network &network, int batch) const
-{
-    return simulate(npusim::hashNetwork(network), network, batch);
 }
 
 std::shared_ptr<const npusim::SimResult>
@@ -95,74 +90,148 @@ Partitioner::buildTimings(const dnn::Network &network,
     return t;
 }
 
+namespace {
+
+/**
+ * Layers [first, last] of `network` as a standalone stage. The whole
+ * range is the network itself — identical name and layers, so its
+ * simulation hits (or seeds) the exact cache entry the single-chip
+ * path uses. This is the byte-identity guarantee
+ * docs/partitioning.md pins.
+ */
+dnn::Network
+stageNetwork(const dnn::Network &network, int first, int last)
+{
+    if (first == 0 && last == (int)network.layers.size() - 1)
+        return network;
+    dnn::Network stage;
+    stage.name = network.name + "[" + std::to_string(first) + "-" +
+                 std::to_string(last) + "]";
+    stage.layers.assign(network.layers.begin() + first,
+                        network.layers.begin() + last + 1);
+    return stage;
+}
+
+} // namespace
+
+Partitioner::StageCut
+Partitioner::cutStages(const dnn::Network &network,
+                       std::uint64_t network_hash,
+                       const LayerTimings &timings, int stages)
+{
+    const int n = timings.layerCount();
+    const int k = stages;
+    SUPERNPU_ASSERT(k >= 1 && k <= n, "stage count out of range");
+    const std::vector<double> &prefix = timings.prefix;
+    const std::vector<double> &link_after = timings.linkAfter;
+
+    // Min-max contiguous partition DP: dp[s][j] is the best
+    // bottleneck occupancy over layers 0..j split into s stages.
+    // Row s reads only row s-1, so the rows built for any K are the
+    // rows every other K needs: the table grows to the largest K
+    // asked for and each call walks its own chain of cuts.
+    auto seg_cost = [&](int i, int j) {
+        return prefix[j + 1] - prefix[i] + link_after[j];
+    };
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    CutTable &table = *timings.cuts;
+    std::lock_guard<std::mutex> lock(table.mutex);
+    if (table.frontier.empty()) {
+        table.frontier.resize(n);
+        for (int j = 0; j < n; ++j)
+            table.frontier[j] = seg_cost(0, j);
+        table.cut.resize(2);
+    }
+    std::vector<double> next;
+    for (int s = (int)table.cut.size(); s <= k; ++s) {
+        const std::vector<double> &prev = table.frontier;
+        next.assign(n, kInf);
+        std::vector<int> cut(n, -1);
+        for (int j = s - 1; j < n; ++j) {
+            for (int i = s - 2; i < j; ++i) {
+                double cost = std::max(prev[i], seg_cost(i + 1, j));
+                if (cost < next[j]) {
+                    next[j] = cost;
+                    cut[j] = i;
+                }
+            }
+        }
+        table.frontier.swap(next);
+        table.cut.push_back(std::move(cut));
+    }
+
+    // Recover the stage boundaries (last layer of each stage).
+    StageCut result;
+    result.last.resize(k);
+    int j = n - 1;
+    for (int s = k; s >= 1; --s) {
+        result.last[s - 1] = j;
+        j = (s > 1) ? table.cut[s][j] : -1;
+        SUPERNPU_ASSERT(s == 1 || j >= 0,
+                        "partition DP reconstruction broke");
+    }
+
+    // K=1 reuses the whole-network hash; a sub-range is hashed the
+    // first time any K of this entry ends a stage on it.
+    result.hash.resize(k, network_hash);
+    int first = 0;
+    for (int s = 0; s < k; ++s) {
+        const int last = result.last[s];
+        if (first != 0 || last != n - 1) {
+            const std::uint64_t range =
+                (std::uint64_t)first << 32 | (std::uint64_t)last;
+            const auto [it, fresh] = table.stageHashes.try_emplace(range);
+            if (fresh)
+                it->second = npusim::hashNetwork(
+                    stageNetwork(network, first, last));
+            result.hash[s] = it->second;
+        }
+        first = last + 1;
+    }
+    return result;
+}
+
 PartitionPlan
 Partitioner::partition(const dnn::Network &network, int stages,
                        int batch) const
 {
     network.check();
+    return partition(npusim::hashNetwork(network), network, stages,
+                     batch);
+}
+
+PartitionPlan
+Partitioner::partition(std::uint64_t net_hash,
+                       const dnn::Network &network, int stages,
+                       int batch) const
+{
     if (stages < 1)
-        fatal("pipeline needs at least 1 stage, got %d", stages);
+        fatal("pipeline needs at least 1 stage, got ", stages);
     if (batch < 1)
-        fatal("batch must be at least 1, got %d", batch);
+        fatal("batch must be at least 1, got ", batch);
 
     const int n = (int)network.layers.size();
     if (stages > n) {
-        warn("network '%s' has %d layers; clamping %d pipeline "
-             "stages to %d", network.name.c_str(), n, stages, n);
+        warn("network '", network.name, "' has ", n,
+             " layers; clamping ", stages, " pipeline stages to ", n);
         stages = n;
     }
     const int k = stages;
 
     // The cut-search inputs — per-layer cycle prefix sums and
-    // per-boundary link costs — are memoized per (network, batch):
-    // a planner search re-enters here for every K of each (R, T)
-    // with identical inputs, and only the first K pays for the
-    // derivation (and its whole-network simulation lookup).
-    const std::uint64_t net_hash = npusim::hashNetwork(network);
+    // per-boundary link costs, plus the DP rows over them — are
+    // memoized per (network, batch): a planner search re-enters
+    // here for every K of each (R, T) with identical inputs, and
+    // only the first K pays for the derivation (and its
+    // whole-network simulation lookup).
     const auto timings = _timings.getOrCompute(
         {net_hash, batch},
         [&] { return buildTimings(network, net_hash, batch); });
     const double freq = timings->frequencyGhz;
-    const std::vector<double> &prefix = timings->prefix;
-    const std::vector<double> &link_after = timings->linkAfter;
     const std::vector<std::uint64_t> &link_cycles =
         timings->linkCycles;
     const std::vector<std::uint64_t> &link_bytes = timings->linkBytes;
-
-    // Min-max contiguous partition DP: dp[s][j] is the best
-    // bottleneck occupancy over layers 0..j split into s stages.
-    auto seg_cost = [&](int i, int j) {
-        return prefix[j + 1] - prefix[i] + link_after[j];
-    };
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    std::vector<std::vector<double>> dp(
-        k + 1, std::vector<double>(n, kInf));
-    std::vector<std::vector<int>> cut(
-        k + 1, std::vector<int>(n, -1));
-    for (int j = 0; j < n; ++j)
-        dp[1][j] = seg_cost(0, j);
-    for (int s = 2; s <= k; ++s) {
-        for (int j = s - 1; j < n; ++j) {
-            for (int i = s - 2; i < j; ++i) {
-                double cost =
-                    std::max(dp[s - 1][i], seg_cost(i + 1, j));
-                if (cost < dp[s][j]) {
-                    dp[s][j] = cost;
-                    cut[s][j] = i;
-                }
-            }
-        }
-    }
-
-    // Recover the stage boundaries (last layer of each stage).
-    std::vector<int> last(k);
-    int j = n - 1;
-    for (int s = k; s >= 1; --s) {
-        last[s - 1] = j;
-        j = (s > 1) ? cut[s][j] : -1;
-        SUPERNPU_ASSERT(s == 1 || j >= 0,
-                        "partition DP reconstruction broke");
-    }
+    const StageCut cut = cutStages(network, net_hash, *timings, k);
 
     PartitionPlan plan;
     plan.networkName = network.name;
@@ -174,34 +243,19 @@ Partitioner::partition(const dnn::Network &network, int stages,
 
     int first = 0;
     for (int s = 0; s < k; ++s) {
+        const int last = cut.last[s];
         PipelineStage stage;
         stage.firstLayer = first;
-        stage.lastLayer = last[s];
-        if (first == 0 && last[s] == n - 1) {
-            // K=1: the stage *is* the network — identical name and
-            // layers, so the simulation below hits (or seeds) the
-            // exact cache entry the single-chip path uses. This is
-            // the byte-identity guarantee docs/partitioning.md pins.
-            stage.network = network;
-        } else {
-            stage.network.name = network.name + "[" +
-                                 std::to_string(first) + "-" +
-                                 std::to_string(last[s]) + "]";
-            stage.network.layers.assign(
-                network.layers.begin() + first,
-                network.layers.begin() + last[s] + 1);
-        }
-        // K=1 reuses the whole-network hash; sub-ranges hash fresh.
-        stage.sim = (first == 0 && last[s] == n - 1)
-                        ? simulate(net_hash, stage.network, batch)
-                        : simulate(stage.network, batch);
+        stage.lastLayer = last;
+        stage.network = stageNetwork(network, first, last);
+        stage.sim = simulate(cut.hash[s], stage.network, batch);
         stage.stageCycles = stage.sim->totalCycles;
-        if (last[s] < n - 1) {
-            stage.linkBytes = link_bytes[last[s]];
-            stage.linkCycles = link_cycles[last[s]];
+        if (last < n - 1) {
+            stage.linkBytes = link_bytes[last];
+            stage.linkCycles = link_cycles[last];
         }
         plan.stages.push_back(std::move(stage));
-        first = last[s] + 1;
+        first = last + 1;
     }
 
     for (int s = 0; s < k; ++s) {

@@ -9,7 +9,8 @@
  * cost is real simulated cycles: per-layer totals come from one
  * NpuSimulator::run of the whole network (memoized through
  * npusim::SimCache), the DP picks the cuts over those prefix sums
- * plus the outbound link transfer at each candidate boundary, and
+ * plus the outbound link transfer at each candidate boundary (its
+ * rows are shared by every K of one (network, batch) point), and
  * every chosen stage is then re-simulated exactly as a standalone
  * sub-network — a stage head refills its ifmap buffer from memory
  * and cannot overlap its first weight fetch with a previous layer,
@@ -117,6 +118,16 @@ class Partitioner
     PartitionPlan partition(const dnn::Network &network, int stages,
                             int batch) const;
 
+    /**
+     * Same, with `network_hash` == npusim::hashNetwork(network)
+     * precomputed and `network` already check()ed by the caller —
+     * the hybrid planner hashes and validates each shard network
+     * once per search rather than once per candidate.
+     */
+    PartitionPlan partition(std::uint64_t network_hash,
+                            const dnn::Network &network, int stages,
+                            int batch) const;
+
     const estimator::NpuEstimate &estimate() const
     {
         return _sim.estimate();
@@ -135,10 +146,7 @@ class Partitioner
     }
 
   private:
-    /** Cached whole-(sub-)network simulation. */
-    std::shared_ptr<const npusim::SimResult>
-    simulate(const dnn::Network &network, int batch) const;
-    /** Same, with the network hash precomputed by the caller. */
+    /** Cached whole-(sub-)network simulation under its hash. */
     std::shared_ptr<const npusim::SimResult>
     simulate(std::uint64_t network_hash, const dnn::Network &network,
              int batch) const;
@@ -146,6 +154,20 @@ class Partitioner
     LayerTimings buildTimings(const dnn::Network &network,
                               std::uint64_t network_hash,
                               int batch) const;
+    /** The stages of one cut: boundaries and sub-network hashes. */
+    struct StageCut
+    {
+        std::vector<int> last; ///< last layer of each stage
+        std::vector<std::uint64_t> hash; ///< hashNetwork per stage
+    };
+    /**
+     * The best `stages`-way split of `network` (hashed
+     * `network_hash`), extending the entry's shared DP rows up to
+     * `stages` first and hashing each stage range it has not seen.
+     */
+    static StageCut cutStages(const dnn::Network &network,
+                              std::uint64_t network_hash,
+                              const LayerTimings &timings, int stages);
 
     npusim::NpuSimulator _sim;
     LinkConfig _link;

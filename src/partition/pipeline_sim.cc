@@ -59,8 +59,7 @@ PipelineResult
 PipelineSimulator::run(const PartitionPlan &plan, int batches) const
 {
     if (batches < 1)
-        fatal("pipeline stream needs at least 1 batch, got %d",
-              batches);
+        fatal("pipeline stream needs at least 1 batch, got ", batches);
 
     PipelineResult result;
     result.plan = plan;

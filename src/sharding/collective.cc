@@ -43,7 +43,7 @@ ringCost(const partition::LinkConfig &link, int chips,
     const std::uint64_t chunk = bytes / k + (bytes % k != 0 ? 1 : 0);
     cost.wireBytes = partition::guardedBytes(
         {data_steps, chunk},
-        std::string(what) + " ring wire volume");
+        [&] { return std::string(what) + " ring wire volume"; });
 
     // Same cycle arithmetic as partition::transferCycles, with one
     // fixed latency per ring step instead of per transfer. A cycle

@@ -6,9 +6,11 @@
 #include "planner.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "npusim/sim_cache.hh"
 #include "perf/profile.hh"
 
 namespace supernpu {
@@ -70,12 +72,6 @@ HybridPlanner::evaluate(const dnn::Network &network,
                         int data_parallel, int tensor_shards,
                         int pipeline_stages, int batch) const
 {
-    perf::Scope perf_scope("planner.evaluate");
-    if (perf::enabled()) {
-        static perf::Counter &evaluations =
-            perf::counter("planner.evaluations");
-        evaluations.add(1);
-    }
     network.check();
     if (data_parallel < 1 || tensor_shards < 1 ||
         pipeline_stages < 1)
@@ -89,6 +85,27 @@ HybridPlanner::evaluate(const dnn::Network &network,
              " data-parallel replicas; clamping to ", batch);
         data_parallel = batch;
     }
+    dnn::Network shard = shardNetwork(network, tensor_shards);
+    const std::uint64_t shard_hash = npusim::hashNetwork(shard);
+    return evaluate(
+        HashedNetwork{network, npusim::hashNetwork(network)},
+        HashedNetwork{std::move(shard), shard_hash}, data_parallel,
+        tensor_shards, pipeline_stages, batch);
+}
+
+ShardPlan
+HybridPlanner::evaluate(const HashedNetwork &whole,
+                        const HashedNetwork &shard, int data_parallel,
+                        int tensor_shards, int pipeline_stages,
+                        int batch) const
+{
+    perf::Scope perf_scope("planner.evaluate");
+    if (perf::enabled()) {
+        static perf::Counter &evaluations =
+            perf::counter("planner.evaluations");
+        evaluations.add(1);
+    }
+    const dnn::Network &network = whole.network;
 
     ShardPlan plan;
     plan.networkName = network.name;
@@ -101,7 +118,8 @@ HybridPlanner::evaluate(const dnn::Network &network,
 
     // TP geometry and per-layer all-reduce at the replica's share.
     TensorShardResult tensor = _sharder.shard(
-        network, tensor_shards, plan.replicaShare);
+        whole.hash, network, shard.hash, shard.network, tensor_shards,
+        plan.replicaShare);
     plan.configName = tensor.configName;
     plan.frequencyGhz = tensor.frequencyGhz;
     plan.tensorCollectiveBytes = tensor.collectiveBytes;
@@ -109,10 +127,8 @@ HybridPlanner::evaluate(const dnn::Network &network,
     // PP split of the shard network. The partitioner re-simulates
     // every chosen stage of the shrunk geometry; its cut search
     // does not see the TP overlay below (documented approximation).
-    const dnn::Network shard_net =
-        shardNetwork(network, tensor_shards);
     plan.pipeline = _partitioner.partition(
-        shard_net, pipeline_stages, plan.replicaShare);
+        shard.hash, shard.network, pipeline_stages, plan.replicaShare);
     plan.pipelineStages = plan.pipeline.stageCount();
 
     // Overlay each stage's in-range TP all-reduce cycles onto its
@@ -158,7 +174,7 @@ HybridPlanner::evaluate(const dnn::Network &network,
     // The documented baseline is the FULL batch on one chip; the
     // tensor result's solo ran at the replica share, which for R>1
     // is a smaller problem. Cache-hit for R=1 (share == batch).
-    const auto solo = _sharder.simulate(network, batch);
+    const auto solo = _sharder.simulate(whole.hash, network, batch);
     plan.soloCycles = solo->totalCycles;
     plan.macOpsPerBatch = solo->macOps;
     plan.peakMacPerSec = tensor.peakMacPerSec;
@@ -196,17 +212,33 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
                  ++k)
                 triples.push_back(Triple{r, t, k});
 
+    // Everything that depends on the network alone or on T alone is
+    // derived once here, not once per candidate: the input network
+    // is validated and hashed once, and each T-way shard network is
+    // built (validated by shardNetwork) and hashed once, fanned
+    // across the pool. Neither step touches a cache, so every
+    // candidate still issues exactly the SimCache and
+    // LayerTimingCache lookups a standalone evaluate() does.
+    network.check();
+    const HashedNetwork whole{network, npusim::hashNetwork(network)};
+    ThreadPool pool(jobs < 0 ? 1 : jobs);
+    const std::vector<HashedNetwork> shards =
+        pool.parallelMap(chip_budget, [&](std::size_t i) {
+            dnn::Network shard = shardNetwork(network, (int)i + 1);
+            const std::uint64_t hash = npusim::hashNetwork(shard);
+            return HashedNetwork{std::move(shard), hash};
+        });
+
     // Fan the evaluations across the pool. Slot i always holds the
     // i-th enumerated triple's plan (moved in, never copied — each
     // ShardPlan carries stage vectors and a shared SimResult), so
     // the candidate list is byte-identical to the serial walk no
     // matter how the work interleaves.
-    ThreadPool pool(jobs < 0 ? 1 : jobs);
     search.evaluated =
         pool.parallelMap(triples.size(), [&](std::size_t i) {
             const Triple &triple = triples[i];
-            return evaluate(network, triple.r, triple.t, triple.k,
-                            batch);
+            return evaluate(whole, shards[triple.t - 1], triple.r,
+                            triple.t, triple.k, batch);
         });
     if (perf::enabled()) {
         static perf::Counter &candidates =

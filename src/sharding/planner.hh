@@ -36,6 +36,11 @@
  * mutexed with scheduling-independent accounting, so `jobs` is a
  * pure wall-clock knob — the search output and its ledgers are
  * byte-identical to the serial walk at any job count.
+ *
+ * plan() validates and hashes the network once and builds and hashes
+ * each T-way shard network once per T; every candidate then runs the
+ * one private evaluation path that evaluate() also wraps, issuing the
+ * same cache lookups a standalone evaluate() issues.
  */
 
 #ifndef SUPERNPU_SHARDING_PLANNER_HH
@@ -179,6 +184,23 @@ class HybridPlanner
     }
 
   private:
+    /** A validated network with its npusim::hashNetwork. */
+    struct HashedNetwork
+    {
+        dnn::Network network;
+        std::uint64_t hash = 0;
+    };
+
+    /**
+     * The one evaluation path behind evaluate() and plan(): `whole`
+     * is the input network, `shard` its T-way shardNetwork, and the
+     * degrees are already validated and clamped.
+     */
+    ShardPlan evaluate(const HashedNetwork &whole,
+                       const HashedNetwork &shard, int data_parallel,
+                       int tensor_shards, int pipeline_stages,
+                       int batch) const;
+
     TensorSharder _sharder;
     partition::Partitioner _partitioner;
 };

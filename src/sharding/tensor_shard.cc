@@ -83,10 +83,11 @@ TensorSharder::TensorSharder(const estimator::NpuEstimate &estimate,
 }
 
 std::shared_ptr<const npusim::SimResult>
-TensorSharder::simulate(const dnn::Network &network, int batch) const
+TensorSharder::simulate(std::uint64_t network_hash,
+                        const dnn::Network &network, int batch) const
 {
     npusim::SimKey key;
-    key.networkHash = npusim::hashNetwork(network);
+    key.networkHash = network_hash;
     key.configHash = _configHash;
     key.batch = batch;
     return _cache->getOrRun(key, _sim, network);
@@ -104,8 +105,21 @@ TensorSharder::shard(const dnn::Network &network, int shards,
         fatal("batch must be at least 1, got ", batch);
 
     const dnn::Network shard_net = shardNetwork(network, shards);
-    auto wide = simulate(shard_net, batch);
-    auto solo = shards == 1 ? wide : simulate(network, batch);
+    return shard(npusim::hashNetwork(network), network,
+                 npusim::hashNetwork(shard_net), shard_net, shards,
+                 batch);
+}
+
+TensorShardResult
+TensorSharder::shard(std::uint64_t network_hash,
+                     const dnn::Network &network,
+                     std::uint64_t shard_hash,
+                     const dnn::Network &shard_net, int shards,
+                     int batch) const
+{
+    auto wide = simulate(shard_hash, shard_net, batch);
+    auto solo =
+        shards == 1 ? wide : simulate(network_hash, network, batch);
 
     TensorShardResult result;
     result.networkName = network.name;

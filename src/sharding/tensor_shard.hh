@@ -125,6 +125,18 @@ class TensorSharder
     TensorShardResult shard(const dnn::Network &network, int shards,
                             int batch) const;
 
+    /**
+     * Same, with `shard_net` == shardNetwork(network, shards) and
+     * both npusim::hashNetwork values precomputed, and `network`
+     * already check()ed by the caller — the hybrid planner derives
+     * them once per T for a whole search.
+     */
+    TensorShardResult shard(std::uint64_t network_hash,
+                            const dnn::Network &network,
+                            std::uint64_t shard_hash,
+                            const dnn::Network &shard_net, int shards,
+                            int batch) const;
+
     const estimator::NpuEstimate &estimate() const
     {
         return _sim.estimate();
@@ -133,7 +145,8 @@ class TensorSharder
 
   private:
     std::shared_ptr<const npusim::SimResult>
-    simulate(const dnn::Network &network, int batch) const;
+    simulate(std::uint64_t network_hash, const dnn::Network &network,
+             int batch) const;
 
     npusim::NpuSimulator _sim;
     partition::LinkConfig _link;

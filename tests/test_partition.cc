@@ -13,7 +13,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
+#include "common/parallel.hh"
 #include "dnn/networks.hh"
 #include "dnn/parser.hh"
 #include "estimator/npu_estimator.hh"
@@ -255,6 +259,204 @@ TEST(LayerTimingCache, TrustsTheNetworkHashUntilCleared)
         {7, 1}, [] { return namedTimings("second"); });
     EXPECT_EQ(rebuilt->configName, "second");
     EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+// --- cut table shared across K -----------------------------------------
+
+/** Every field of two plans that the cut search or a stage decides. */
+void
+expectSamePlan(const PartitionPlan &a, const PartitionPlan &b)
+{
+    EXPECT_EQ(a.networkName, b.networkName);
+    EXPECT_EQ(a.configName, b.configName);
+    EXPECT_EQ(a.batch, b.batch);
+    EXPECT_EQ(a.frequencyGhz, b.frequencyGhz);
+    EXPECT_EQ(a.bottleneckStage, b.bottleneckStage);
+    EXPECT_EQ(a.bottleneckCycles, b.bottleneckCycles);
+    EXPECT_EQ(a.fillCycles, b.fillCycles);
+    ASSERT_EQ(a.stageCount(), b.stageCount());
+    for (int s = 0; s < a.stageCount(); ++s) {
+        SCOPED_TRACE("stage " + std::to_string(s));
+        const PipelineStage &x = a.stages[s];
+        const PipelineStage &y = b.stages[s];
+        EXPECT_EQ(x.firstLayer, y.firstLayer);
+        EXPECT_EQ(x.lastLayer, y.lastLayer);
+        EXPECT_EQ(x.network.name, y.network.name);
+        EXPECT_EQ(x.network.layers.size(), y.network.layers.size());
+        EXPECT_EQ(x.stageCycles, y.stageCycles);
+        EXPECT_EQ(x.sim->totalCycles, y.sim->totalCycles);
+        EXPECT_EQ(x.linkBytes, y.linkBytes);
+        EXPECT_EQ(x.linkCycles, y.linkCycles);
+    }
+}
+
+TEST(CutTable, AnyKOrderMatchesAFreshPartitionerPerK)
+{
+    sfq::DeviceConfig dev;
+    sfq::CellLibrary lib(dev);
+    const estimator::NpuConfig config =
+        estimator::NpuConfig::superNpu();
+    const estimator::NpuEstimate estimate =
+        estimator::NpuEstimator(lib).estimate(config);
+    const dnn::Network net = dnn::makeResNet50();
+    const int batch = npusim::maxBatch(config, estimate, net);
+    const int n = (int)net.layers.size();
+
+    // The reference: a fresh Partitioner, hence a fresh DP table and
+    // stage-hash table, for every K. Simulations are pure, so the
+    // SimCache may be shared.
+    npusim::SimCache cache;
+    std::vector<PartitionPlan> fresh;
+    for (int k = 1; k <= n; ++k)
+        fresh.push_back(
+            Partitioner(estimate, {}, &cache).partition(net, k, batch));
+
+    const auto expect_match = [&](const std::vector<int> &order,
+                                  const std::vector<PartitionPlan> &plans,
+                                  const char *how) {
+        ASSERT_EQ(plans.size(), order.size());
+        for (std::size_t i = 0; i < order.size(); ++i) {
+            SCOPED_TRACE(std::string(how) + " K=" +
+                         std::to_string(order[i]));
+            expectSamePlan(plans[i], fresh[order[i] - 1]);
+        }
+    };
+    const auto serial = [&](const std::vector<int> &order) {
+        Partitioner shared(estimate, {}, &cache);
+        std::vector<PartitionPlan> plans;
+        for (int k : order)
+            plans.push_back(shared.partition(net, k, batch));
+        EXPECT_EQ(shared.timingCacheStats().misses, 1u);
+        return plans;
+    };
+
+    // Descending: the first call builds every row, the rest walk.
+    std::vector<int> order(n);
+    for (int i = 0; i < n; ++i)
+        order[i] = n - i;
+    expect_match(order, serial(order), "descending");
+
+    // Shuffled: the table grows in jumps, walked in between.
+    std::shuffle(order.begin(), order.end(), std::mt19937(15));
+    expect_match(order, serial(order), "shuffled");
+
+    // Concurrent: pool tasks race to extend and walk one table.
+    Partitioner shared(estimate, {}, &cache);
+    ThreadPool pool(4);
+    const std::vector<PartitionPlan> racing =
+        pool.parallelMap(order.size(), [&](std::size_t i) {
+            return shared.partition(net, order[i], batch);
+        });
+    expect_match(order, racing, "concurrent");
+}
+
+TEST(CutTable, SharedTableCutsAreMinMaxOptimal)
+{
+    // An oracle independent of the DP: enumerate every cut set of
+    // VGG-16 (2^15 of them) and take the min over sets of the max
+    // stage cost, with the cost the DP charges — fused per-layer
+    // cycles plus the outbound link transfer. One partitioner is
+    // asked for K = n..1, so every K but the first is answered from
+    // rows another K built.
+    sfq::DeviceConfig dev;
+    sfq::CellLibrary lib(dev);
+    const estimator::NpuConfig config =
+        estimator::NpuConfig::superNpu();
+    const estimator::NpuEstimate estimate =
+        estimator::NpuEstimator(lib).estimate(config);
+    const dnn::Network net = dnn::makeVgg16();
+    const int batch = npusim::maxBatch(config, estimate, net);
+    const int n = (int)net.layers.size();
+    ASSERT_LE(n, 20);
+
+    npusim::SimCache cache;
+    const auto full = cache.getOrRun(npusim::NpuSimulator(estimate),
+                                     net, batch);
+    const LinkConfig link;
+    std::vector<double> prefix(n + 1, 0.0), link_after(n, 0.0);
+    for (int l = 0; l < n; ++l) {
+        prefix[l + 1] = prefix[l] + (double)full->layers[l].totalCycles();
+        if (l + 1 < n)
+            link_after[l] = (double)transferCycles(
+                link, activationBytes(net.layers[l], batch),
+                full->frequencyGhz);
+    }
+    const auto seg_cost = [&](int i, int j) {
+        return prefix[j + 1] - prefix[i] + link_after[j];
+    };
+    // best[k]: min-max cost over cut sets with k stages.
+    std::vector<double> best(n + 1,
+                             std::numeric_limits<double>::infinity());
+    for (std::uint32_t mask = 0; mask < (1u << (n - 1)); ++mask) {
+        double worst = 0.0;
+        int first = 0, stages = 0;
+        for (int l = 0; l < n; ++l) {
+            if (l == n - 1 || (mask >> l & 1u)) {
+                worst = std::max(worst, seg_cost(first, l));
+                first = l + 1;
+                ++stages;
+            }
+        }
+        best[stages] = std::min(best[stages], worst);
+    }
+
+    Partitioner shared(estimate, link, &cache);
+    for (int k = n; k >= 1; --k) {
+        SCOPED_TRACE("K=" + std::to_string(k));
+        const PartitionPlan plan = shared.partition(net, k, batch);
+        ASSERT_EQ(plan.stageCount(), k);
+        double worst = 0.0;
+        for (const PipelineStage &stage : plan.stages)
+            worst = std::max(worst,
+                             seg_cost(stage.firstLayer, stage.lastLayer));
+        EXPECT_EQ(worst, best[k]);
+    }
+}
+
+// --- diagnostics -----------------------------------------------------
+
+TEST_F(PartitionFixture, ClampWarningNamesTheNetworkAndCounts)
+{
+    Partitioner partitioner(estimate, {}, &cache);
+    ::testing::internal::CaptureStderr();
+    partitioner.partition(net, 99, batch);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("[warn] network 'PartTest' has 4 layers; "
+                       "clamping 99 pipeline stages to 4\n"),
+              std::string::npos)
+        << err;
+}
+
+TEST(LinkModel, SaturationWarningSpellsOutTheBytes)
+{
+    LinkConfig link;
+    link.bandwidthGBps = 100.0;
+    ::testing::internal::CaptureStderr();
+    transferCycles(link, kMax, 200.0);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("[warn] link transfer of 18446744073709551615 "
+                       "bytes saturates the 64-bit cycle count\n"),
+              std::string::npos)
+        << err;
+}
+
+TEST_F(PartitionFixture, FatalsSpellOutTheBadValue)
+{
+    Partitioner partitioner(estimate, {}, &cache);
+    EXPECT_EXIT(partitioner.partition(net, 0, batch),
+                ::testing::ExitedWithCode(1),
+                "\\[fatal\\] pipeline needs at least 1 stage, got 0");
+    EXPECT_EXIT(partitioner.partition(net, 2, 0),
+                ::testing::ExitedWithCode(1),
+                "\\[fatal\\] batch must be at least 1, got 0");
+    PipelineSimulator sim(estimate, {}, &cache);
+    const PartitionPlan plan = partitioner.partition(net, 2, batch);
+    EXPECT_EXIT(sim.run(plan, 0), ::testing::ExitedWithCode(1),
+                "pipeline stream needs at least 1 batch, got 0");
+    LinkConfig dead;
+    dead.bandwidthGBps = 0.0;
+    EXPECT_EXIT(dead.check(), ::testing::ExitedWithCode(1),
+                "link bandwidth must be positive, got 0 GB/s");
 }
 
 TEST_F(PartitionFixture, PlansAreDeterministicAcrossFreshCaches)

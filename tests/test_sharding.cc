@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "dnn/layer.hh"
 #include "dnn/networks.hh"
@@ -515,6 +516,92 @@ TEST_F(ShardingFixture, ParallelPlanIsByteIdenticalToSerial)
         EXPECT_EQ(parallel.sim.misses, serial.sim.misses);
         EXPECT_EQ(parallel.timings.hits, serial.timings.hits);
         EXPECT_EQ(parallel.timings.misses, serial.timings.misses);
+    }
+}
+
+/** Every ShardPlan field, stage cuts and overlay vectors included. */
+void
+expectSameShardPlan(const ShardPlan &a, const ShardPlan &b)
+{
+    EXPECT_EQ(a.networkName, b.networkName);
+    EXPECT_EQ(a.configName, b.configName);
+    EXPECT_EQ(a.dataParallel, b.dataParallel);
+    EXPECT_EQ(a.tensorShards, b.tensorShards);
+    EXPECT_EQ(a.pipelineStages, b.pipelineStages);
+    EXPECT_EQ(a.batch, b.batch);
+    EXPECT_EQ(a.replicaShare, b.replicaShare);
+    EXPECT_EQ(a.frequencyGhz, b.frequencyGhz);
+    EXPECT_EQ(a.link.bandwidthGBps, b.link.bandwidthGBps);
+    EXPECT_EQ(a.link.latencyCycles, b.link.latencyCycles);
+    EXPECT_EQ(a.stageCollectiveCycles, b.stageCollectiveCycles);
+    EXPECT_EQ(a.stageOccupancyCycles, b.stageOccupancyCycles);
+    EXPECT_EQ(a.tensorCollectiveCycles, b.tensorCollectiveCycles);
+    EXPECT_EQ(a.tensorCollectiveBytes, b.tensorCollectiveBytes);
+    EXPECT_EQ(a.gatherBytes, b.gatherBytes);
+    EXPECT_EQ(a.gatherCycles, b.gatherCycles);
+    EXPECT_EQ(a.bottleneckCycles, b.bottleneckCycles);
+    EXPECT_EQ(a.fillCycles, b.fillCycles);
+    EXPECT_EQ(a.intervalCycles, b.intervalCycles);
+    EXPECT_EQ(a.latencyCycles, b.latencyCycles);
+    EXPECT_EQ(a.soloCycles, b.soloCycles);
+    EXPECT_EQ(a.macOpsPerBatch, b.macOpsPerBatch);
+    EXPECT_EQ(a.peakMacPerSec, b.peakMacPerSec);
+
+    const partition::PartitionPlan &x = a.pipeline;
+    const partition::PartitionPlan &y = b.pipeline;
+    EXPECT_EQ(x.networkName, y.networkName);
+    EXPECT_EQ(x.batch, y.batch);
+    EXPECT_EQ(x.bottleneckStage, y.bottleneckStage);
+    EXPECT_EQ(x.bottleneckCycles, y.bottleneckCycles);
+    EXPECT_EQ(x.fillCycles, y.fillCycles);
+    ASSERT_EQ(x.stageCount(), y.stageCount());
+    for (int s = 0; s < x.stageCount(); ++s) {
+        SCOPED_TRACE("stage " + std::to_string(s));
+        EXPECT_EQ(x.stages[s].firstLayer, y.stages[s].firstLayer);
+        EXPECT_EQ(x.stages[s].lastLayer, y.stages[s].lastLayer);
+        EXPECT_EQ(x.stages[s].network.name, y.stages[s].network.name);
+        EXPECT_EQ(x.stages[s].stageCycles, y.stages[s].stageCycles);
+        EXPECT_EQ(x.stages[s].linkBytes, y.stages[s].linkBytes);
+        EXPECT_EQ(x.stages[s].linkCycles, y.stages[s].linkCycles);
+    }
+}
+
+TEST_F(ShardingFixture, SearchCandidatesMatchTheirStandaloneEvaluate)
+{
+    // plan() derives the hashes, shard networks and DP rows once and
+    // shares them across candidates; evaluate() derives its own.
+    // Both must land on the same plan, field for field.
+    for (const dnn::Network &network :
+         {dnn::makeMobileNet(), dnn::makeResNet50()}) {
+        const int full = npusim::maxBatch(config, estimate, network);
+        for (int budget : {8, 32}) {
+            for (int jobs : {1, 4}) {
+                npusim::SimCache search_cache;
+                const HybridPlanner searcher(estimate, testLink(),
+                                             &search_cache);
+                const PlanSearch search =
+                    searcher.plan(network, budget, full,
+                                  PlanObjective::Throughput, jobs);
+                ASSERT_FALSE(search.evaluated.empty());
+                npusim::SimCache lone_cache;
+                const HybridPlanner lone(estimate, testLink(),
+                                         &lone_cache);
+                for (const ShardPlan &plan : search.evaluated) {
+                    SCOPED_TRACE(network.name + " budget " +
+                                 std::to_string(budget) + " jobs " +
+                                 std::to_string(jobs) + " R" +
+                                 std::to_string(plan.dataParallel) +
+                                 " T" +
+                                 std::to_string(plan.tensorShards) +
+                                 " K" +
+                                 std::to_string(plan.pipelineStages));
+                    expectSameShardPlan(
+                        plan, lone.evaluate(network, plan.dataParallel,
+                                            plan.tensorShards,
+                                            plan.pipelineStages, full));
+                }
+            }
+        }
     }
 }
 
