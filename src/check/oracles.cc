@@ -457,7 +457,15 @@ servingConfig(const CheckCase &c)
                                  ? serving::BatchPolicy::FixedBatch
                                  : serving::BatchPolicy::DynamicTimeout;
     config.batching.maxBatch = c.servingMaxBatch;
-    config.chips = c.servingChips;
+    // The case's parallelism degrees place the fleet as servingChips
+    // groups: K-stage pipelines when the case is not replicated,
+    // R-replica groups otherwise.
+    if (c.dataParallel == 1)
+        config.pipelineStages = c.pipelineStages;
+    config.dataParallelReplicas = c.dataParallel;
+    config.link = c.link;
+    config.chips = c.servingChips * config.pipelineStages *
+                   config.dataParallelReplicas;
     config.requests = c.servingRequests;
     config.seed = c.servingSeed;
     config.check();
@@ -466,10 +474,11 @@ servingConfig(const CheckCase &c)
 
 /**
  * A fault-free serving run must conserve requests, pass the serving
- * audit, and land inside its closed-form envelope: throughput cannot
- * beat chips * the best per-chip peak, and no request can finish
- * faster than the cheapest possible batch service. The cook inflates
- * the reported throughput past the envelope.
+ * audit, and land inside its closed-form envelope from the group
+ * timing model: throughput cannot beat groups * the best per-group
+ * batches-per-interval peak, and no request can finish faster than
+ * the cheapest batch latency. The cook inflates the reported
+ * throughput past the envelope.
  */
 OracleOutcome
 oracleServingBounds(const CheckCase &c, const sfq::CellLibrary &lib,
@@ -483,15 +492,20 @@ oracleServingBounds(const CheckCase &c, const sfq::CellLibrary &lib,
     serving::ServingReport report =
         serving::ServingSimulator(service, config).run();
 
+    const serving::GroupTimingModel group(
+        service, config.pipelineStages, config.dataParallelReplicas,
+        config.link);
     double peak = 0.0;
-    double min_service = 0.0;
+    double min_latency = 0.0;
     for (int b = 1; b <= config.batching.maxBatch; ++b) {
-        peak = std::max(peak, service.peakRps(b));
-        const double seconds = service.batchSeconds(b);
-        if (b == 1 || seconds < min_service)
-            min_service = seconds;
+        const serving::GroupTimingModel::Timing &timing =
+            group.timing(b);
+        peak = std::max(peak, (double)b / timing.intervalSec);
+        if (b == 1 || timing.latencySec < min_latency)
+            min_latency = timing.latencySec;
     }
-    const double ceiling = (double)config.chips * peak;
+    const double ceiling =
+        (double)(config.chips / group.chips()) * peak;
     if (cook == Cook::Tamper)
         report.throughputRps = ceiling * 1.5 + 1.0;
 
@@ -503,9 +517,9 @@ oracleServingBounds(const CheckCase &c, const sfq::CellLibrary &lib,
                      "every injected request must complete");
     checker.expectLe(report.throughputRps, ceiling * (1.0 + 1e-9),
                      "throughput must not beat the closed-form peak");
-    checker.expectLe(min_service * (1.0 - 1e-9), report.latencyMax,
+    checker.expectLe(min_latency * (1.0 - 1e-9), report.latencyMax,
                      "no request can finish faster than the cheapest "
-                     "batch service");
+                     "batch latency");
     return checker.outcome();
 }
 

@@ -105,31 +105,21 @@ MetricsCollector::recordLatency(double seconds)
 }
 
 void
-MetricsCollector::recordBatch(int chip, int size, double service_sec)
+MetricsCollector::recordGroupBatch(int first_chip, int size,
+                                   const std::vector<double> &lane_busy,
+                                   int replicas)
 {
-    SUPERNPU_ASSERT(chip >= 0 && chip < (int)_busySec.size(),
-                    "bad chip index");
-    _batchSizes.add((double)size);
-    _busySec[chip] += service_sec;
-    ++_chipBatches[chip];
-}
-
-void
-MetricsCollector::recordPipelinedBatch(
-    int first_chip, int size, const std::vector<double> &stage_busy)
-{
+    const int chips = (int)lane_busy.size() * replicas;
     SUPERNPU_ASSERT(first_chip >= 0 &&
-                        first_chip + (int)stage_busy.size() <=
-                            (int)_busySec.size(),
-                    "pipeline group outside the chip range");
+                        first_chip + chips <= (int)_busySec.size(),
+                    "dispatch group outside the chip range");
     _batchSizes.add((double)size);
-    // The launch counts once, attributed to the group's stage-0
-    // chip, so Σ perChipBatches == batchesLaunched still holds
-    // (obs/audit.hh checks it); the busy time lands on each stage's
-    // physical chip.
+    // The launch counts once, attributed to the group's first chip,
+    // so Σ perChipBatches == batchesLaunched still holds
+    // (obs/audit.hh checks it); the busy time lands on every chip.
     ++_chipBatches[first_chip];
-    for (std::size_t stage = 0; stage < stage_busy.size(); ++stage)
-        _busySec[first_chip + (int)stage] += stage_busy[stage];
+    for (int chip = 0; chip < chips; ++chip)
+        _busySec[first_chip + chip] += lane_busy[chip / replicas];
 }
 
 void

@@ -113,17 +113,16 @@ class MetricsCollector
     /** One request completed with the given sojourn time. */
     void recordLatency(double seconds);
 
-    /** One batch launched on `chip`, busying it for `service` s. */
-    void recordBatch(int chip, int size, double service_sec);
-
     /**
-     * One batch launched on a pipeline group whose stage-0 chip is
-     * `first_chip`: the launch counts once (attributed to the
-     * stage-0 chip, keeping Σ perChipBatches == batchesLaunched)
-     * while stage i's busy time lands on chip first_chip + i.
+     * One batch launched on a dispatch group whose first chip is
+     * `first_chip`: the launch counts once (attributed to that chip,
+     * keeping Σ perChipBatches == batchesLaunched) while lane l's
+     * busy time lands on each of its `replicas` chips, first_chip +
+     * l·replicas onward.
      */
-    void recordPipelinedBatch(int first_chip, int size,
-                              const std::vector<double> &stage_busy);
+    void recordGroupBatch(int first_chip, int size,
+                          const std::vector<double> &lane_busy,
+                          int replicas);
 
     /**
      * Adjust a chip's recorded busy time after the fact: positive

@@ -6,6 +6,7 @@
 #include "service_model.hh"
 
 #include "common/logging.hh"
+#include "sharding/collective.hh"
 
 namespace supernpu {
 namespace serving {
@@ -30,6 +31,49 @@ BatchServiceModel::batchSeconds(int batch) const
     const double seconds = run->seconds();
     SUPERNPU_ASSERT(seconds > 0.0, "service time must be positive");
     return seconds;
+}
+
+GroupTimingModel::GroupTimingModel(const BatchServiceModel &service,
+                                   int stages, int replicas,
+                                   const partition::LinkConfig &link)
+    : _service(service), _stages(stages), _replicas(replicas),
+      _link(link)
+{
+    SUPERNPU_ASSERT(stages >= 1 && replicas >= 1,
+                    "group degrees must be positive");
+    if (stages > 1) {
+        _pipe = std::make_unique<partition::PipelineServiceModel>(
+            service.estimate(), service.network(), stages, link,
+            service.cache());
+    } else {
+        _single.stageStartSec.assign(1, 0.0);
+        _single.stageBusySec.assign(1, 0.0);
+    }
+}
+
+const GroupTimingModel::Timing &
+GroupTimingModel::timing(int size) const
+{
+    if (_pipe)
+        return _pipe->timing(size);
+    // The batch splits into near-equal shares; the widest share's
+    // service plus the ring all-gather of the results bounds the
+    // group.
+    double service =
+        _service.batchSeconds((size + _replicas - 1) / _replicas);
+    if (_replicas > 1) {
+        const double ghz = _service.estimate().frequencyGhz;
+        const std::uint64_t bytes = partition::activationBytes(
+            _service.network().layers.back(), size);
+        service += (double)sharding::allGatherCost(_link, _replicas,
+                                                   bytes, ghz)
+                       .cycles /
+                   (ghz * 1e9);
+    }
+    _single.latencySec = service;
+    _single.intervalSec = service;
+    _single.stageBusySec[0] = service;
+    return _single;
 }
 
 } // namespace serving

@@ -22,9 +22,12 @@
 #ifndef SUPERNPU_SERVING_SERVICE_MODEL_HH
 #define SUPERNPU_SERVING_SERVICE_MODEL_HH
 
+#include <memory>
+
 #include "dnn/layer.hh"
 #include "npusim/sim.hh"
 #include "npusim/sim_cache.hh"
+#include "partition/pipeline_sim.hh"
 
 namespace supernpu {
 namespace serving {
@@ -69,6 +72,47 @@ class BatchServiceModel
     npusim::SimCache *_cache;
     std::uint64_t _netHash = 0;    ///< hashed once at construction
     std::uint64_t _configHash = 0;
+};
+
+/**
+ * Per-batch timing of one dispatch group: G = R·K chips laid out as
+ * K stage lanes of R replica chips each (G = 1 is a lone die). Lane
+ * l owns the group's chips l·R .. l·R + R-1. A launched batch holds
+ * lane 0 for the initiation interval, occupies lane l from its start
+ * offset for its busy seconds, and completes one latency after
+ * launch.
+ *
+ *  - K == 1: one lane, busy for batchSeconds(ceil(size/R)) plus the
+ *    ring all-gather of the results when R > 1; interval, latency
+ *    and busy coincide. Every call resolves the service time afresh,
+ *    so each launch costs exactly one SimCache lookup.
+ *  - K > 1 (R == 1): the memoized partition::PipelineServiceModel.
+ */
+class GroupTimingModel
+{
+  public:
+    using Timing = partition::PipelineServiceModel::Timing;
+
+    GroupTimingModel(const BatchServiceModel &service, int stages,
+                     int replicas, const partition::LinkConfig &link);
+
+    /**
+     * Timing of one batch of the given size, seconds from launch.
+     * The reference stays valid until the next call; one caller at a
+     * time.
+     */
+    const Timing &timing(int size) const;
+
+    /** Chips per group, G = R·K. */
+    int chips() const { return _stages * _replicas; }
+
+  private:
+    const BatchServiceModel &_service;
+    int _stages;
+    int _replicas;
+    partition::LinkConfig _link;
+    std::unique_ptr<partition::PipelineServiceModel> _pipe; ///< K > 1
+    mutable Timing _single; ///< K == 1, refilled per call
 };
 
 } // namespace serving

@@ -12,15 +12,21 @@
  * Stale timeouts (the queue already launched, or grew to a full
  * batch) are no-ops, so the loop never needs to cancel events.
  *
- * Fault events reuse the same discipline: Detect carries the launch
- * generation it was armed for and is a no-op if the batch completed
- * or restarted in the meantime; Done carries its own schedule
- * sequence and is a no-op unless it is the chip's pending completion
- * (a killed or glitch-stretched batch leaves a stale Done behind
- * rather than requiring heap surgery). With an empty fault schedule
- * no fault event is created, no service time is scaled, and the
- * event sequence — hence every metric — is byte-identical to the
- * pre-fault simulator.
+ * Every dispatch target is one group of G = R·K chips timed by a
+ * GroupTimingModel, and every event kind has one body driven by that
+ * timing and the lane→chip map. A target keeps a FIFO of in-flight
+ * batches; a lone die or a replica group holds at most one, a
+ * pipeline streams several back to back.
+ *
+ * Fault events reuse the stale-event discipline: Detect carries the
+ * corruption wave it was armed for and kills only that wave's
+ * batches still in flight (a no-op once they completed); Done
+ * carries its own schedule sequence and is a no-op unless it is a
+ * batch's pending completion (a killed or glitch-stretched batch
+ * leaves a stale Done behind rather than requiring heap surgery).
+ * With an empty fault schedule no fault event is created, no
+ * service time is scaled, and the event sequence — hence every
+ * metric — is byte-identical to the pre-fault simulator.
  */
 
 #include "simulator.hh"
@@ -29,12 +35,10 @@
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <queue>
 
 #include "common/logging.hh"
 #include "perf/profile.hh"
-#include "sharding/collective.hh"
 
 namespace supernpu {
 namespace serving {
@@ -93,13 +97,13 @@ namespace {
 enum class EventKind
 {
     Arrival,   ///< one request enters the system
-    Timeout,   ///< a chip's batch-timeout deadline passed
-    Done,      ///< a chip finished its in-flight batch
+    Timeout,   ///< a target's batch-timeout deadline passed
+    Done,      ///< a target finished one in-flight batch
     Fault,     ///< a scheduled hardware fault strikes
     Detect,    ///< corruption detection latency elapsed
-    Quarantine,///< a permanently-faulted chip is taken out
+    Quarantine,///< a permanently-faulted target is taken out
     Retry,     ///< a killed request's backoff expired
-    StageFree, ///< a pipeline group's stage 0 can accept a batch
+    StageFree, ///< a pipelined target's lane 0 can accept a batch
 };
 
 /** One scheduled event. */
@@ -108,10 +112,11 @@ struct Event
     double timeSec;
     std::uint64_t seq; ///< creation order, the determinism tiebreak
     EventKind kind;
-    int chip; ///< Timeout/Done/Fault/... target; unused for arrivals
+    /** Dispatch target; Fault: the struck physical chip. */
+    int chip;
     /**
-     * Fault: index into the fault schedule. Detect: the launch
-     * generation it was armed for. Unused otherwise.
+     * Fault: index into the fault schedule. Detect: the corruption
+     * wave it was armed for. Unused otherwise.
      */
     std::uint64_t tag = 0;
     /** The re-enqueued request of a Retry event. */
@@ -129,69 +134,66 @@ struct EventAfter
     }
 };
 
-/** Sentinel: no completion pending. */
+/** Sentinel: no event pending. */
 constexpr std::uint64_t kNoSeq =
     std::numeric_limits<std::uint64_t>::max();
 
-/**
- * One batch streaming through a K-stage pipeline group. Launched
- * back to back, several can be in flight in one group at once; the
- * deque stays FIFO-ordered by completion.
- */
-struct PipeBatch
+/** One batch in flight on a dispatch target. */
+struct Batch
 {
     std::vector<Request> requests;
     double launchSec = 0.0;
+    double serviceSec = 0.0; ///< derated launch-to-completion work
     double doneSec = 0.0;
     std::uint64_t doneSeq = 0; ///< valid Done event for this batch
-    bool corrupted = false;
-    /** Per-stage busy windows, offsets from launchSec (derated). */
-    std::vector<double> stageStartSec;
-    std::vector<double> stageBusySec;
+    /** Corruption wave that hit the batch; 0 while it is clean. */
+    std::uint64_t wave = 0;
+    double corruptedAtSec = 0.0;
+    /**
+     * Link-glitch stall ridden so far, and as of the corruption.
+     * Stalls stretch doneSec but are NOT service work: checkpoints
+     * cover computed progress only, so the restart math must never
+     * treat glitch delay as checkpointable.
+     */
+    double glitchSec = 0.0;
+    double glitchAtCorruptSec = 0.0;
+    /**
+     * Per lane, the absolute window the lane's chips spend on this
+     * batch: its compute, plus any glitch stall that struck the lane
+     * inside the window (the stall pauses the lane, so the window
+     * stays contiguous).
+     */
+    std::vector<double> laneStartSec;
+    std::vector<double> laneEndSec;
 };
 
 /**
- * One dispatch target: a single NPU die, or — in pipelined mode — a
- * whole K-chip pipeline group sharing one batch queue.
+ * One dispatch target: a group of G = R·K chips (a lone die when
+ * G == 1) sharing one batch queue.
  */
-struct Chip
+struct Target
 {
-    explicit Chip(const BatchingConfig &batching) : queue(batching) {}
+    Target(const BatchingConfig &batching, int lanes)
+        : queue(batching), stallUntilSec((std::size_t)lanes, 0.0)
+    {
+    }
 
     BatchQueue queue;
-    bool busy = false;
-    std::vector<Request> inFlight;
-
-    // --- pipelined-mode state (unused when pipelineStages == 1) -----
-    std::deque<PipeBatch> pipeInFlight;
-    double lastPipeDoneSec = 0.0; ///< FIFO floor for completions
-    double freeSec = 0.0;         ///< when stage 0 frees
+    /** Batches in flight, FIFO-ordered by completion. */
+    std::deque<Batch> inFlight;
+    bool busy = false;            ///< lane 0 holds a batch
+    double freeSec = 0.0;         ///< when lane 0 frees
     std::uint64_t pendingFreeSeq = kNoSeq; ///< valid StageFree event
+    double lastDoneSec = 0.0;     ///< FIFO floor for completions
     /**
-     * Per stage lane: when the busy time charged for link-glitch
-     * stalls ends. A stall only occupies the struck chip while the
-     * group still has batches to ship, so when a Detect wave empties
-     * the group the unexpired remainder is given back. Sized K on
-     * the first glitch.
+     * Per lane: when a glitch stall that struck the lane outside
+     * every in-flight window stops occupying it. The stall stays
+     * charged while the group still has batches to ship; a kill that
+     * empties the group gives the unexpired remainder back.
      */
     std::vector<double> stallUntilSec;
 
     // --- fault state (inert without a fault schedule) ---------------
-    std::uint64_t launchGen = 0;  ///< increments per (re)launch
-    std::uint64_t pendingDoneSeq = kNoSeq; ///< valid Done event
-    double launchSec = 0.0;  ///< current batch launch time
-    double serviceSec = 0.0; ///< current batch service time (work)
-    double doneSec = 0.0;    ///< current batch completion time
-    /**
-     * Link-glitch stall accumulated by the current batch. Stalls
-     * stretch doneSec but are NOT service work: checkpoints cover
-     * computed progress only, so the restart math must never treat
-     * glitch delay as checkpointable.
-     */
-    double glitchSec = 0.0;
-    bool corrupted = false;  ///< in-flight results are garbage
-    double corruptedAtSec = 0.0;
-    double glitchAtCorruptSec = 0.0; ///< glitchSec when corrupted
     double permDerate = 1.0; ///< flux-trap service multiplier
     bool quarantined = false;
     double skewUntilSec = 0.0; ///< clock-skew window end
@@ -199,10 +201,10 @@ struct Chip
 
     int outstanding() const
     {
-        int pipelined = 0;
-        for (const PipeBatch &batch : pipeInFlight)
-            pipelined += (int)batch.requests.size();
-        return (int)queue.depth() + (int)inFlight.size() + pipelined;
+        int in_flight = 0;
+        for (const Batch &batch : inFlight)
+            in_flight += (int)batch.requests.size();
+        return (int)queue.depth() + in_flight;
     }
 };
 
@@ -245,43 +247,21 @@ ServingSimulator::run()
             Event{time, next_seq++, EventKind::Retry, -1, 0, request});
     };
 
-    // Grouped placement: dispatch targets are G-chip groups — K-stage
-    // pipelines or R-replica data-parallel sets (mutually exclusive,
-    // so G = K·R is whichever exceeds 1) — not single dies. G == 1
-    // keeps n_targets == chips and leaves every code path below
-    // byte-identical to the pre-partition, pre-sharding loop.
+    // Every dispatch target is a group of G = R·K chips: K stage
+    // lanes of R replica chips each, lane l owning the group's chips
+    // l·R .. l·R + R-1. G == 1 keeps n_targets == chips.
     const int K = _cfg.pipelineStages;
     const int R = _cfg.dataParallelReplicas;
     const int G = K * R;
-    const bool pipelined = K > 1;
-    const bool replicated = R > 1;
     const int n_targets = _cfg.chips / G;
-    std::unique_ptr<partition::PipelineServiceModel> pipe;
-    if (pipelined) {
-        pipe = std::make_unique<partition::PipelineServiceModel>(
-            _service.estimate(), _service.network(), K, _cfg.link,
-            _service.cache());
-    }
-    // Ring all-gather of a replica group's results, in seconds at
-    // the design point's clock (zero when not replicated).
-    const double freq_ghz = _service.estimate().frequencyGhz;
-    const auto gather_sec = [&](int size) {
-        if (!replicated)
-            return 0.0;
-        const std::uint64_t bytes = partition::activationBytes(
-            _service.network().layers.back(), size);
-        return (double)sharding::allGatherCost(_cfg.link, R, bytes,
-                                               freq_ghz)
-                   .cycles /
-               (freq_ghz * 1e9);
-    };
+    const GroupTimingModel group(_service, K, R, _cfg.link);
 
     ArrivalProcess arrivals(_cfg.arrival, _cfg.seed);
     Dispatcher dispatcher(_cfg.dispatch, n_targets);
     MetricsCollector metrics(_cfg.chips);
     const ResilienceConfig &res = _cfg.resilience;
 
-    std::vector<Chip> chips(n_targets, Chip(_cfg.batching));
+    std::vector<Target> targets(n_targets, Target(_cfg.batching, K));
     std::uint64_t injected = 0;  ///< arrival events created
     std::uint64_t arrived = 0;   ///< requests that entered a queue
     std::uint64_t completed = 0;
@@ -289,6 +269,7 @@ ServingSimulator::run()
     double clock = 0.0;
 
     int quarantined_count = 0;
+    std::uint64_t waves = 0; ///< corruption waves so far
     std::uint64_t faults_seen = 0;
     std::uint64_t batches_killed = 0;
     std::uint64_t requests_killed = 0;
@@ -305,23 +286,36 @@ ServingSimulator::run()
     // re-summing it there an O(targets) cost on the hottest line.
     std::size_t queued_depth = 0;
 
-    // Steady state recycles batch buffers and pipeline-batch records
-    // instead of allocating per launch: completed ones park here with
-    // their capacity intact.
-    std::vector<std::vector<Request>> spare_batches;
-    std::vector<PipeBatch> spare_pipe;
-    const auto take_batch_buffer = [&]() {
+    // Steady state recycles batch records instead of allocating per
+    // launch: finished ones park here with their capacity intact.
+    std::vector<Batch> spare_batches;
+    const auto take_batch = [&]() {
         if (spare_batches.empty())
-            return std::vector<Request>();
-        std::vector<Request> buffer = std::move(spare_batches.back());
+            return Batch();
+        Batch batch = std::move(spare_batches.back());
         spare_batches.pop_back();
-        return buffer;
+        return batch;
     };
-    const auto recycle_batch_buffer =
-        [&](std::vector<Request> &&buffer) {
-            buffer.clear();
-            spare_batches.push_back(std::move(buffer));
-        };
+    const auto recycle_batch = [&](Batch &&batch) {
+        batch.requests.clear();
+        spare_batches.push_back(std::move(batch));
+    };
+
+    // Launch-time derates apply in one order: the flux-trap derate,
+    // then the clock-skew window's.
+    const auto derate = [&](const Target &target, double seconds) {
+        seconds *= target.permDerate;
+        if (clock < target.skewUntilSec)
+            seconds *= target.skewFactor;
+        return seconds;
+    };
+
+    // Adjust the recorded busy time of every chip in one lane.
+    const auto charge_lane = [&](int index, int lane, double seconds) {
+        const int first = index * G + lane * R;
+        for (int chip = first; chip < first + R; ++chip)
+            metrics.extendBusy(chip, seconds);
+    };
 
     // A request leaves the system: record it, count it, and let a
     // closed-loop client think and re-ask.
@@ -339,8 +333,7 @@ ServingSimulator::run()
     };
 
     // A killed batch's requests back off and re-enter, or give up
-    // past their retry/deadline budget. Shared by the single-chip
-    // and pipelined Detect paths.
+    // past their retry/deadline budget.
     const auto kill_requests = [&](std::vector<Request> &requests) {
         for (Request request : requests) {
             ++requests_killed;
@@ -364,136 +357,84 @@ ServingSimulator::run()
     };
 
     // Dispatch target for a new or re-enqueued request. Only when a
-    // chip is actually quarantined does the health mask exist, so a
-    // fault-free run drives the dispatcher exactly as before.
+    // target is actually quarantined does the health mask exist, so
+    // a fault-free run drives the dispatcher exactly as before.
     const auto pick_target = [&]() {
         std::vector<int> outstanding(n_targets);
         for (int i = 0; i < n_targets; ++i)
-            outstanding[i] = chips[i].outstanding();
+            outstanding[i] = targets[i].outstanding();
         if (quarantined_count > 0) {
-            // With no healthy chip left, Dispatcher::pick would fall
-            // back to dispatching onto a quarantined chip and the
-            // run would silently "serve" from known-bad hardware.
+            // With no healthy target left, Dispatcher::pick would
+            // fall back to dispatching onto a quarantined one and
+            // the run would silently "serve" from known-bad hardware.
             if (quarantined_count >= n_targets) {
-                fatal("all ", n_targets,
-                      pipelined     ? " pipeline group(s)"
-                      : replicated  ? " replica group(s)"
-                                    : " chip(s)",
-                      " quarantined: no "
-                      "healthy dispatch target remains (permanent "
-                      "faults exceeded the cluster's redundancy)");
+                fatal("all ", n_targets, " dispatch target(s) of ", G,
+                      " chip(s) quarantined: no healthy dispatch "
+                      "target remains (permanent faults exceeded the "
+                      "cluster's redundancy)");
             }
             std::vector<char> healthy((std::size_t)n_targets);
             for (int i = 0; i < n_targets; ++i)
                 healthy[(std::size_t)i] =
-                    chips[i].quarantined ? 0 : 1;
+                    targets[i].quarantined ? 0 : 1;
             return dispatcher.pick(outstanding, healthy);
         }
         return dispatcher.pick(outstanding);
     };
 
-    // Put a batch in service. Fault-free, the service-time guards
-    // never fire and this is the original launch path bit for bit.
-    const auto launch_batch = [&](int index,
-                                  std::vector<Request> batch) {
-        Chip &chip = chips[index];
-        if (pipelined) {
-            // The batch streams through the group's K stages:
-            // stage 0 frees one (derated) initiation interval after
-            // launch, results emerge a full pipeline latency later,
-            // and completions stay FIFO — a faster later batch
-            // queues behind its predecessor's drain.
-            const int size = (int)batch.size();
-            const partition::PipelineServiceModel::Timing &timing =
-                pipe->timing(size);
-            double scale = chip.permDerate;
-            if (clock < chip.skewUntilSec)
-                scale *= chip.skewFactor;
-            PipeBatch pipe_batch;
-            if (!spare_pipe.empty()) {
-                pipe_batch = std::move(spare_pipe.back());
-                spare_pipe.pop_back();
-            }
-            pipe_batch.corrupted = false;
-            pipe_batch.requests = std::move(batch);
-            pipe_batch.launchSec = clock;
-            pipe_batch.doneSec =
-                std::max(clock + timing.latencySec * scale,
-                         chip.lastPipeDoneSec);
-            pipe_batch.stageStartSec.resize((std::size_t)K);
-            pipe_batch.stageBusySec.resize((std::size_t)K);
-            for (int stage = 0; stage < K; ++stage) {
-                pipe_batch.stageStartSec[(std::size_t)stage] =
-                    timing.stageStartSec[(std::size_t)stage] * scale;
-                pipe_batch.stageBusySec[(std::size_t)stage] =
-                    timing.stageBusySec[(std::size_t)stage] * scale;
-            }
-            chip.lastPipeDoneSec = pipe_batch.doneSec;
-            metrics.recordPipelinedBatch(index * G, size,
-                                         pipe_batch.stageBusySec);
-            pipe_batch.doneSeq =
-                schedule(pipe_batch.doneSec, EventKind::Done, index);
-            chip.busy = true;
-            chip.freeSec = clock + timing.intervalSec * scale;
-            chip.pendingFreeSeq =
-                schedule(chip.freeSec, EventKind::StageFree, index);
-            chip.pipeInFlight.push_back(std::move(pipe_batch));
-            return;
+    // Put a batch in service: it holds lane 0 for the (derated)
+    // initiation interval, occupies each lane for its window, and
+    // completes one latency after launch — FIFO behind its
+    // predecessor's drain. Only a pipelined group, whose interval
+    // undercuts its latency, frees lane 0 before completion.
+    std::vector<double> lane_busy((std::size_t)K);
+    const auto launch_batch = [&](int index, Batch batch) {
+        Target &target = targets[index];
+        const int size = (int)batch.requests.size();
+        const GroupTimingModel::Timing &timing = group.timing(size);
+        batch.launchSec = clock;
+        batch.serviceSec = derate(target, timing.latencySec);
+        batch.doneSec =
+            std::max(clock + batch.serviceSec, target.lastDoneSec);
+        batch.wave = 0;
+        batch.glitchSec = 0.0;
+        batch.glitchAtCorruptSec = 0.0;
+        batch.laneStartSec.resize((std::size_t)K);
+        batch.laneEndSec.resize((std::size_t)K);
+        for (std::size_t lane = 0; lane < (std::size_t)K; ++lane) {
+            lane_busy[lane] = derate(target, timing.stageBusySec[lane]);
+            batch.laneStartSec[lane] =
+                clock + derate(target, timing.stageStartSec[lane]);
+            batch.laneEndSec[lane] =
+                batch.laneStartSec[lane] + lane_busy[lane];
         }
-        chip.inFlight = std::move(batch);
-        chip.busy = true;
-        chip.corrupted = false;
-        chip.glitchSec = 0.0;
-        chip.glitchAtCorruptSec = 0.0;
-        ++chip.launchGen;
-        const int size = (int)chip.inFlight.size();
-        double service;
-        if (replicated) {
-            // The batch splits into near-equal shares; the group is
-            // busy for the widest share's service plus the ring
-            // all-gather of the results. A derate on any replica
-            // (the group state is shared) throttles the group.
-            const int share = (size + R - 1) / R;
-            service =
-                _service.batchSeconds(share) + gather_sec(size);
-        } else {
-            service = _service.batchSeconds(size);
+        target.lastDoneSec = batch.doneSec;
+        metrics.recordGroupBatch(index * G, size, lane_busy, R);
+        batch.doneSeq = schedule(batch.doneSec, EventKind::Done, index);
+        target.busy = true;
+        if (timing.intervalSec < timing.latencySec) {
+            target.freeSec = clock + derate(target, timing.intervalSec);
+            target.pendingFreeSeq =
+                schedule(target.freeSec, EventKind::StageFree, index);
         }
-        if (chip.permDerate != 1.0)
-            service *= chip.permDerate;
-        if (clock < chip.skewUntilSec)
-            service *= chip.skewFactor;
-        chip.launchSec = clock;
-        chip.serviceSec = service;
-        chip.doneSec = clock + service;
-        if (replicated) {
-            // The launch counts once; every replica chip is busy
-            // until the gather completes.
-            metrics.recordPipelinedBatch(
-                index * G, size,
-                std::vector<double>((std::size_t)R, service));
-        } else {
-            metrics.recordBatch(index, size, service);
-        }
-        chip.pendingDoneSeq =
-            schedule(chip.doneSec, EventKind::Done, index);
+        target.inFlight.push_back(std::move(batch));
     };
 
-    // Launch a batch on an idle chip when its queue allows; otherwise
-    // arm the queue's next timeout deadline.
+    // Launch a batch on an idle target when its queue allows;
+    // otherwise arm the queue's next timeout deadline.
     const auto try_launch = [&](int index) {
-        Chip &chip = chips[index];
-        if (chip.busy || !chip.queue.launchable(clock)) {
-            const double deadline = chip.queue.nextDeadlineSec();
-            if (!chip.busy && deadline > clock &&
+        Target &target = targets[index];
+        if (target.busy || !target.queue.launchable(clock)) {
+            const double deadline = target.queue.nextDeadlineSec();
+            if (!target.busy && deadline > clock &&
                 deadline < std::numeric_limits<double>::infinity()) {
                 schedule(deadline, EventKind::Timeout, index);
             }
             return;
         }
-        std::vector<Request> batch = take_batch_buffer();
-        chip.queue.popInto(batch);
-        queued_depth -= batch.size();
+        Batch batch = take_batch();
+        target.queue.popInto(batch.requests);
+        queued_depth -= batch.requests.size();
         launch_batch(index, std::move(batch));
     };
 
@@ -524,10 +465,10 @@ ServingSimulator::run()
             // partial batches after the last injection: flush them.
             bool flushed = false;
             for (int i = 0; i < n_targets; ++i) {
-                if (!chips[i].busy && !chips[i].queue.empty()) {
-                    std::vector<Request> batch = take_batch_buffer();
-                    chips[i].queue.popInto(batch);
-                    queued_depth -= batch.size();
+                if (!targets[i].busy && !targets[i].queue.empty()) {
+                    Batch batch = take_batch();
+                    targets[i].queue.popInto(batch.requests);
+                    queued_depth -= batch.requests.size();
                     launch_batch(i, std::move(batch));
                     flushed = true;
                 }
@@ -551,7 +492,7 @@ ServingSimulator::run()
         switch (event.kind) {
           case EventKind::Arrival: {
             const int target = pick_target();
-            chips[target].queue.push(Request{arrived++, clock, clock});
+            targets[target].queue.push(Request{arrived++, clock, clock});
             ++queued_depth;
             try_launch(target);
             if (arrivals.openLoop() && injected < _cfg.requests) {
@@ -565,81 +506,59 @@ ServingSimulator::run()
             try_launch(event.chip);
             break;
           case EventKind::Done: {
-            Chip &chip = chips[event.chip];
-            if (pipelined) {
-                const auto batch = std::find_if(
-                    chip.pipeInFlight.begin(), chip.pipeInFlight.end(),
-                    [&](const PipeBatch &candidate) {
-                        return candidate.doneSeq == event.seq;
-                    });
-                if (batch == chip.pipeInFlight.end())
-                    break; // stale: killed or glitch-stretched batch
-                SUPERNPU_ASSERT(batch == chip.pipeInFlight.begin(),
-                                "pipeline completed out of order");
-                const bool pipe_failed = batch->corrupted;
-                for (const Request &request : batch->requests)
-                    complete_request(request, pipe_failed);
-                recycle_batch_buffer(std::move(batch->requests));
-                spare_pipe.push_back(std::move(*batch));
-                chip.pipeInFlight.pop_front();
-                try_launch(event.chip);
-                break;
-            }
-            if (event.seq != chip.pendingDoneSeq)
-                break; // stale: batch was killed or stretched
-            SUPERNPU_ASSERT(chip.busy, "completion on an idle chip");
+            Target &target = targets[event.chip];
+            const auto batch = std::find_if(
+                target.inFlight.begin(), target.inFlight.end(),
+                [&](const Batch &candidate) {
+                    return candidate.doneSeq == event.seq;
+                });
+            if (batch == target.inFlight.end())
+                break; // stale: killed or glitch-stretched batch
+            SUPERNPU_ASSERT(batch == target.inFlight.begin(),
+                            "group completed out of order");
             // Corruption that outran its detection (or was never
             // detected under the no-recovery policy) ships garbage:
             // the requests complete, and count as failed.
-            const bool failed = chip.corrupted;
-            for (const Request &request : chip.inFlight)
+            const bool failed = batch->wave != 0;
+            for (const Request &request : batch->requests)
                 complete_request(request, failed);
-            recycle_batch_buffer(std::move(chip.inFlight));
-            chip.inFlight.clear();
-            chip.busy = false;
-            chip.corrupted = false;
-            chip.pendingDoneSeq = kNoSeq;
+            recycle_batch(std::move(*batch));
+            target.inFlight.pop_front();
+            // Without a pending StageFree, the batch held lane 0
+            // until completion.
+            if (target.pendingFreeSeq == kNoSeq)
+                target.busy = false;
             try_launch(event.chip);
             break;
           }
           case EventKind::Fault: {
             const reliability::FaultEvent &fault =
                 _cfg.faults.events()[(std::size_t)event.tag];
-            // Fault events strike physical chips; in grouped mode
-            // a chip is one member of group event.chip / G, and a
-            // fault on any stage or replica degrades the whole
-            // group.
-            const int target = event.chip / G;
-            Chip &chip = chips[target];
+            // Fault events strike physical chips: the struck chip
+            // is one member of group event.chip / G, and a fault on
+            // any lane or replica degrades the whole group.
+            const int index = event.chip / G;
+            Target &target = targets[index];
             ++faults_seen;
             const bool detects =
                 res.recovery != RecoveryPolicy::None;
-            // A pulse drop or flux trap corrupts the work in flight
-            // and arms Detect once per corruption wave. In pipelined
-            // mode that is every batch in flight in the group — each
-            // is mid-stream through the faulted stage's pipeline.
+            // A pulse drop or flux trap corrupts every clean batch
+            // in flight in the group — each is mid-stream through
+            // the struck group — as one wave, and arms its Detect.
             const auto corrupt_in_flight = [&]() {
-                if (pipelined) {
-                    bool newly = false;
-                    for (PipeBatch &pipe_batch : chip.pipeInFlight) {
-                        if (!pipe_batch.corrupted) {
-                            pipe_batch.corrupted = true;
-                            newly = true;
-                        }
-                    }
-                    if (newly && detects) {
-                        schedule_tagged(clock + res.detectLatencySec,
-                                        EventKind::Detect, target, 0);
-                    }
-                } else if (chip.busy && !chip.corrupted) {
-                    chip.corrupted = true;
-                    chip.corruptedAtSec = clock;
-                    chip.glitchAtCorruptSec = chip.glitchSec;
-                    if (detects) {
-                        schedule_tagged(clock + res.detectLatencySec,
-                                        EventKind::Detect, target,
-                                        chip.launchGen);
-                    }
+                const std::uint64_t wave = ++waves;
+                bool newly = false;
+                for (Batch &batch : target.inFlight) {
+                    if (batch.wave != 0)
+                        continue;
+                    batch.wave = wave;
+                    batch.corruptedAtSec = clock;
+                    batch.glitchAtCorruptSec = batch.glitchSec;
+                    newly = true;
+                }
+                if (newly && detects) {
+                    schedule_tagged(clock + res.detectLatencySec,
+                                    EventKind::Detect, index, wave);
                 }
             };
             switch (fault.kind) {
@@ -650,238 +569,199 @@ ServingSimulator::run()
                 // The trap corrupts in-flight work like a drop...
                 corrupt_in_flight();
                 // ...and permanently derates the remapped array —
-                // in pipelined mode the derated stage throttles the
-                // whole group, so the loss covers all K chips.
-                chip.permDerate *= fault.magnitude;
-                if (!chip.quarantined) {
-                    for (int c = target * G; c < (target + 1) * G;
-                         ++c) {
+                // the derated chip throttles the whole group, so the
+                // loss covers all G chips.
+                target.permDerate *= fault.magnitude;
+                if (!target.quarantined) {
+                    for (int c = index * G; c < (index + 1) * G; ++c) {
                         metrics.setPermanentLoss(
-                            c, clock, 1.0 - 1.0 / chip.permDerate);
+                            c, clock, 1.0 - 1.0 / target.permDerate);
                     }
                 }
                 if (res.recovery == RecoveryPolicy::DegradedDispatch &&
-                    !chip.quarantined) {
+                    !target.quarantined) {
                     schedule_tagged(clock + res.detectLatencySec,
-                                    EventKind::Quarantine, target,
-                                    0);
+                                    EventKind::Quarantine, index, 0);
                 }
                 break;
               case reliability::FaultKind::ClockSkew:
-                chip.skewUntilSec = clock + fault.durationSec;
-                chip.skewFactor = fault.magnitude;
+                target.skewUntilSec = clock + fault.durationSec;
+                target.skewFactor = fault.magnitude;
                 // A skewed clock slows every launch of the group
                 // for the window: all G chips lose capacity.
-                for (int c = target * G; c < (target + 1) * G; ++c) {
+                for (int c = index * G; c < (index + 1) * G; ++c) {
                     metrics.addTransientLoss(
                         c, fault.durationSec *
                                (1.0 - 1.0 / fault.magnitude));
                 }
                 break;
-              case reliability::FaultKind::LinkGlitch:
-                if (pipelined) {
-                    if (chip.pipeInFlight.empty())
-                        break;
-                    // The stalled link pauses the whole stream:
-                    // every in-flight batch and the stage-0 free
-                    // time slip by the stall. The struck physical
-                    // chip is the one occupied by the stall.
-                    for (PipeBatch &pipe_batch : chip.pipeInFlight) {
-                        pipe_batch.doneSec += fault.magnitude;
-                        pipe_batch.doneSeq =
-                            schedule(pipe_batch.doneSec,
-                                     EventKind::Done, target);
+              case reliability::FaultKind::LinkGlitch: {
+                if (target.inFlight.empty())
+                    break;
+                // The stalled link pauses the group's stream: every
+                // in-flight batch completes, and lane 0 frees, the
+                // stall later. The stall occupies the struck chip's
+                // lane: it stretches the window of a batch mid-way
+                // through that lane, and every lane window not yet
+                // begun slips behind it. The stall is not computed
+                // work, so serviceSec stays pure for checkpoint
+                // restarts; the transient capacity loss is the
+                // struck chip's alone.
+                const double stall = fault.magnitude;
+                const int lane = (event.chip - index * G) / R;
+                bool absorbed = false;
+                for (Batch &batch : target.inFlight) {
+                    batch.doneSec += stall;
+                    batch.glitchSec += stall;
+                    batch.doneSeq =
+                        schedule(batch.doneSec, EventKind::Done, index);
+                    for (int l = 0; l < K; ++l) {
+                        double &start = batch.laneStartSec[(std::size_t)l];
+                        double &end = batch.laneEndSec[(std::size_t)l];
+                        if (l == lane && !absorbed && start <= clock &&
+                            clock <= end) {
+                            end += stall;
+                            absorbed = true;
+                        } else if (start >= clock) {
+                            start += stall;
+                            end += stall;
+                        }
                     }
-                    chip.lastPipeDoneSec += fault.magnitude;
-                    if (chip.busy) {
-                        chip.freeSec += fault.magnitude;
-                        chip.pendingFreeSeq =
-                            schedule(chip.freeSec,
-                                     EventKind::StageFree, target);
-                    }
-                    metrics.extendBusy(event.chip, fault.magnitude);
-                    metrics.addTransientLoss(event.chip,
-                                             fault.magnitude);
-                    // Stalls on the same lane serialize: a second
-                    // glitch during a pending stall extends it.
-                    if (chip.stallUntilSec.empty()) {
-                        chip.stallUntilSec.assign((std::size_t)K,
-                                                  0.0);
-                    }
-                    const std::size_t lane =
-                        (std::size_t)(event.chip - target * K);
-                    chip.stallUntilSec[lane] =
-                        std::max(chip.stallUntilSec[lane], clock) +
-                        fault.magnitude;
-                    ++glitches_absorbed;
-                } else if (chip.busy) {
-                    // The stall delays completion and occupies the
-                    // chip, but it is not computed work: serviceSec
-                    // stays pure so checkpoint-restart math never
-                    // counts glitch delay as checkpointable. In a
-                    // replica group the gather blocks on the stalled
-                    // link, so every replica rides the stall out;
-                    // the transient capacity loss is the struck
-                    // link's chip alone.
-                    chip.doneSec += fault.magnitude;
-                    chip.glitchSec += fault.magnitude;
-                    chip.pendingDoneSeq = schedule(
-                        chip.doneSec, EventKind::Done, target);
-                    for (int c = target * G; c < (target + 1) * G;
-                         ++c) {
-                        metrics.extendBusy(c, fault.magnitude);
-                    }
-                    metrics.addTransientLoss(event.chip,
-                                             fault.magnitude);
-                    ++glitches_absorbed;
                 }
+                target.lastDoneSec += stall;
+                if (target.pendingFreeSeq != kNoSeq) {
+                    target.freeSec += stall;
+                    target.pendingFreeSeq = schedule(
+                        target.freeSec, EventKind::StageFree, index);
+                }
+                // Stalls between windows serialize on their lane: a
+                // second glitch during a pending one extends it.
+                if (!absorbed) {
+                    double &until = target.stallUntilSec[(std::size_t)lane];
+                    until = std::max(until, clock) + stall;
+                }
+                charge_lane(index, lane, stall);
+                metrics.addTransientLoss(event.chip, stall);
+                ++glitches_absorbed;
                 break;
+              }
             }
             break;
           }
           case EventKind::Detect: {
-            Chip &chip = chips[event.chip];
-            if (pipelined) {
-                // Kill every corrupted batch still in flight in the
-                // group; each one's requests retry or give up. A
-                // wave that already drained leaves a stale no-op.
-                const bool tail_live =
-                    !chip.pipeInFlight.empty() &&
-                    !chip.pipeInFlight.back().corrupted;
-                bool killed_any = false;
-                for (auto batch = chip.pipeInFlight.begin();
-                     batch != chip.pipeInFlight.end();) {
-                    if (!batch->corrupted) {
-                        ++batch;
-                        continue;
-                    }
-                    killed_any = true;
-                    ++batches_killed;
-                    // Give back each stage's unspent busy tail.
-                    for (int stage = 0; stage < K; ++stage) {
-                        const double start =
-                            batch->launchSec +
-                            batch->stageStartSec[(std::size_t)stage];
-                        const double busy =
-                            batch->stageBusySec[(std::size_t)stage];
-                        const double unspent = std::min(
-                            std::max(start + busy - clock, 0.0),
-                            busy);
-                        if (unspent > 0.0) {
-                            metrics.extendBusy(
-                                event.chip * K + stage, -unspent);
-                        }
-                    }
-                    kill_requests(batch->requests);
-                    recycle_batch_buffer(std::move(batch->requests));
-                    spare_pipe.push_back(std::move(*batch));
-                    batch = chip.pipeInFlight.erase(batch);
+            const int index = event.chip;
+            Target &target = targets[index];
+            // Kill — or restart from a checkpoint — every batch of
+            // this corruption wave still in flight. A wave that
+            // already drained leaves a stale no-op.
+            const bool tail_live = !target.inFlight.empty() &&
+                                   target.inFlight.back().wave != event.tag;
+            bool hit = false;
+            for (auto batch = target.inFlight.begin();
+                 batch != target.inFlight.end();) {
+                if (batch->wave != event.tag) {
+                    ++batch;
+                    continue;
                 }
-                if (!killed_any)
-                    break; // stale: completed meanwhile
-                chip.lastPipeDoneSec =
-                    chip.pipeInFlight.empty()
-                        ? 0.0
-                        : chip.pipeInFlight.back().doneSec;
-                // With nothing left to ship, any unexpired glitch
-                // stall no longer occupies its lane: give the busy
-                // time back (a surviving batch, by contrast, rides
-                // the stall out and keeps it charged). The transient
-                // availability loss stays — the glitch did happen.
-                if (chip.pipeInFlight.empty()) {
-                    for (std::size_t lane = 0;
-                         lane < chip.stallUntilSec.size(); ++lane) {
-                        const double pending =
-                            chip.stallUntilSec[lane] - clock;
-                        if (pending > 0.0) {
-                            metrics.extendBusy(
-                                event.chip * K + (int)lane,
-                                -pending);
-                        }
-                        chip.stallUntilSec[lane] = 0.0;
-                    }
+                hit = true;
+                ++batches_killed;
+                // Give back what each lane had yet to spend on the
+                // batch: compute and absorbed stall past the clock.
+                for (int l = 0; l < K; ++l) {
+                    const double unspent = std::max(
+                        batch->laneEndSec[(std::size_t)l] -
+                            std::max(clock,
+                                     batch->laneStartSec[(std::size_t)l]),
+                        0.0);
+                    charge_lane(index, l, -unspent);
                 }
-                // If the newest launch died, stage 0 is free now —
-                // its pending StageFree becomes stale.
-                if (!tail_live && chip.busy) {
-                    chip.busy = false;
-                    chip.pendingFreeSeq = kNoSeq;
+                if (res.checkpointRestart) {
+                    // Resume from the last checkpoint before
+                    // corruption, on the same (lone) chip. Progress
+                    // counts computed work only: any glitch stall
+                    // that elapsed before the corruption stretched
+                    // the wall clock without producing checkpointable
+                    // results.
+                    const double interval = res.checkpointIntervalSec;
+                    const double progress = std::max(
+                        0.0, batch->corruptedAtSec - batch->launchSec -
+                                 batch->glitchAtCorruptSec);
+                    const double preserved =
+                        std::floor(progress / interval) * interval;
+                    const double remaining =
+                        batch->serviceSec - preserved;
+                    batch->wave = 0;
+                    batch->glitchSec = 0.0;
+                    batch->glitchAtCorruptSec = 0.0;
+                    ++restarts;
+                    batch->launchSec = clock - preserved;
+                    batch->doneSec = clock + remaining;
+                    batch->laneStartSec[0] = clock;
+                    batch->laneEndSec[0] = batch->doneSec;
+                    target.lastDoneSec = batch->doneSec;
+                    charge_lane(index, 0, remaining);
+                    batch->doneSeq = schedule(batch->doneSec,
+                                              EventKind::Done, index);
+                    ++batch;
+                    continue;
                 }
-                try_launch(event.chip);
-                break;
-            }
-            if (!chip.busy || chip.launchGen != event.tag ||
-                !chip.corrupted) {
-                break; // stale: completed or restarted meanwhile
-            }
-            ++batches_killed;
-            // The group stops now; give back every member's unspent
-            // busy tail (one chip per target when G == 1).
-            for (int c = event.chip * G; c < (event.chip + 1) * G;
-                 ++c) {
-                metrics.extendBusy(c, -(chip.doneSec - clock));
-            }
-            if (res.checkpointRestart) {
-                // Resume from the last checkpoint before corruption,
-                // on the same chip. Progress counts computed work
-                // only: any glitch stall that elapsed before the
-                // corruption stretched the wall clock without
-                // producing checkpointable results.
-                const double interval = res.checkpointIntervalSec;
-                const double progress = std::max(
-                    0.0, chip.corruptedAtSec - chip.launchSec -
-                             chip.glitchAtCorruptSec);
-                const double preserved =
-                    std::floor(progress / interval) * interval;
-                const double remaining = chip.serviceSec - preserved;
-                chip.corrupted = false;
-                chip.glitchSec = 0.0;
-                chip.glitchAtCorruptSec = 0.0;
-                ++chip.launchGen;
-                ++restarts;
-                chip.launchSec = clock - preserved;
-                chip.doneSec = clock + remaining;
-                metrics.extendBusy(event.chip, remaining);
-                chip.pendingDoneSeq =
-                    schedule(chip.doneSec, EventKind::Done, event.chip);
-            } else {
                 // Kill the batch; requests back off and re-enter,
                 // or give up past their retry/deadline budget.
-                kill_requests(chip.inFlight);
-                recycle_batch_buffer(std::move(chip.inFlight));
-                chip.inFlight.clear();
-                chip.busy = false;
-                chip.corrupted = false;
-                chip.pendingDoneSeq = kNoSeq;
-                try_launch(event.chip);
+                kill_requests(batch->requests);
+                recycle_batch(std::move(*batch));
+                batch = target.inFlight.erase(batch);
             }
+            if (!hit || res.checkpointRestart)
+                break;
+            target.lastDoneSec = target.inFlight.empty()
+                                     ? 0.0
+                                     : target.inFlight.back().doneSec;
+            // With nothing left to ship, a stall pending between
+            // windows no longer occupies its lane: give the busy
+            // time back. The transient availability loss stays — the
+            // glitch did happen.
+            if (target.inFlight.empty()) {
+                for (int l = 0; l < K; ++l) {
+                    double &until = target.stallUntilSec[(std::size_t)l];
+                    if (until > clock)
+                        charge_lane(index, l, -(until - clock));
+                    until = 0.0;
+                }
+            }
+            // If the newest launch died, lane 0 is free now — its
+            // pending StageFree becomes stale.
+            if (!tail_live && target.busy) {
+                target.busy = false;
+                target.pendingFreeSeq = kNoSeq;
+            }
+            try_launch(index);
             break;
           }
           case EventKind::Quarantine: {
-            Chip &chip = chips[event.chip];
-            if (chip.quarantined)
+            Target &target = targets[event.chip];
+            if (target.quarantined)
                 break;
-            chip.quarantined = true;
+            target.quarantined = true;
             ++quarantined_count;
             // A quarantined group takes all G of its chips out.
             for (int c = event.chip * G; c < (event.chip + 1) * G;
                  ++c) {
                 metrics.setPermanentLoss(c, clock, 1.0);
             }
-            // Its queued work moves to healthy chips.
+            // Its queued work moves to healthy targets.
             std::vector<Request> moved;
-            while (!chip.queue.empty()) {
-                std::vector<Request> chunk = chip.queue.flush();
+            while (!target.queue.empty()) {
+                std::vector<Request> chunk = target.queue.flush();
                 queued_depth -= chunk.size();
                 moved.insert(moved.end(), chunk.begin(), chunk.end());
             }
             for (Request request : moved) {
                 request.enqueueSec = clock;
-                const int target = pick_target();
-                chips[target].queue.push(request);
+                const int next = pick_target();
+                targets[next].queue.push(request);
                 ++queued_depth;
                 ++redispatches;
-                try_launch(target);
+                try_launch(next);
             }
             break;
           }
@@ -889,17 +769,17 @@ ServingSimulator::run()
             Request request = event.retryRequest;
             request.enqueueSec = clock;
             const int target = pick_target();
-            chips[target].queue.push(request);
+            targets[target].queue.push(request);
             ++queued_depth;
             try_launch(target);
             break;
           }
           case EventKind::StageFree: {
-            Chip &chip = chips[event.chip];
-            if (event.seq != chip.pendingFreeSeq)
+            Target &target = targets[event.chip];
+            if (event.seq != target.pendingFreeSeq)
                 break; // stale: glitch-stretched or batch killed
-            chip.pendingFreeSeq = kNoSeq;
-            chip.busy = false;
+            target.pendingFreeSeq = kNoSeq;
+            target.busy = false;
             try_launch(event.chip);
             break;
           }

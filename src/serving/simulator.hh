@@ -1,10 +1,10 @@
 /**
  * @file
  * The discrete-event inference-serving simulator: requests arrive
- * (arrival.hh), a dispatcher places them on chips (dispatch.hh),
- * per-chip batch queues form batches (batcher.hh), and each launched
- * batch occupies its chip for the cycle-level service time
- * (service_model.hh). Completion latencies and system occupancy feed
+ * (arrival.hh), a dispatcher places them on chip groups
+ * (dispatch.hh), per-group batch queues form batches (batcher.hh),
+ * and each launched batch occupies its group's chips for the
+ * cycle-level timing of a GroupTimingModel (service_model.hh). Completion latencies and system occupancy feed
  * the metrics collector (metrics.hh).
  *
  * The event loop is a classic calendar queue over three event kinds:
@@ -21,10 +21,13 @@
  * events to the calendar — pulse drops corrupt in-flight batches,
  * flux traps permanently derate (and, under degraded dispatch,
  * quarantine) chips, clock-skew windows derate launches, and link
- * glitches stretch in-flight batches. The attached ResilienceConfig
- * decides what happens after detection (resilience.hh). With an
- * empty schedule no fault event is ever created and the run is
- * byte-identical to a fault-free build.
+ * glitches stall a lane and stretch in-flight batches. Detection
+ * kills only the batches of the corruption wave it was armed for,
+ * and a kill gives each chip back the compute and stall it cut
+ * short. The attached ResilienceConfig decides what happens after
+ * detection (resilience.hh). With an empty schedule no fault event
+ * is ever created and the run is byte-identical to a fault-free
+ * build.
  */
 
 #ifndef SUPERNPU_SERVING_SIMULATOR_HH
@@ -55,33 +58,29 @@ struct ServingConfig
     std::uint64_t requests = 20000; ///< total requests to inject
     std::uint64_t seed = 0x5e971ce5eedull; ///< RNG seed
 
-    // --- pipeline-parallel placement (src/partition) ----------------
+    // --- placement: groups of G = R·K chips --------------------------
+    // The dispatcher places requests on groups, each K stage lanes of
+    // R replica chips (GroupTimingModel); G = 1 (the default) is a
+    // lone die, byte for byte the pre-partition behavior. A fault on
+    // any chip degrades — and under degraded dispatch quarantines —
+    // the whole group; a glitch stalls the struck chip's lane. Needs
+    // chips % G == 0. At most one of K, R exceeds 1 (the group model
+    // covers R×K; serving does not allow it yet), and checkpoint-
+    // restart needs G == 1 (no per-stage or distributed checkpoint
+    // model).
     /**
-     * Stages per pipeline group. 1 (the default) places a whole
-     * request on one chip — the pre-partition behavior, byte for
-     * byte. K > 1 groups the chips into chips/K pipelines: the
-     * dispatcher places requests on groups, batches stream through
-     * the K stages back to back, a group's stage-0 slot frees one
-     * initiation interval after launch, and results emerge a full
-     * pipeline fill latency after launch. Requires chips % K == 0;
-     * checkpoint-restart resilience is not supported for K > 1
-     * (there is no per-stage checkpoint model).
+     * Stage lanes per group (src/partition). K > 1 streams batches
+     * through the K stages back to back: lane 0 frees one initiation
+     * interval after launch, and results emerge a full pipeline fill
+     * latency after launch.
      */
     int pipelineStages = 1;
 
-    // --- data-parallel placement (src/sharding) ---------------------
     /**
-     * Replicas per data-parallel group. 1 (the default) is the
-     * pre-sharding behavior, byte for byte. R > 1 groups the chips
-     * into chips/R replica sets the dispatcher treats as one logical
-     * server: a launched batch splits into near-equal shares, every
-     * replica chip is busy for the widest share's service time plus
-     * the ring all-gather of the results, and a fault on any replica
-     * degrades — and under degraded dispatch quarantines — the whole
-     * group. Requires chips % R == 0. Mutually exclusive with
-     * pipelineStages > 1 (no hybrid serving placement model) and
-     * with checkpoint-restart resilience (no distributed checkpoint
-     * model).
+     * Replica chips per lane (src/sharding). R > 1 makes each group
+     * one logical server: a launched batch splits into near-equal
+     * shares, and every replica is busy for the widest share's
+     * service time plus the ring all-gather of the results.
      */
     int dataParallelReplicas = 1;
 

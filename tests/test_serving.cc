@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -512,6 +513,145 @@ TEST_F(ServingFixture, PipelinedRetryRidesOutTransientFaults)
     EXPECT_EQ(report.completed, serving.requests);
     const obs::AuditReport audit = obs::auditServing(report);
     EXPECT_TRUE(audit.ok()) << audit.summary();
+}
+
+// --- one group timing model: kills and detection --------------------
+
+/** One request, one client, batch 1, no retries: a kill ends the run. */
+ServingConfig
+oneShotConfig(int chips, int stages, int replicas)
+{
+    ServingConfig serving;
+    serving.chips = chips;
+    serving.pipelineStages = stages;
+    serving.dataParallelReplicas = replicas;
+    serving.requests = 1;
+    serving.arrival.kind = ArrivalKind::ClosedLoop;
+    serving.arrival.clients = 1;
+    serving.batching.maxBatch = 1;
+    serving.resilience.recovery = RecoveryPolicy::RetryBackoff;
+    serving.resilience.maxRetries = 0;
+    return serving;
+}
+
+reliability::FaultEvent
+faultAt(reliability::FaultKind kind, int chip, double time_sec,
+        double magnitude = 1.0)
+{
+    reliability::FaultEvent event;
+    event.kind = kind;
+    event.chip = chip;
+    event.timeSec = time_sec;
+    event.magnitude = magnitude;
+    return event;
+}
+
+/**
+ * A glitch strikes `glitch_chip` 20% into the window of the lane it
+ * belongs to and stalls it for 30% of that window; a pulse drop at
+ * 60% is detected 10% later and kills the batch. Every chip must be
+ * charged its elapsed compute plus elapsed stall up to the kill —
+ * nothing of what the kill cut short.
+ */
+void
+expectKillChargesElapsedBusy(const BatchServiceModel &service,
+                             ServingConfig serving, int glitch_chip)
+{
+    const GroupTimingModel group(service, serving.pipelineStages,
+                                 serving.dataParallelReplicas,
+                                 serving.link);
+    const GroupTimingModel::Timing timing = group.timing(1);
+    const int lane = glitch_chip / serving.dataParallelReplicas;
+    const double start = timing.stageStartSec[(std::size_t)lane];
+    const double busy = timing.stageBusySec[(std::size_t)lane];
+    reliability::FaultScheduleConfig faults;
+    faults.chips = serving.chips;
+    serving.faults = reliability::FaultSchedule::fromEvents(
+        faults,
+        {faultAt(reliability::FaultKind::LinkGlitch, glitch_chip,
+                 start + 0.2 * busy, 0.3 * busy),
+         faultAt(reliability::FaultKind::PulseDrop, 0,
+                 start + 0.6 * busy)});
+    serving.resilience.detectLatencySec = 0.1 * busy;
+    const double kill = start + 0.7 * busy;
+
+    const auto report = ServingSimulator(service, serving).run();
+    EXPECT_EQ(report.batchesKilled, 1u);
+    EXPECT_EQ(report.glitchesAbsorbed, 1u);
+    EXPECT_EQ(report.failedRequests, 1u);
+    ASSERT_EQ(report.perChipBusySec.size(), (std::size_t)serving.chips);
+    for (int chip = 0; chip < serving.chips; ++chip) {
+        const std::size_t l =
+            (std::size_t)(chip / serving.dataParallelReplicas);
+        const double lane_start = timing.stageStartSec[l];
+        const double expected =
+            std::min(kill - lane_start, timing.stageBusySec[l]);
+        EXPECT_NEAR(report.perChipBusySec[(std::size_t)chip], expected,
+                    1e-12 * expected)
+            << "chip " << chip;
+    }
+}
+
+TEST_F(ServingFixture, KillChargesElapsedBusyOnLoneChip)
+{
+    expectKillChargesElapsedBusy(service, oneShotConfig(1, 1, 1), 0);
+}
+
+TEST_F(ServingFixture, KillChargesElapsedBusyOnReplicaGroup)
+{
+    // The glitch on replica 1 stalls the whole lane: both replicas.
+    expectKillChargesElapsedBusy(service, oneShotConfig(2, 1, 2), 1);
+}
+
+TEST_F(ServingFixture, KillChargesElapsedBusyOnPipeline)
+{
+    // The glitch strikes the stage-1 chip inside stage 1's window;
+    // stage 0 finished before and keeps exactly its compute.
+    expectKillChargesElapsedBusy(service, oneShotConfig(2, 2, 1), 1);
+}
+
+/**
+ * Two corruption waves, one batch each: batch A is corrupted and
+ * completes before its Detect fires; batch B, corrupted by a second
+ * wave, must die at its own corruption time + detectLatencySec and
+ * not at A's stale Detect.
+ */
+void
+expectDetectKillsOnlyItsWave(const BatchServiceModel &service,
+                             ServingConfig serving)
+{
+    serving.requests = 2;
+    const double latency =
+        GroupTimingModel(service, serving.pipelineStages,
+                         serving.dataParallelReplicas, serving.link)
+            .timing(1)
+            .latencySec;
+    reliability::FaultScheduleConfig faults;
+    faults.chips = serving.chips;
+    serving.faults = reliability::FaultSchedule::fromEvents(
+        faults, {faultAt(reliability::FaultKind::PulseDrop, 0,
+                         0.6 * latency),
+                 faultAt(reliability::FaultKind::PulseDrop, 0,
+                         1.05 * latency)});
+    serving.resilience.detectLatencySec = 0.5 * latency;
+
+    const auto report = ServingSimulator(service, serving).run();
+    EXPECT_EQ(report.completed, 2u);
+    EXPECT_EQ(report.batchesKilled, 1u);
+    EXPECT_EQ(report.failedRequests, 2u);
+    // B launches at L, is corrupted at 1.05 L and detected at 1.55 L.
+    EXPECT_GE(report.makespanSec, 1.55 * latency * (1.0 - 1e-12));
+    EXPECT_NEAR(report.makespanSec, 1.55 * latency, 1e-12 * latency);
+}
+
+TEST_F(ServingFixture, DetectKillsOnlyItsWaveOnLoneChip)
+{
+    expectDetectKillsOnlyItsWave(service, oneShotConfig(1, 1, 1));
+}
+
+TEST_F(ServingFixture, DetectKillsOnlyItsWaveOnPipeline)
+{
+    expectDetectKillsOnlyItsWave(service, oneShotConfig(2, 2, 1));
 }
 
 // --- degenerate metrics (zero-makespan guard) ------------------------

@@ -89,14 +89,15 @@
  *   --checkpoint            checkpoint/restart killed batches
  *   --ber <n>               bit flips per million MACs (error study)
  *
- * Partition options (partition; --stages also pipelines serve):
+ * Partition options (partition; --stages also pipelines serve and
+ * faults):
  *   --stages <k>            chips in the pipeline group
  *   --sweep                 also print a K-sweep table
  *   --stream <n>            batches streamed through the pipeline
  *   --link-gbps <n>         inter-chip link bandwidth (default 300)
  *   --link-latency <n>      fixed link latency in cycles
  *
- * Shard options (shard; --dp also replicates serve):
+ * Shard options (shard; --dp also replicates serve and faults):
  *   --dp <r>                data-parallel replicas
  *   --tp <t>                tensor-parallel shards per replica
  *   --stages <k>            pipeline stages per shard
@@ -692,24 +693,16 @@ cmdBatch(const Options &options, const dnn::Network &net)
     return 0;
 }
 
-int
-cmdServe(const Options &options, const dnn::Network &net)
+/**
+ * The serving config of `serve` and `faults`: the parsed serving
+ * flags, the batch cap (forced or the solver's), and the placement
+ * (--stages, --dp, link).
+ */
+serving::ServingConfig
+servingConfigFor(const Options &options,
+                 const estimator::NpuEstimate &estimate,
+                 const dnn::Network &net)
 {
-    // Reject the documented-unsupported combination up front,
-    // before any model building: there is no per-stage checkpoint
-    // model, so checkpoint-restart cannot pipeline.
-    if (options.stages > 1 &&
-        options.serve.resilience.checkpointRestart) {
-        std::fprintf(stderr, "usage: supernpu serve: --checkpoint is"
-                     " unsupported with --stages > 1 (no per-stage"
-                     " checkpoint model)\n");
-        return 2;
-    }
-    const sfq::DeviceConfig device = deviceFor(options);
-    sfq::CellLibrary library(device);
-    estimator::NpuEstimator est(library);
-    const auto estimate = est.estimate(options.config);
-
     serving::ServingConfig serve = options.serve;
     serve.batching.maxBatch =
         options.forcedBatch > 0
@@ -720,6 +713,40 @@ cmdServe(const Options &options, const dnn::Network &net)
     if (options.dataParallel > 0)
         serve.dataParallelReplicas = options.dataParallel;
     serve.link = options.link;
+    return serve;
+}
+
+/**
+ * Reject the documented-unsupported combination up front, before
+ * any model building: there is no per-stage checkpoint model, so
+ * checkpoint-restart cannot pipeline. Returns the exit status, or 0
+ * to go on.
+ */
+int
+rejectPipelinedCheckpoint(const Options &options, const char *command)
+{
+    if (options.stages > 1 &&
+        options.serve.resilience.checkpointRestart) {
+        std::fprintf(stderr, "usage: supernpu %s: --checkpoint is"
+                     " unsupported with --stages > 1 (no per-stage"
+                     " checkpoint model)\n", command);
+        return 2;
+    }
+    return 0;
+}
+
+int
+cmdServe(const Options &options, const dnn::Network &net)
+{
+    if (const int status = rejectPipelinedCheckpoint(options, "serve"))
+        return status;
+    const sfq::DeviceConfig device = deviceFor(options);
+    sfq::CellLibrary library(device);
+    estimator::NpuEstimator est(library);
+    const auto estimate = est.estimate(options.config);
+
+    const serving::ServingConfig serve =
+        servingConfigFor(options, estimate, net);
 
     serving::BatchServiceModel service(estimate, net);
     serving::ServingSimulator sim(service, serve);
@@ -744,16 +771,15 @@ cmdServe(const Options &options, const dnn::Network &net)
 int
 cmdFaults(const Options &options, const dnn::Network &net)
 {
+    if (const int status = rejectPipelinedCheckpoint(options, "faults"))
+        return status;
     const sfq::DeviceConfig device = deviceFor(options);
     sfq::CellLibrary library(device);
     estimator::NpuEstimator est(library);
     const auto estimate = est.estimate(options.config);
 
-    serving::ServingConfig serve = options.serve;
-    serve.batching.maxBatch =
-        options.forcedBatch > 0
-            ? options.forcedBatch
-            : npusim::maxBatch(options.config, estimate, net);
+    serving::ServingConfig serve =
+        servingConfigFor(options, estimate, net);
     const int batch = serve.batching.maxBatch;
 
     // --- what one flux trap costs in cycles -------------------------
@@ -1333,11 +1359,12 @@ usage(std::FILE *to = stderr)
                  "         --arrival poisson|bursty|closed\n"
                  "         --timeout-us --requests --clients --seed\n"
                  "         --stages <k> (pipeline groups of k chips)\n"
-                 "faults:  --drop-rate --trap-rate --skew-rate\n"
-                 "         --glitch-rate --fault-burst --fault-seed\n"
-                 "         --recovery none|retry|degraded --detect-us\n"
-                 "         --max-retries --backoff-us --checkpoint\n"
-                 "         --ber\n"
+                 "         --dp <r> (replica groups of r chips)\n"
+                 "faults:  the serve options, --drop-rate --trap-rate\n"
+                 "         --skew-rate --glitch-rate --fault-burst\n"
+                 "         --fault-seed --recovery none|retry|degraded\n"
+                 "         --detect-us --max-retries --backoff-us\n"
+                 "         --checkpoint --ber\n"
                  "partition: --stages <k> --sweep --stream <batches>\n"
                  "         --link-gbps <n> --link-latency <cycles>\n"
                  "shard:   --dp <r> --tp <t> --stages <k> --chips <n>\n"
