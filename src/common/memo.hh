@@ -12,14 +12,11 @@
  *    proceed in parallel.
  *  - Concurrent misses on the SAME key collapse into one flight: the
  *    first arrival (the leader) computes and counts a miss; later
- *    arrivals block until the result lands and share it. A waiter
- *    counts as a hit — exactly what the serial run counts when it
- *    reaches the same lookup after the leader's insert — so hit,
- *    miss and eviction totals are identical at any ThreadPool job
- *    count. Parallel planner and check sweeps embed these counters in
- *    byte-compared ledgers, which makes that determinism
- *    load-bearing, and the dedup also stops a sweep from burning
- *    cores on N identical computations of one hot key.
+ *    arrivals block until the result lands and share it, counting a
+ *    hit. The dedup stops a sweep from burning cores on N identical
+ *    computations of one hot key. It does NOT make concurrent
+ *    totals equal a serial run's once the LRU evicts: which lookups
+ *    find an evicted key again depends on the interleaving.
  *  - If compute throws, the exception reaches the leader and every
  *    joined waiter, nothing is stored, and the next call on the key
  *    is a fresh miss.
@@ -30,6 +27,18 @@
  * With a nonzero capacity, entries are evicted least-recently-used
  * past it. Values are handed out as shared_ptr<const Value>, so a
  * value stays valid while a caller holds it even after eviction.
+ *
+ * The batch path is for a caller that needs a parallel computation to
+ * count exactly as its serial walk: peek(key) reads a resident value
+ * without counting or touching the LRU order, and replay(keys,
+ * value_of) walks a key sequence under one lock, hit for hit, miss
+ * for miss and eviction for eviction as that many getOrCompute calls
+ * on one thread would. The hybrid planner derives its whole
+ * search's lookup sequence first, computes the distinct missing
+ * values in parallel with no lock held, and then replays the
+ * sequence once — so its hit, miss and eviction totals (which the
+ * byte-compared shard ledgers embed) are the serial walk's at any
+ * job count and any capacity.
  */
 
 #ifndef SUPERNPU_COMMON_MEMO_HH
@@ -108,13 +117,7 @@ class Memo
         try {
             auto value = std::make_shared<const Value>(compute());
             std::lock_guard<std::mutex> lock(_mutex);
-            _lru.emplace_front(key, value);
-            _index.emplace(key, _lru.begin());
-            while (_capacity != 0 && _lru.size() > _capacity) {
-                _index.erase(_lru.back().first);
-                _lru.pop_back();
-                ++_stats.evictions;
-            }
+            insertLocked(key, value);
             flight->value = std::move(value);
             flight->done = true;
             _inflight.erase(key);
@@ -130,6 +133,50 @@ class Memo
         }
         _flightDone.notify_all();
         return flight->value;
+    }
+
+    /**
+     * The resident value for `key`, or null. Counts nothing and
+     * leaves the LRU order alone.
+     */
+    std::shared_ptr<const Value> peek(const Key &key) const
+    {
+        std::lock_guard<std::mutex> lock(_mutex);
+        const auto it = _index.find(key);
+        return it == _index.end() ? nullptr : it->second->second;
+    }
+
+    /**
+     * Walk `keys` in order under one lock, exactly as that many
+     * getOrCompute calls on one thread would: a resident key is a
+     * hit and moves to the front; any other key is a miss that
+     * stores value_of(key) (a shared_ptr<const Value>) and evicts
+     * past capacity. value_of runs under the lock, so it must not
+     * re-enter the memo; it must return the value compute() would
+     * have produced for the key. Counters and perf counters are
+     * added in bulk.
+     */
+    template <typename Keys, typename ValueOf>
+    void replay(const Keys &keys, ValueOf &&value_of)
+    {
+        std::uint64_t hits = 0, misses = 0;
+        std::lock_guard<std::mutex> lock(_mutex);
+        for (const Key &key : keys) {
+            const auto it = _index.find(key);
+            if (it != _index.end()) {
+                ++hits;
+                _lru.splice(_lru.begin(), _lru, it->second);
+            } else {
+                ++misses;
+                insertLocked(key, value_of(key));
+            }
+        }
+        _stats.hits += hits;
+        _stats.misses += misses;
+        if (_hitCounter)
+            _hitCounter->add(hits);
+        if (_missCounter)
+            _missCounter->add(misses);
     }
 
     /** Entries currently resident. */
@@ -164,6 +211,28 @@ class Memo
         bool done = false; ///< under _mutex
     };
     using Lru = std::list<std::pair<Key, std::shared_ptr<const Value>>>;
+
+    /**
+     * Store `value` as the most recent entry for `key` and evict
+     * past capacity. A replay may have stored the key while this
+     * thread's flight computed it; the resident entry then just
+     * moves to the front.
+     */
+    void insertLocked(const Key &key, std::shared_ptr<const Value> value)
+    {
+        const auto [it, fresh] = _index.try_emplace(key);
+        if (!fresh) {
+            _lru.splice(_lru.begin(), _lru, it->second);
+            return;
+        }
+        _lru.emplace_front(key, std::move(value));
+        it->second = _lru.begin();
+        while (_capacity != 0 && _lru.size() > _capacity) {
+            _index.erase(_lru.back().first);
+            _lru.pop_back();
+            ++_stats.evictions;
+        }
+    }
 
     void countLocked(bool hit)
     {

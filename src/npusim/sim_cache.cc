@@ -70,12 +70,19 @@ hashEstimate(const estimator::NpuEstimate &estimate)
 std::size_t
 SimKeyHash::operator()(const SimKey &key) const
 {
-    return (std::size_t)Fnv1a()
-        .word(key.networkHash)
-        .word(key.configHash)
-        .word((std::uint64_t)key.batch)
-        .word(key.faultHash)
-        .value();
+    // A bucket index, never persisted. The three hash fields are
+    // digests already, so one odd multiply per field and a
+    // murmur-style finalizer spread them at a fraction of the cost
+    // of byte-serial FNV: a planner search's serial replay hashes
+    // every one of its ~250k lookups.
+    std::uint64_t h = key.networkHash ^
+                      key.configHash * 0x9e3779b97f4a7c15ull ^
+                      (std::uint64_t)key.batch * 0xc2b2ae3d27d4eb4full ^
+                      key.faultHash * 0x165667b19e3779f9ull;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    return (std::size_t)h;
 }
 
 SimCache::SimCache(std::size_t max_entries)

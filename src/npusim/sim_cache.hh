@@ -11,9 +11,10 @@
  * under a key of (workload hash, config hash, batch, fault hash).
  *
  * The store is a common/memo.hh Memo, LRU-bounded at `maxEntries`;
- * its header states the single-flight and accounting contract the
- * parallel sweeps and byte-compared ledgers rely on. This file owns
- * only what is specific to simulations: the key and its hashes.
+ * its header states the single-flight contract, and the peek/replay
+ * batch path that keeps the planner's byte-compared ledgers equal to
+ * its serial walk. This file owns only what is specific to
+ * simulations: the key and its hashes.
  */
 
 #ifndef SUPERNPU_NPUSIM_SIM_CACHE_HH
@@ -74,7 +75,7 @@ struct SimKey
     }
 };
 
-/** FNV-1a over every SimKey field. */
+/** Bucket hash over every SimKey field. */
 struct SimKeyHash
 {
     std::size_t operator()(const SimKey &key) const;

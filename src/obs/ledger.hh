@@ -202,9 +202,10 @@ void addSimCacheStats(RunLedger &ledger,
 
 /**
  * Record the partitioner's layer-timing memo counters under a
- * "layerTimingCache" section. Counts are identical at any job count
- * (single-flight accounting), so the section is safe for the CI
- * jobs=1-vs-N ledger byte-comparison.
+ * "layerTimingCache" section. A planner search replays its lookups
+ * in serial order (Memo::replay), so the counts are identical at any
+ * job count and the section is safe for the CI jobs=1-vs-N ledger
+ * byte-comparison.
  */
 void addLayerTimingCacheStats(
     RunLedger &ledger, const partition::LayerTimingCacheStats &stats);

@@ -17,10 +17,12 @@
  * (CutTable), so a later K extends the table instead of rebuilding
  * it.
  *
- * It is an unbounded common/memo.hh Memo (single-flight, so its
- * totals match the serial run at any job count, as the byte-compared
- * shard ledgers require): it lives inside one Partitioner and holds
- * one small vector set per (sub-network, batch) a search touches.
+ * It is an unbounded common/memo.hh Memo: it lives inside one
+ * Partitioner and holds one small vector set per (sub-network, batch)
+ * a search touches. The hybrid planner's search peeks it and replays
+ * its lookups in serial order (Memo::replay), so the totals the
+ * byte-compared shard ledgers embed match the serial walk at any job
+ * count.
  */
 
 #ifndef SUPERNPU_PARTITION_LAYER_TIMING_CACHE_HH

@@ -59,23 +59,22 @@ Partitioner::simulate(std::uint64_t network_hash,
 
 LayerTimings
 Partitioner::buildTimings(const dnn::Network &network,
-                          std::uint64_t network_hash, int batch) const
+                          const npusim::SimResult &full,
+                          int batch) const
 {
-    // One whole-network simulation (memoized) supplies the per-layer
-    // costs the DP balances. These embed on-chip hand-off and
-    // overlap effects of the unsplit schedule, so they are an
-    // estimate for *cut selection*; the chosen stages are
-    // re-simulated exactly by partition().
-    auto full = simulate(network_hash, network, batch);
+    // One whole-network simulation supplies the per-layer costs the
+    // DP balances. These embed on-chip hand-off and overlap effects
+    // of the unsplit schedule, so they are an estimate for *cut
+    // selection*; the chosen stages are re-simulated exactly.
     const int n = (int)network.layers.size();
 
     LayerTimings t;
-    t.configName = full->configName;
-    t.frequencyGhz = full->frequencyGhz;
+    t.configName = full.configName;
+    t.frequencyGhz = full.frequencyGhz;
     t.prefix.assign(n + 1, 0.0);
     for (int l = 0; l < n; ++l) {
         t.prefix[l + 1] =
-            t.prefix[l] + (double)full->layers[l].totalCycles();
+            t.prefix[l] + (double)full.layers[l].totalCycles();
     }
     // Outbound link occupancy if the boundary sits after layer l.
     t.linkAfter.assign(n, 0.0);
@@ -90,15 +89,6 @@ Partitioner::buildTimings(const dnn::Network &network,
     return t;
 }
 
-namespace {
-
-/**
- * Layers [first, last] of `network` as a standalone stage. The whole
- * range is the network itself — identical name and layers, so its
- * simulation hits (or seeds) the exact cache entry the single-chip
- * path uses. This is the byte-identity guarantee
- * docs/partitioning.md pins.
- */
 dnn::Network
 stageNetwork(const dnn::Network &network, int first, int last)
 {
@@ -112,16 +102,15 @@ stageNetwork(const dnn::Network &network, int first, int last)
     return stage;
 }
 
-} // namespace
-
-Partitioner::StageCut
+std::vector<Partitioner::StageCut>
 Partitioner::cutStages(const dnn::Network &network,
                        std::uint64_t network_hash,
-                       const LayerTimings &timings, int stages)
+                       const LayerTimings &timings, int first_k,
+                       int last_k)
 {
     const int n = timings.layerCount();
-    const int k = stages;
-    SUPERNPU_ASSERT(k >= 1 && k <= n, "stage count out of range");
+    SUPERNPU_ASSERT(first_k >= 1 && first_k <= last_k && last_k <= n,
+                    "stage count out of range");
     const std::vector<double> &prefix = timings.prefix;
     const std::vector<double> &link_after = timings.linkAfter;
 
@@ -129,7 +118,7 @@ Partitioner::cutStages(const dnn::Network &network,
     // bottleneck occupancy over layers 0..j split into s stages.
     // Row s reads only row s-1, so the rows built for any K are the
     // rows every other K needs: the table grows to the largest K
-    // asked for and each call walks its own chain of cuts.
+    // asked for and each K walks its own chain of cuts.
     auto seg_cost = [&](int i, int j) {
         return prefix[j + 1] - prefix[i] + link_after[j];
     };
@@ -143,7 +132,7 @@ Partitioner::cutStages(const dnn::Network &network,
         table.cut.resize(2);
     }
     std::vector<double> next;
-    for (int s = (int)table.cut.size(); s <= k; ++s) {
+    for (int s = (int)table.cut.size(); s <= last_k; ++s) {
         const std::vector<double> &prev = table.frontier;
         next.assign(n, kInf);
         std::vector<int> cut(n, -1);
@@ -160,35 +149,83 @@ Partitioner::cutStages(const dnn::Network &network,
         table.cut.push_back(std::move(cut));
     }
 
-    // Recover the stage boundaries (last layer of each stage).
-    StageCut result;
-    result.last.resize(k);
-    int j = n - 1;
-    for (int s = k; s >= 1; --s) {
-        result.last[s - 1] = j;
-        j = (s > 1) ? table.cut[s][j] : -1;
-        SUPERNPU_ASSERT(s == 1 || j >= 0,
-                        "partition DP reconstruction broke");
-    }
+    std::vector<StageCut> cuts(last_k - first_k + 1);
+    for (int k = first_k; k <= last_k; ++k) {
+        // Recover the stage boundaries (last layer of each stage).
+        StageCut &result = cuts[k - first_k];
+        result.last.resize(k);
+        int j = n - 1;
+        for (int s = k; s >= 1; --s) {
+            result.last[s - 1] = j;
+            j = (s > 1) ? table.cut[s][j] : -1;
+            SUPERNPU_ASSERT(s == 1 || j >= 0,
+                            "partition DP reconstruction broke");
+        }
 
-    // K=1 reuses the whole-network hash; a sub-range is hashed the
-    // first time any K of this entry ends a stage on it.
-    result.hash.resize(k, network_hash);
+        // K=1 reuses the whole-network hash; a sub-range is hashed
+        // the first time any K of this entry ends a stage on it.
+        result.hash.resize(k, network_hash);
+        int first = 0;
+        for (int s = 0; s < k; ++s) {
+            const int last = result.last[s];
+            if (first != 0 || last != n - 1) {
+                const std::uint64_t range =
+                    (std::uint64_t)first << 32 | (std::uint64_t)last;
+                const auto [it, fresh] =
+                    table.stageHashes.try_emplace(range);
+                if (fresh)
+                    it->second = npusim::hashNetwork(
+                        stageNetwork(network, first, last));
+                result.hash[s] = it->second;
+            }
+            first = last + 1;
+        }
+    }
+    return cuts;
+}
+
+PartitionPlan
+Partitioner::assemble(
+    const std::string &network_name, const LayerTimings &timings,
+    const StageCut &cut, int batch,
+    const std::function<std::shared_ptr<const npusim::SimResult>(int)>
+        &sim_of) const
+{
+    const int n = timings.layerCount();
+    const int k = (int)cut.last.size();
+
+    PartitionPlan plan;
+    plan.networkName = network_name;
+    plan.configName = timings.configName;
+    plan.batch = batch;
+    plan.frequencyGhz = timings.frequencyGhz;
+    plan.link = _link;
+    plan.stages.resize(k);
+
     int first = 0;
     for (int s = 0; s < k; ++s) {
-        const int last = result.last[s];
-        if (first != 0 || last != n - 1) {
-            const std::uint64_t range =
-                (std::uint64_t)first << 32 | (std::uint64_t)last;
-            const auto [it, fresh] = table.stageHashes.try_emplace(range);
-            if (fresh)
-                it->second = npusim::hashNetwork(
-                    stageNetwork(network, first, last));
-            result.hash[s] = it->second;
+        const int last = cut.last[s];
+        PipelineStage &stage = plan.stages[s];
+        stage.firstLayer = first;
+        stage.lastLayer = last;
+        stage.sim = sim_of(s);
+        stage.stageCycles = stage.sim->totalCycles;
+        if (last < n - 1) {
+            stage.linkBytes = timings.linkBytes[last];
+            stage.linkCycles = timings.linkCycles[last];
         }
         first = last + 1;
+
+        const std::uint64_t occ = stage.occupancyCycles();
+        plan.fillCycles += occ;
+        if (occ > plan.bottleneckCycles) {
+            plan.bottleneckCycles = occ;
+            plan.bottleneckStage = s;
+        }
     }
-    return result;
+    SUPERNPU_ASSERT(plan.bottleneckCycles > 0,
+                    "degenerate plan: zero bottleneck");
+    return plan;
 }
 
 PartitionPlan
@@ -216,59 +253,33 @@ Partitioner::partition(std::uint64_t net_hash,
              " layers; clamping ", stages, " pipeline stages to ", n);
         stages = n;
     }
-    const int k = stages;
 
     // The cut-search inputs — per-layer cycle prefix sums and
     // per-boundary link costs, plus the DP rows over them — are
-    // memoized per (network, batch): a planner search re-enters
-    // here for every K of each (R, T) with identical inputs, and
-    // only the first K pays for the derivation (and its
-    // whole-network simulation lookup).
-    const auto timings = _timings.getOrCompute(
-        {net_hash, batch},
-        [&] { return buildTimings(network, net_hash, batch); });
-    const double freq = timings->frequencyGhz;
-    const std::vector<std::uint64_t> &link_cycles =
-        timings->linkCycles;
-    const std::vector<std::uint64_t> &link_bytes = timings->linkBytes;
-    const StageCut cut = cutStages(network, net_hash, *timings, k);
+    // memoized per (network, batch): a sweep over K with identical
+    // inputs pays for the derivation (and its whole-network
+    // simulation lookup) only at its first K.
+    const auto timings =
+        _timings.getOrCompute({net_hash, batch}, [&] {
+            return buildTimings(
+                network, *simulate(net_hash, network, batch), batch);
+        });
+    const StageCut cut =
+        cutStages(network, net_hash, *timings, stages, stages)[0];
 
-    PartitionPlan plan;
-    plan.networkName = network.name;
-    plan.configName = timings->configName;
-    plan.batch = batch;
-    plan.frequencyGhz = freq;
-    plan.link = _link;
-    plan.stages.reserve(k);
-
-    int first = 0;
-    for (int s = 0; s < k; ++s) {
-        const int last = cut.last[s];
-        PipelineStage stage;
-        stage.firstLayer = first;
-        stage.lastLayer = last;
-        stage.network = stageNetwork(network, first, last);
-        stage.sim = simulate(cut.hash[s], stage.network, batch);
-        stage.stageCycles = stage.sim->totalCycles;
-        if (last < n - 1) {
-            stage.linkBytes = link_bytes[last];
-            stage.linkCycles = link_cycles[last];
-        }
-        plan.stages.push_back(std::move(stage));
-        first = last + 1;
-    }
-
-    for (int s = 0; s < k; ++s) {
-        std::uint64_t occ = plan.stages[s].occupancyCycles();
-        plan.fillCycles += occ;
-        if (occ > plan.bottleneckCycles) {
-            plan.bottleneckCycles = occ;
-            plan.bottleneckStage = s;
-        }
-    }
-    SUPERNPU_ASSERT(plan.bottleneckCycles > 0,
-                    "degenerate plan: zero bottleneck");
-    return plan;
+    // Every chosen stage is re-simulated as a standalone
+    // sub-network; the sub-network is only built on a cache miss.
+    return assemble(network.name, *timings, cut, batch, [&](int s) {
+        const int first = s == 0 ? 0 : cut.last[s - 1] + 1;
+        npusim::SimKey key;
+        key.networkHash = cut.hash[s];
+        key.configHash = _configHash;
+        key.batch = batch;
+        return _cache->getOrCompute(key, [&] {
+            return _sim.run(stageNetwork(network, first, cut.last[s]),
+                            batch);
+        });
+    });
 }
 
 } // namespace partition

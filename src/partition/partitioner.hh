@@ -26,6 +26,7 @@
 #ifndef SUPERNPU_PARTITION_PARTITIONER_HH
 #define SUPERNPU_PARTITION_PARTITIONER_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,9 +46,11 @@ struct PipelineStage
 {
     int firstLayer = 0; ///< inclusive index into the source network
     int lastLayer = 0;  ///< inclusive
-    /** The stage as a standalone sub-network (K=1: the original). */
-    dnn::Network network;
-    /** Cycle simulation of the stage at the plan's batch. */
+    /**
+     * Cycle simulation of the stage, as a standalone sub-network
+     * (stageNetwork), at the plan's batch. Its networkName names
+     * the sub-network (K=1: the original network's name).
+     */
     std::shared_ptr<const npusim::SimResult> sim;
     std::uint64_t stageCycles = 0; ///< sim->totalCycles
     /** Outbound activation bytes; 0 for the last stage. */
@@ -98,6 +101,16 @@ struct PartitionPlan
     double intervalSec() const;
 };
 
+/**
+ * Layers [first, last] of `network` as a standalone stage. The whole
+ * range is the network itself — identical name and layers, so its
+ * simulation hits (or seeds) the exact cache entry the single-chip
+ * path uses. This is the byte-identity guarantee
+ * docs/partitioning.md pins.
+ */
+dnn::Network stageNetwork(const dnn::Network &network, int first,
+                          int last);
+
 /** Bottleneck-minimizing contiguous partitioner for one design. */
 class Partitioner
 {
@@ -120,9 +133,8 @@ class Partitioner
 
     /**
      * Same, with `network_hash` == npusim::hashNetwork(network)
-     * precomputed and `network` already check()ed by the caller —
-     * the hybrid planner hashes and validates each shard network
-     * once per search rather than once per candidate.
+     * precomputed and `network` already check()ed by the caller, as
+     * HybridPlanner::evaluate has both in hand.
      */
     PartitionPlan partition(std::uint64_t network_hash,
                             const dnn::Network &network, int stages,
@@ -145,29 +157,53 @@ class Partitioner
         return _timings.stats();
     }
 
-  private:
-    /** Cached whole-(sub-)network simulation under its hash. */
-    std::shared_ptr<const npusim::SimResult>
-    simulate(std::uint64_t network_hash, const dnn::Network &network,
-             int batch) const;
-    /** Derive the cut-search inputs (one memoized simulation). */
-    LayerTimings buildTimings(const dnn::Network &network,
-                              std::uint64_t network_hash,
-                              int batch) const;
+    // --- the pieces partition() is built from, which the hybrid
+    // planner's search also drives phase by phase ------------------
+
     /** The stages of one cut: boundaries and sub-network hashes. */
     struct StageCut
     {
         std::vector<int> last; ///< last layer of each stage
         std::vector<std::uint64_t> hash; ///< hashNetwork per stage
     };
+
     /**
-     * The best `stages`-way split of `network` (hashed
-     * `network_hash`), extending the entry's shared DP rows up to
-     * `stages` first and hashing each stage range it has not seen.
+     * The cut-search inputs of `network` at `batch`, derived from
+     * `full`, the whole network's simulation at that batch.
      */
-    static StageCut cutStages(const dnn::Network &network,
-                              std::uint64_t network_hash,
-                              const LayerTimings &timings, int stages);
+    LayerTimings buildTimings(const dnn::Network &network,
+                              const npusim::SimResult &full,
+                              int batch) const;
+
+    /**
+     * The best K-way split of `network` (hashed `network_hash`) for
+     * every K in [first_k, last_k], in order. Extends the entry's
+     * shared DP rows up to last_k first and hashes each stage range
+     * it has not seen, all under one CutTable lock.
+     */
+    static std::vector<StageCut>
+    cutStages(const dnn::Network &network, std::uint64_t network_hash,
+              const LayerTimings &timings, int first_k, int last_k);
+
+    /**
+     * The plan of one cut of a `network_name` point at `batch`:
+     * stage s simulates as sim_of(s), called once per stage in
+     * stage order.
+     */
+    PartitionPlan assemble(
+        const std::string &network_name, const LayerTimings &timings,
+        const StageCut &cut, int batch,
+        const std::function<std::shared_ptr<const npusim::SimResult>(
+            int)> &sim_of) const;
+
+    /** The layer-timing memo behind partition(). */
+    LayerTimingCache &timingCache() const { return _timings; }
+
+  private:
+    /** Cached simulation of `network` (hashed `network_hash`). */
+    std::shared_ptr<const npusim::SimResult>
+    simulate(std::uint64_t network_hash, const dnn::Network &network,
+             int batch) const;
 
     npusim::NpuSimulator _sim;
     LinkConfig _link;

@@ -334,9 +334,11 @@ caseShardScaling(const CaseCtx &ctx)
 }
 
 // --- case: planner_search -------------------------------------------
-// The hybrid DP×TP×PP factorization search at one 8-chip budget on a
-// cold sim cache, fanned across --jobs pool threads — the case the
-// perf job times at jobs 1 and 4 to gate the parallel speedup. Every
+// The hybrid DP×TP×PP factorization search on a cold sim cache,
+// fanned across --jobs pool threads: MobileNet within 8 chips in the
+// smoke suite, ResNet50 within 1024 chips (17 931 candidates, over
+// 100 ms a repetition) in the full suite — the case the perf job
+// times at jobs 1 and 4 to gate the parallel speedup. Every
 // evaluated plan and the layer-timing-cache tallies are pinned as
 // metrics; all of them must be identical at any job count.
 CaseRun
@@ -346,11 +348,12 @@ casePlannerSearch(const CaseCtx &ctx)
     const dnn::Network net =
         ctx.smoke ? dnn::makeMobileNet() : dnn::makeResNet50();
     const int batch = npusim::maxBatch(est.config, est, net);
+    const int budget = ctx.smoke ? 8 : 1024;
 
     npusim::SimCache cold;
     sharding::HybridPlanner planner(est, {}, &cold);
     const sharding::PlanSearch search = planner.plan(
-        net, 8, batch, sharding::PlanObjective::Throughput,
+        net, budget, batch, sharding::PlanObjective::Throughput,
         ctx.jobs);
     obs::enforce(obs::auditSharding(search.best()),
                  "bench planner_search");
@@ -484,6 +487,18 @@ suiteCaseNames(const std::string &suite)
     return names;
 }
 
+void
+settleTiming(CaseResult &result, double slowdown_pct)
+{
+    const double slow = 1.0 + slowdown_pct / 100.0;
+    for (double &sec : result.wallSec)
+        sec *= slow;
+    result.medianWallSec = median(result.wallSec);
+    result.throughput = result.medianWallSec > 0.0
+                            ? (double)result.work / result.medianWallSec
+                            : 0.0;
+}
+
 BenchReport
 runSuite(const BenchOptions &options)
 {
@@ -546,15 +561,7 @@ runSuite(const BenchOptions &options)
                       return a.name < b.name;
                   });
 
-        result.medianWallSec = median(result.wallSec);
-        const double slow = 1.0 + options.injectSlowdownPct / 100.0;
-        result.medianWallSec *= slow;
-        for (double &sec : result.wallSec)
-            sec *= slow;
-        if (result.medianWallSec > 0.0) {
-            result.throughput =
-                (double)result.work / result.medianWallSec;
-        }
+        settleTiming(result, options.injectSlowdownPct);
 
         if (options.profile) {
             result.profile = perf::report();

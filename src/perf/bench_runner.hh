@@ -112,6 +112,14 @@ std::vector<std::string> suiteCaseNames(const std::string &suite);
 BenchReport runSuite(const BenchOptions &options);
 
 /**
+ * Stretch every wall sample of `result` by 1 + slowdown_pct/100 and
+ * recompute its median and throughput from them: how runSuite turns
+ * the measured samples into a case's timing, with
+ * BenchOptions::injectSlowdownPct as the slowdown.
+ */
+void settleTiming(CaseResult &result, double slowdown_pct);
+
+/**
  * Render the report as deterministic-layout JSON. With
  * `include_timing` false, every wall-clock-derived field (the
  * "timing" and "profile" objects) is omitted and the document is a

@@ -6,6 +6,9 @@
 #include "planner.hh"
 
 #include <algorithm>
+#include <map>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.hh"
@@ -67,6 +70,16 @@ HybridPlanner::HybridPlanner(const estimator::NpuEstimate &estimate,
 {
 }
 
+npusim::SimKey
+HybridPlanner::simKey(std::uint64_t network_hash, int batch) const
+{
+    npusim::SimKey key;
+    key.networkHash = network_hash;
+    key.configHash = _sharder._configHash;
+    key.batch = batch;
+    return key;
+}
+
 ShardPlan
 HybridPlanner::evaluate(const dnn::Network &network,
                         int data_parallel, int tensor_shards,
@@ -85,27 +98,40 @@ HybridPlanner::evaluate(const dnn::Network &network,
              " data-parallel replicas; clamping to ", batch);
         data_parallel = batch;
     }
-    dnn::Network shard = shardNetwork(network, tensor_shards);
+    perf::Scope perf_scope("planner.evaluate");
+    const dnn::Network shard = shardNetwork(network, tensor_shards);
     const std::uint64_t shard_hash = npusim::hashNetwork(shard);
-    return evaluate(
-        HashedNetwork{network, npusim::hashNetwork(network)},
-        HashedNetwork{std::move(shard), shard_hash}, data_parallel,
-        tensor_shards, pipeline_stages, batch);
+    const std::uint64_t whole_hash = npusim::hashNetwork(network);
+    const int share = (batch + data_parallel - 1) / data_parallel;
+
+    // TP geometry and per-layer all-reduce at the replica's share.
+    const TensorShardResult tensor = _sharder.shard(
+        whole_hash, network, shard_hash, shard, tensor_shards, share);
+    // PP split of the shard network. The partitioner re-simulates
+    // every chosen stage of the shrunk geometry; its cut search
+    // does not see the TP overlay (documented approximation).
+    partition::PartitionPlan pipeline = _partitioner.partition(
+        shard_hash, shard, pipeline_stages, share);
+    // The documented baseline is the FULL batch on one chip; the
+    // tensor result's solo ran at the replica share, which for R>1
+    // is a smaller problem. Cache-hit for R=1 (share == batch).
+    auto solo = _sharder.simulate(whole_hash, network, batch);
+    return evaluate(network, data_parallel, tensor_shards, batch,
+                    Resolved{tensor, std::move(pipeline),
+                             std::move(solo)});
 }
 
 ShardPlan
-HybridPlanner::evaluate(const HashedNetwork &whole,
-                        const HashedNetwork &shard, int data_parallel,
-                        int tensor_shards, int pipeline_stages,
-                        int batch) const
+HybridPlanner::evaluate(const dnn::Network &network, int data_parallel,
+                        int tensor_shards, int batch,
+                        Resolved resolved) const
 {
-    perf::Scope perf_scope("planner.evaluate");
     if (perf::enabled()) {
         static perf::Counter &evaluations =
             perf::counter("planner.evaluations");
         evaluations.add(1);
     }
-    const dnn::Network &network = whole.network;
+    const TensorShardResult &tensor = resolved.tensor;
 
     ShardPlan plan;
     plan.networkName = network.name;
@@ -115,20 +141,10 @@ HybridPlanner::evaluate(const HashedNetwork &whole,
     plan.replicaShare =
         (batch + data_parallel - 1) / data_parallel;
     plan.link = _sharder.link();
-
-    // TP geometry and per-layer all-reduce at the replica's share.
-    TensorShardResult tensor = _sharder.shard(
-        whole.hash, network, shard.hash, shard.network, tensor_shards,
-        plan.replicaShare);
     plan.configName = tensor.configName;
     plan.frequencyGhz = tensor.frequencyGhz;
     plan.tensorCollectiveBytes = tensor.collectiveBytes;
-
-    // PP split of the shard network. The partitioner re-simulates
-    // every chosen stage of the shrunk geometry; its cut search
-    // does not see the TP overlay below (documented approximation).
-    plan.pipeline = _partitioner.partition(
-        shard.hash, shard.network, pipeline_stages, plan.replicaShare);
+    plan.pipeline = std::move(resolved.pipeline);
     plan.pipelineStages = plan.pipeline.stageCount();
 
     // Overlay each stage's in-range TP all-reduce cycles onto its
@@ -171,15 +187,50 @@ HybridPlanner::evaluate(const HashedNetwork &whole,
     plan.latencyCycles =
         saturatingAdd(plan.fillCycles, plan.gatherCycles);
 
-    // The documented baseline is the FULL batch on one chip; the
-    // tensor result's solo ran at the replica share, which for R>1
-    // is a smaller problem. Cache-hit for R=1 (share == batch).
-    const auto solo = _sharder.simulate(whole.hash, network, batch);
-    plan.soloCycles = solo->totalCycles;
-    plan.macOpsPerBatch = solo->macOps;
+    plan.soloCycles = resolved.solo->totalCycles;
+    plan.macOpsPerBatch = resolved.solo->macOps;
     plan.peakMacPerSec = tensor.peakMacPerSec;
     return plan;
 }
+
+namespace {
+
+/** One enumerated (R, T, K) and the search point it reads. */
+struct Candidate
+{
+    int r = 1, t = 1, k = 1;
+    int point = 0; ///< index of its (T, replica share) point
+};
+
+/** A stage sub-range [first, last] of one point and its key. */
+struct StageRange
+{
+    npusim::SimKey key;
+    int first = 0, last = 0;
+};
+
+/**
+ * What one (T, replica share) point of a search resolves once for
+ * every candidate that reads it (every R with that share, every K).
+ */
+struct SearchPoint
+{
+    int t = 1, share = 1;
+    int soloPoint = 0;  ///< the (1, share) point: the unsharded run
+    int maxStages = 1;  ///< largest K any candidate asks for
+    npusim::SimKey wideKey; ///< the T-way shard network at the share
+    std::shared_ptr<const npusim::SimResult> wide;
+    /** The LayerTimings was resident when the search began. */
+    bool timingsResident = false;
+    std::shared_ptr<const partition::LayerTimings> timings;
+    /** cuts[K-1]: the best K-way split. */
+    std::vector<partition::Partitioner::StageCut> cuts;
+    TensorShardResult tensor;
+    /** Every proper sub-range any K cuts, once each. */
+    std::vector<StageRange> ranges;
+};
+
+} // namespace
 
 PlanSearch
 HybridPlanner::plan(const dnn::Network &network, int chip_budget,
@@ -196,32 +247,45 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
 
     // Degrees a clamp would fold onto an already-enumerated triple
     // are skipped up front: R beyond the batch and K beyond the
-    // layer count only duplicate rows (and spam clamp warns).
-    // Materializing the triples first sizes the candidate vector
-    // exactly and hands parallelMap an indexable work list.
-    struct Triple
-    {
-        int r = 1, t = 1, k = 1;
-    };
+    // layer count only duplicate rows (and spam clamp warns). Each
+    // (R, T) maps onto its (T, replica share) point; R-major order
+    // creates every (1, share) point before any T > 1 reads it.
     const int max_r = std::min(chip_budget, batch);
     const int max_k = (int)network.layers.size();
-    std::vector<Triple> triples;
-    for (int r = 1; r <= max_r; ++r)
-        for (int t = 1; r * t <= chip_budget; ++t)
-            for (int k = 1; r * t * k <= chip_budget && k <= max_k;
-                 ++k)
-                triples.push_back(Triple{r, t, k});
+    std::vector<Candidate> candidates;
+    std::vector<SearchPoint> points;
+    std::map<std::pair<int, int>, int> point_of;
+    for (int r = 1; r <= max_r; ++r) {
+        const int share = (batch + r - 1) / r;
+        for (int t = 1; r * t <= chip_budget; ++t) {
+            const auto [it, fresh] =
+                point_of.try_emplace({t, share}, (int)points.size());
+            if (fresh) {
+                SearchPoint point;
+                point.t = t;
+                point.share = share;
+                point.soloPoint = point_of.at({1, share});
+                points.push_back(std::move(point));
+            }
+            const int k_limit = std::min(chip_budget / (r * t), max_k);
+            SearchPoint &point = points[it->second];
+            point.maxStages = std::max(point.maxStages, k_limit);
+            for (int k = 1; k <= k_limit; ++k)
+                candidates.push_back(Candidate{r, t, k, it->second});
+        }
+    }
 
-    // Everything that depends on the network alone or on T alone is
-    // derived once here, not once per candidate: the input network
-    // is validated and hashed once, and each T-way shard network is
-    // built (validated by shardNetwork) and hashed once, fanned
-    // across the pool. Neither step touches a cache, so every
-    // candidate still issues exactly the SimCache and
-    // LayerTimingCache lookups a standalone evaluate() does.
+    // The input network is validated and hashed once, and each T-way
+    // shard network is built (validated by shardNetwork) and hashed
+    // once, fanned across the pool.
     network.check();
-    const HashedNetwork whole{network, npusim::hashNetwork(network)};
+    const std::uint64_t whole_hash = npusim::hashNetwork(network);
     ThreadPool pool(jobs < 0 ? 1 : jobs);
+    struct HashedNetwork
+    {
+        dnn::Network network;
+        std::uint64_t hash = 0;
+    };
     const std::vector<HashedNetwork> shards =
         pool.parallelMap(chip_budget, [&](std::size_t i) {
             dnn::Network shard = shardNetwork(network, (int)i + 1);
@@ -229,21 +293,179 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
             return HashedNetwork{std::move(shard), hash};
         });
 
-    // Fan the evaluations across the pool. Slot i always holds the
-    // i-th enumerated triple's plan (moved in, never copied — each
-    // ShardPlan carries stage vectors and a shared SimResult), so
-    // the candidate list is byte-identical to the serial walk no
-    // matter how the work interleaves.
+    npusim::SimCache &cache = *_sharder._cache;
+    partition::LayerTimingCache &timing_cache =
+        _partitioner.timingCache();
+    const npusim::SimKey solo_key = simKey(whole_hash, batch);
+    std::vector<npusim::SimKey> sim_keys;
+    std::vector<partition::LayerTimingKey> timing_keys;
+    std::unordered_map<npusim::SimKey,
+                       std::shared_ptr<const npusim::SimResult>,
+                       npusim::SimKeyHash>
+        resolved;
+    /** A distinct non-resident stage key and where its result goes. */
+    struct Miss
+    {
+        const SearchPoint *point;
+        const StageRange *range;
+        std::shared_ptr<const npusim::SimResult> *slot;
+    };
+    std::vector<Miss> misses;
+    {
+        perf::Scope span("planner.derive");
+        // Every point's wide simulation, before any point reads
+        // another's as its unsharded solo run.
+        pool.parallelFor(points.size(), [&](std::size_t i) {
+            SearchPoint &p = points[i];
+            const HashedNetwork &shard = shards[p.t - 1];
+            p.wideKey = simKey(shard.hash, p.share);
+            p.wide = cache.peek(p.wideKey);
+            if (!p.wide)
+                p.wide = std::make_shared<const npusim::SimResult>(
+                    _sharder._sim.run(shard.network, p.share));
+        });
+        // Everything else a point's candidates share. The CutTable
+        // lock is taken once per point; afterwards every read of the
+        // cuts is lock-free.
+        pool.parallelFor(points.size(), [&](std::size_t i) {
+            SearchPoint &p = points[i];
+            const HashedNetwork &shard = shards[p.t - 1];
+            p.timings = timing_cache.peek({shard.hash, p.share});
+            p.timingsResident = p.timings != nullptr;
+            if (!p.timingsResident)
+                p.timings =
+                    std::make_shared<const partition::LayerTimings>(
+                        _partitioner.buildTimings(shard.network,
+                                                  *p.wide, p.share));
+            p.cuts = partition::Partitioner::cutStages(
+                shard.network, shard.hash, *p.timings, 1,
+                p.maxStages);
+            p.tensor = _sharder.assemble(network, p.t, p.share, p.wide,
+                                         points[p.soloPoint].wide);
+            const int n = p.timings->layerCount();
+            for (const auto &cut : p.cuts) {
+                int first = 0;
+                for (std::size_t s = 0; s < cut.last.size(); ++s) {
+                    const int last = cut.last[s];
+                    if (first != 0 || last != n - 1)
+                        p.ranges.push_back(StageRange{
+                            simKey(cut.hash[s], p.share), first, last});
+                    first = last + 1;
+                }
+            }
+            std::sort(p.ranges.begin(), p.ranges.end(),
+                      [](const StageRange &a, const StageRange &b) {
+                          return std::tie(a.first, a.last) <
+                                 std::tie(b.first, b.last);
+                      });
+            p.ranges.erase(
+                std::unique(p.ranges.begin(), p.ranges.end(),
+                            [](const StageRange &a,
+                               const StageRange &b) {
+                                return a.first == b.first &&
+                                       a.last == b.last;
+                            }),
+                p.ranges.end());
+        });
+
+        // The serial walk's lookup sequences, candidate by candidate
+        // in the order evaluate() issues them. The timing memo is
+        // unbounded, so a point's LayerTimings misses exactly once —
+        // at its first candidate, unless it was resident — and that
+        // miss looks the wide simulation up again.
+        std::vector<char> timings_seen(points.size(), 0);
+        std::size_t lookups = points.size();
+        for (const Candidate &c : candidates)
+            lookups += 2 + (c.t > 1) + c.k;
+        sim_keys.reserve(lookups);
+        timing_keys.reserve(candidates.size());
+        for (const Candidate &c : candidates) {
+            const SearchPoint &p = points[c.point];
+            sim_keys.push_back(p.wideKey);
+            if (c.t > 1)
+                sim_keys.push_back(points[p.soloPoint].wideKey);
+            timing_keys.push_back({shards[c.t - 1].hash, p.share});
+            if (!p.timingsResident && !timings_seen[c.point]) {
+                timings_seen[c.point] = 1;
+                sim_keys.push_back(p.wideKey);
+            }
+            for (std::uint64_t hash : p.cuts[c.k - 1].hash)
+                sim_keys.push_back(simKey(hash, p.share));
+            sim_keys.push_back(solo_key);
+        }
+
+        // Every key the sequence names: the wide runs are in hand
+        // (and the solo keys are T=1 wide keys); a stage key is
+        // resident or a miss to simulate.
+        for (const SearchPoint &p : points)
+            resolved.emplace(p.wideKey, p.wide);
+        for (const SearchPoint &p : points) {
+            for (const StageRange &range : p.ranges) {
+                const auto [it, fresh] = resolved.try_emplace(range.key);
+                if (!fresh)
+                    continue;
+                it->second = cache.peek(range.key);
+                if (!it->second)
+                    misses.push_back(Miss{&p, &range, &it->second});
+            }
+        }
+    }
+
+    {
+        // No lock: each miss writes only its own resolved slot.
+        perf::Scope span("planner.simulate");
+        pool.parallelFor(misses.size(), [&](std::size_t i) {
+            const Miss &miss = misses[i];
+            const dnn::Network stage = partition::stageNetwork(
+                shards[miss.point->t - 1].network, miss.range->first,
+                miss.range->last);
+            *miss.slot = std::make_shared<const npusim::SimResult>(
+                _sharder._sim.run(stage, miss.point->share));
+        });
+    }
+
+    {
+        perf::Scope span("planner.replay");
+        cache.replay(sim_keys, [&](const npusim::SimKey &key) {
+            return resolved.at(key);
+        });
+        std::unordered_map<partition::LayerTimingKey,
+                           std::shared_ptr<const partition::LayerTimings>,
+                           partition::LayerTimingKeyHash>
+            timings_of;
+        for (const SearchPoint &p : points)
+            timings_of.emplace(
+                partition::LayerTimingKey{shards[p.t - 1].hash,
+                                          p.share},
+                p.timings);
+        timing_cache.replay(
+            timing_keys, [&](const partition::LayerTimingKey &key) {
+                return timings_of.at(key);
+            });
+    }
+
+    // Every candidate from the read-only tables; slot i always holds
+    // the i-th enumerated triple's plan.
     search.evaluated =
-        pool.parallelMap(triples.size(), [&](std::size_t i) {
-            const Triple &triple = triples[i];
-            return evaluate(whole, shards[triple.t - 1], triple.r,
-                            triple.t, triple.k, batch);
+        pool.parallelMap(candidates.size(), [&](std::size_t i) {
+            perf::Scope span("planner.evaluate");
+            const Candidate &c = candidates[i];
+            const SearchPoint &p = points[c.point];
+            const partition::Partitioner::StageCut &cut =
+                p.cuts[c.k - 1];
+            partition::PartitionPlan pipeline = _partitioner.assemble(
+                shards[c.t - 1].network.name, *p.timings, cut, p.share,
+                [&](int s) {
+                    return resolved.at(simKey(cut.hash[s], p.share));
+                });
+            return evaluate(network, c.r, c.t, batch,
+                            Resolved{p.tensor, std::move(pipeline),
+                                     resolved.at(solo_key)});
         });
     if (perf::enabled()) {
-        static perf::Counter &candidates =
+        static perf::Counter &candidates_counter =
             perf::counter("planner.candidates");
-        candidates.add(triples.size());
+        candidates_counter.add(candidates.size());
     }
 
     // First strictly better wins: lexicographic (R,T,K) order makes

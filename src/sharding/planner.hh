@@ -27,26 +27,42 @@
  *
  * The planner enumerates every (R, T, K) with R·T·K ≤ budget in
  * lexicographic order and keeps the best under the objective; ties
- * keep the earlier triple, so results are deterministic. The
- * enumeration fans out across a common/parallel ThreadPool:
- * candidates land in enumeration order regardless of scheduling
- * (parallelMap slot order) and every shared structure the
- * evaluations touch (npusim::SimCache, the partitioner's
- * LayerTimingCache, the link model's warn dedup) is single-flight or
- * mutexed with scheduling-independent accounting, so `jobs` is a
- * pure wall-clock knob — the search output and its ledgers are
- * byte-identical to the serial walk at any job count.
+ * keep the earlier triple, so results are deterministic.
  *
- * plan() validates and hashes the network once and builds and hashes
- * each T-way shard network once per T; every candidate then runs the
- * one private evaluation path that evaluate() also wraps, issuing the
- * same cache lookups a standalone evaluate() issues.
+ * plan() is byte-identical to the serial loop of standalone
+ * evaluate() calls over that enumeration: every candidate, and the
+ * SimCache and LayerTimingCache hit, miss and eviction totals, at
+ * any job count and any cache capacity. It gets there in phases
+ * that share no per-candidate lock, each fanned across a
+ * common/parallel ThreadPool where it can be:
+ *
+ *  1. derive (parallel per (T, replica share) point): the wide
+ *     simulation (resident, or run now), the LayerTimings, the cut
+ *     DP grown to the largest K any candidate asks for, every K's
+ *     cuts and stage hashes, and the TensorShardResult — once per
+ *     point instead of once per candidate;
+ *  2. derive (serial): the exact SimCache and LayerTimingCache key
+ *     sequences the serial walk issues, including the repeated wide
+ *     lookup inside a LayerTimings miss;
+ *  3. simulate (parallel, no lock): every distinct key of those
+ *     sequences that is not resident, stage sub-networks built only
+ *     here;
+ *  4. replay (serial): both sequences through their memos'
+ *     Memo::replay, which counts and evicts exactly as the serial
+ *     walk's getOrCompute calls would;
+ *  5. evaluate (parallel): every candidate assembled from the
+ *     read-only results by the one evaluation body standalone
+ *     evaluate() also runs, into slot order.
+ *
+ * So `jobs` is a pure wall-clock knob and the byte-compared shard
+ * ledgers (which embed the cache tallies) repeat across --jobs.
  */
 
 #ifndef SUPERNPU_SHARDING_PLANNER_HH
 #define SUPERNPU_SHARDING_PLANNER_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -184,22 +200,31 @@ class HybridPlanner
     }
 
   private:
-    /** A validated network with its npusim::hashNetwork. */
-    struct HashedNetwork
+    /**
+     * The cache-backed results one evaluation reads: the T-way shard
+     * timing and the PP split of the shard network, both at the
+     * replica share, and the full-batch solo simulation. evaluate()
+     * resolves them through live cache lookups, plan() from its
+     * replayed search tables.
+     */
+    struct Resolved
     {
-        dnn::Network network;
-        std::uint64_t hash = 0;
+        const TensorShardResult &tensor;
+        partition::PartitionPlan pipeline;
+        std::shared_ptr<const npusim::SimResult> solo;
     };
 
     /**
-     * The one evaluation path behind evaluate() and plan(): `whole`
-     * is the input network, `shard` its T-way shardNetwork, and the
-     * degrees are already validated and clamped.
+     * The one evaluation body behind evaluate() and plan(): the
+     * degrees are already validated and clamped, and `resolved`
+     * carries everything the caches supply.
      */
-    ShardPlan evaluate(const HashedNetwork &whole,
-                       const HashedNetwork &shard, int data_parallel,
-                       int tensor_shards, int pipeline_stages,
-                       int batch) const;
+    ShardPlan evaluate(const dnn::Network &network, int data_parallel,
+                       int tensor_shards, int batch,
+                       Resolved resolved) const;
+
+    /** The SimCache key of `network_hash` at `batch` here. */
+    npusim::SimKey simKey(std::uint64_t network_hash, int batch) const;
 
     TensorSharder _sharder;
     partition::Partitioner _partitioner;

@@ -6,6 +6,7 @@
 #include "tensor_shard.hh"
 
 #include <limits>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -120,7 +121,16 @@ TensorSharder::shard(std::uint64_t network_hash,
     auto wide = simulate(shard_hash, shard_net, batch);
     auto solo =
         shards == 1 ? wide : simulate(network_hash, network, batch);
+    return assemble(network, shards, batch, std::move(wide),
+                    std::move(solo));
+}
 
+TensorShardResult
+TensorSharder::assemble(
+    const dnn::Network &network, int shards, int batch,
+    std::shared_ptr<const npusim::SimResult> wide,
+    std::shared_ptr<const npusim::SimResult> solo) const
+{
     TensorShardResult result;
     result.networkName = network.name;
     result.configName = wide->configName;
@@ -128,7 +138,6 @@ TensorSharder::shard(std::uint64_t network_hash,
     result.batch = batch;
     result.frequencyGhz = wide->frequencyGhz;
     result.link = _link;
-    result.wideSim = wide;
     result.soloCycles = solo->totalCycles;
     result.macOpsPerBatch = solo->macOps;
     result.peakMacPerSec = _sim.estimate().peakMacPerSec;
@@ -159,6 +168,7 @@ TensorSharder::shard(std::uint64_t network_hash,
     SUPERNPU_ASSERT(result.shardCycles == wide->totalCycles,
                     "per-layer shard cycles must roll up to the "
                     "wide shard's total");
+    result.wideSim = std::move(wide);
     return result;
 }
 

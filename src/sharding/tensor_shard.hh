@@ -128,8 +128,8 @@ class TensorSharder
     /**
      * Same, with `shard_net` == shardNetwork(network, shards) and
      * both npusim::hashNetwork values precomputed, and `network`
-     * already check()ed by the caller — the hybrid planner derives
-     * them once per T for a whole search.
+     * already check()ed by the caller, as HybridPlanner::evaluate
+     * has them in hand.
      */
     TensorShardResult shard(std::uint64_t network_hash,
                             const dnn::Network &network,
@@ -147,6 +147,15 @@ class TensorSharder
     std::shared_ptr<const npusim::SimResult>
     simulate(std::uint64_t network_hash, const dnn::Network &network,
              int batch) const;
+    /**
+     * The result of a `shards`-way split of `network` at `batch`
+     * from its two simulations: `wide`, the widest shard's network,
+     * and `solo`, the unsharded network (the same object at T=1).
+     */
+    TensorShardResult
+    assemble(const dnn::Network &network, int shards, int batch,
+             std::shared_ptr<const npusim::SimResult> wide,
+             std::shared_ptr<const npusim::SimResult> solo) const;
 
     npusim::NpuSimulator _sim;
     partition::LinkConfig _link;

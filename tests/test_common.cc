@@ -20,6 +20,7 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/units.hh"
+#include "perf/profile.hh"
 
 namespace supernpu {
 namespace {
@@ -481,6 +482,136 @@ TEST(Memo, ComputeErrorReachesLeaderAndEveryWaiter)
     EXPECT_EQ(*memo.getOrCompute(7, [] { return 42; }), 42);
     EXPECT_EQ(memo.stats().misses, 2u);
     EXPECT_EQ(memo.size(), 1u);
+}
+
+/**
+ * The LRU order of `memo`'s residents among `universe`, least
+ * recent first, read by pushing fresh keys (>= 1000) in one at a time
+ * and noting which residents each push evicts. Consumes the memo's
+ * entries and counters; a memo of capacity 0 never evicts, so only
+ * its resident set (value-checked) is returned.
+ */
+std::vector<int>
+lruOrder(Memo<int, int> &memo, const std::vector<int> &universe,
+         std::size_t capacity)
+{
+    std::vector<int> order;
+    std::set<int> resident;
+    for (int key : universe) {
+        if (const auto value = memo.peek(key)) {
+            EXPECT_EQ(*value, key * 10 + 1) << "key " << key;
+            resident.insert(key);
+        }
+    }
+    if (capacity == 0)
+        return std::vector<int>(resident.begin(), resident.end());
+    // capacity pushes evict every resident of a working LRU.
+    for (int fresh = 1000; !resident.empty(); ++fresh) {
+        if (fresh == 1000 + (int)capacity) {
+            ADD_FAILURE() << resident.size() << " key(s) never evicted";
+            break;
+        }
+        memo.getOrCompute(fresh, [] { return 0; });
+        for (auto it = resident.begin(); it != resident.end();) {
+            if (memo.peek(*it)) {
+                ++it;
+            } else {
+                order.push_back(*it);
+                it = resident.erase(it);
+            }
+        }
+    }
+    return order;
+}
+
+TEST(Memo, ReplayMatchesSerialGetOrCompute)
+{
+    const bool was_profiling = perf::enabled();
+    perf::setEnabled(true);
+    const auto value_of = [](int key) { return key * 10 + 1; };
+    const std::vector<int> universe = {0, 1, 2, 3, 4, 5, 6, 7};
+    Rng rng(17);
+    int trial = 0;
+    for (std::size_t capacity : {0, 1, 4}) {
+        for (int round = 0; round < 20; ++round, ++trial) {
+            SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                         " round " + std::to_string(round));
+            // Half the rounds replay onto a memo already holding
+            // entries (walked in serially by both sides first).
+            std::vector<int> prefix, keys;
+            if (round % 2 == 1) {
+                for (int i = 0; i < 6; ++i)
+                    prefix.push_back((int)rng.uniformInt(0, 7));
+            }
+            const int length = (int)rng.uniformInt(0, 40);
+            for (int i = 0; i < length; ++i)
+                keys.push_back((int)rng.uniformInt(0, 7));
+
+            const std::string serial_name =
+                "test.memoSerial" + std::to_string(trial);
+            const std::string replay_name =
+                "test.memoReplay" + std::to_string(trial);
+            Memo<int, int> serial(capacity, serial_name);
+            Memo<int, int> replayed(capacity, replay_name);
+            for (int key : prefix) {
+                serial.getOrCompute(key, [&] { return value_of(key); });
+                replayed.getOrCompute(key,
+                                      [&] { return value_of(key); });
+            }
+            for (int key : keys)
+                serial.getOrCompute(key, [&] { return value_of(key); });
+            replayed.replay(keys, [&](int key) {
+                return std::make_shared<const int>(value_of(key));
+            });
+
+            const MemoStats a = serial.stats(), b = replayed.stats();
+            EXPECT_EQ(a.hits, b.hits);
+            EXPECT_EQ(a.misses, b.misses);
+            EXPECT_EQ(a.evictions, b.evictions);
+            EXPECT_EQ(serial.size(), replayed.size());
+            EXPECT_EQ(perf::counter(serial_name + ".hits").value(),
+                      perf::counter(replay_name + ".hits").value());
+            EXPECT_EQ(perf::counter(serial_name + ".misses").value(),
+                      perf::counter(replay_name + ".misses").value());
+            EXPECT_EQ(perf::counter(replay_name + ".hits").value(),
+                      b.hits);
+            EXPECT_EQ(perf::counter(replay_name + ".misses").value(),
+                      b.misses);
+            EXPECT_EQ(lruOrder(serial, universe, capacity),
+                      lruOrder(replayed, universe, capacity));
+        }
+    }
+    perf::setEnabled(was_profiling);
+}
+
+TEST(Memo, PeekCountsNothing)
+{
+    const bool was_profiling = perf::enabled();
+    perf::setEnabled(true);
+    Memo<int, int> memo(2, "test.memoPeek");
+    perf::Counter &hits = perf::counter("test.memoPeek.hits");
+    perf::Counter &misses = perf::counter("test.memoPeek.misses");
+    memo.getOrCompute(1, [] { return 11; });
+    memo.getOrCompute(2, [] { return 21; });
+
+    // A resident key reads back without counting; an absent one is
+    // null and is not stored.
+    ASSERT_TRUE(memo.peek(1));
+    EXPECT_EQ(*memo.peek(1), 11);
+    EXPECT_FALSE(memo.peek(3));
+    EXPECT_EQ(memo.size(), 2u);
+    EXPECT_EQ(memo.stats().hits, 0u);
+    EXPECT_EQ(memo.stats().misses, 2u);
+    EXPECT_EQ(hits.value(), 0u);
+    EXPECT_EQ(misses.value(), 2u);
+
+    // Peeking key 1 did not refresh it: it is still the least
+    // recently used entry, so the next insert evicts it, not key 2.
+    memo.getOrCompute(3, [] { return 31; });
+    EXPECT_FALSE(memo.peek(1));
+    EXPECT_TRUE(memo.peek(2));
+    EXPECT_EQ(memo.stats().evictions, 1u);
+    perf::setEnabled(was_profiling);
 }
 
 } // namespace

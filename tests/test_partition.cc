@@ -281,8 +281,8 @@ expectSamePlan(const PartitionPlan &a, const PartitionPlan &b)
         const PipelineStage &y = b.stages[s];
         EXPECT_EQ(x.firstLayer, y.firstLayer);
         EXPECT_EQ(x.lastLayer, y.lastLayer);
-        EXPECT_EQ(x.network.name, y.network.name);
-        EXPECT_EQ(x.network.layers.size(), y.network.layers.size());
+        EXPECT_EQ(x.sim->networkName, y.sim->networkName);
+        EXPECT_EQ(x.sim->layers.size(), y.sim->layers.size());
         EXPECT_EQ(x.stageCycles, y.stageCycles);
         EXPECT_EQ(x.sim->totalCycles, y.sim->totalCycles);
         EXPECT_EQ(x.linkBytes, y.linkBytes);

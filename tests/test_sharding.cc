@@ -14,6 +14,8 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "dnn/layer.hh"
 #include "dnn/networks.hh"
@@ -559,7 +561,8 @@ expectSameShardPlan(const ShardPlan &a, const ShardPlan &b)
         SCOPED_TRACE("stage " + std::to_string(s));
         EXPECT_EQ(x.stages[s].firstLayer, y.stages[s].firstLayer);
         EXPECT_EQ(x.stages[s].lastLayer, y.stages[s].lastLayer);
-        EXPECT_EQ(x.stages[s].network.name, y.stages[s].network.name);
+        EXPECT_EQ(x.stages[s].sim->networkName,
+                  y.stages[s].sim->networkName);
         EXPECT_EQ(x.stages[s].stageCycles, y.stages[s].stageCycles);
         EXPECT_EQ(x.stages[s].linkBytes, y.stages[s].linkBytes);
         EXPECT_EQ(x.stages[s].linkCycles, y.stages[s].linkCycles);
@@ -601,6 +604,99 @@ TEST_F(ShardingFixture, SearchCandidatesMatchTheirStandaloneEvaluate)
                                             plan.pipelineStages, full));
                 }
             }
+        }
+    }
+}
+
+TEST_F(ShardingFixture, SearchCountsMatchTheSerialWalkUnderLruPressure)
+{
+    // A ResNet50 search at budget 64 asks for far more simulations
+    // than either SimCache holds, so evicted keys are asked for
+    // again. Whatever the job count, the search must count, evict
+    // and leave the cache exactly as the serial loop of standalone
+    // evaluate() calls over the same enumeration does.
+    const dnn::Network resnet = dnn::makeResNet50();
+    const int full = npusim::maxBatch(config, estimate, resnet);
+    constexpr int kBudget = 64;
+    const int layers = (int)resnet.layers.size();
+
+    // Both sides start from the same warm caches: a few of the
+    // search's own placements (so some LayerTimings are resident,
+    // and some SimCache keys are, until evicted).
+    const auto warm = [&](const HybridPlanner &planner) {
+        planner.evaluate(resnet, 1, 2, 3, full);
+        planner.evaluate(resnet, 4, 1, 2, full);
+        planner.evaluate(resnet, 2, 8, 4, full);
+    };
+    // After the search, the hit/miss/eviction tally of each of a
+    // few further evaluations: it reads out what the search left
+    // resident, and in which LRU order.
+    struct Tally
+    {
+        std::uint64_t hits, misses, evictions, timingHits,
+            timingMisses;
+        bool operator==(const Tally &o) const
+        {
+            return hits == o.hits && misses == o.misses &&
+                   evictions == o.evictions &&
+                   timingHits == o.timingHits &&
+                   timingMisses == o.timingMisses;
+        }
+    };
+    const auto tally = [&](const npusim::SimCache &cache,
+                           const HybridPlanner &planner) {
+        const npusim::SimCacheStats sim = cache.stats();
+        const partition::LayerTimingCacheStats timing =
+            planner.timingCacheStats();
+        return Tally{sim.hits, sim.misses, sim.evictions, timing.hits,
+                     timing.misses};
+    };
+    const auto probe = [&](const npusim::SimCache &cache,
+                           const HybridPlanner &planner) {
+        std::vector<Tally> pattern;
+        for (const auto &[r, t, k] :
+             {std::tuple{1, 1, 1}, std::tuple{3, 2, 5},
+              std::tuple{1, 64, 1}, std::tuple{2, 8, 4},
+              std::tuple{16, 1, 4}, std::tuple{1, 1, 54}}) {
+            planner.evaluate(resnet, r, t, k, full);
+            pattern.push_back(tally(cache, planner));
+        }
+        return pattern;
+    };
+
+    for (std::size_t capacity : {8, 64}) {
+        npusim::SimCache serial_cache(capacity);
+        const HybridPlanner serial(estimate, testLink(), &serial_cache);
+        warm(serial);
+        std::vector<ShardPlan> walked;
+        for (int r = 1; r <= std::min(kBudget, full); ++r)
+            for (int t = 1; r * t <= kBudget; ++t)
+                for (int k = 1; r * t * k <= kBudget && k <= layers;
+                     ++k)
+                    walked.push_back(serial.evaluate(resnet, r, t, k, full));
+        const Tally serial_tally = tally(serial_cache, serial);
+        const std::vector<Tally> serial_probe =
+            probe(serial_cache, serial);
+        ASSERT_GT(serial_tally.evictions, 0u);
+
+        for (int jobs : {1, 2, 4}) {
+            SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                         " jobs " + std::to_string(jobs));
+            npusim::SimCache cache(capacity);
+            const HybridPlanner planner(estimate, testLink(), &cache);
+            warm(planner);
+            const PlanSearch search = planner.plan(
+                resnet, kBudget, full, PlanObjective::Throughput, jobs);
+            const Tally searched = tally(cache, planner);
+            EXPECT_EQ(searched.hits, serial_tally.hits);
+            EXPECT_EQ(searched.misses, serial_tally.misses);
+            EXPECT_EQ(searched.evictions, serial_tally.evictions);
+            EXPECT_EQ(searched.timingHits, serial_tally.timingHits);
+            EXPECT_EQ(searched.timingMisses, serial_tally.timingMisses);
+            EXPECT_TRUE(probe(cache, planner) == serial_probe);
+            ASSERT_EQ(search.evaluated.size(), walked.size());
+            for (std::size_t i = 0; i < walked.size(); ++i)
+                expectSameShardPlan(search.evaluated[i], walked[i]);
         }
     }
 }
