@@ -2,133 +2,22 @@
  * @file
  * supernpu — command-line front end over the library.
  *
- *   supernpu workloads
- *       List the built-in CNN workloads.
- *   supernpu estimate <config> [options]
- *       Frequency / power / area of an architecture.
- *   supernpu simulate <workload> <config> [options]
- *       Cycle-level performance + power of a workload.
- *   supernpu batch <workload> <config> [options]
- *       The Table II maximum on-chip batch.
- *   supernpu serve <workload> <config> [options]
- *       Discrete-event serving simulation: request load, dynamic
- *       batching, multi-chip dispatch, tail latency.
- *   supernpu faults <workload> <config> [options]
- *       Fault-injection study: degraded-geometry cycle costs,
- *       functional error propagation, and a serving run under a
- *       seeded SFQ fault schedule with a recovery policy.
- *   supernpu report <workload> <config> [options]
- *       Audited run ledger as JSON on stdout: the cycle-level run's
- *       counters with conservation invariants enforced (exit 1 on
- *       any violation).
- *   supernpu partition <workload> <config> [options]
- *       Multi-chip pipeline partition: balanced stage table, link
- *       transfer costs, steady-state throughput, optional K-sweep.
- *   supernpu shard <workload> <config> [options]
- *       Hybrid DP×TP×PP parallelism: evaluate a fixed
- *       --dp/--tp/--stages factorization, or search every
- *       factorization of a --chips budget; --sweep adds a
- *       budget-scaling table.
- *   supernpu check [options]
- *       Differential & metamorphic fuzz harness (src/check): seeded
- *       random scenarios cross-checked by the oracle catalog, with
- *       failing cases shrunk to minimal JSON repros; --replay runs
- *       one committed repro, --cook tamper self-tests the oracles.
- *   supernpu validate
- *       The Fig. 13 model-validation table.
- *   supernpu explore [options]
- *       Parallel design-space sweep (--jobs N workers, default all
- *       hardware threads; any N prints the identical leaderboard).
- *   supernpu bench [smoke|full] [options]
- *       Unified performance harness (src/perf/bench_runner.hh): the
- *       curated suite with warmup + repetition + median-of-N timing,
- *       written as BENCH_<suite>.json, optionally gated against a
- *       saved baseline.
+ *   supernpu <command> [arguments] [options]
  *
- * Every subcommand accepts --help (usage on stdout, exit 0) and
- * rejects unknown options and stray positional arguments with a
- * usage line on stderr.
- *
- * Configs: baseline | bufferopt | resourceopt | supernpu, or start
- * from one and override with options:
- *   --tech rsfq|ersfq       bias technology (default rsfq)
- *   --feature <um>          process feature size (default 1.0)
- *   --width <n>             PE array width
- *   --height <n>            PE array height
- *   --regs <n>              weight registers per PE
- *   --division <n>          output-buffer division degree
- *   --ifmap-mb <n>          ifmap buffer capacity
- *   --output-mb <n>         output buffer capacity
- *   --bandwidth-gbps <n>    DRAM bandwidth
- *   --batch <n>             force a batch size (simulate, serve)
- *   --jobs <n>              worker threads (explore, shard, check,
- *                           bench); results are identical at any N
- *
- * Serving options (serve):
- *   --rps <n>               offered load, requests/s (default 1000)
- *   --chips <n>             NPU dies behind the dispatcher
- *   --policy dynamic|fixed  batching policy
- *   --dispatch rr|jsq       request placement across chips
- *   --arrival poisson|bursty|closed   traffic shape
- *   --timeout-us <n>        dynamic-batching timeout
- *   --requests <n>          requests to simulate
- *   --clients <n>           closed-loop client population
- *   --seed <n>              RNG seed
- *
- * Fault options (faults):
- *   --drop-rate <n>         pulse drops per chip-second
- *   --trap-rate <n>         flux traps per chip-second
- *   --skew-rate <n>         clock-skew windows per chip-second
- *   --glitch-rate <n>       link glitches per chip-second
- *   --fault-burst           bursty (on/off) transient arrivals
- *   --fault-seed <n>        fault-schedule seed
- *   --recovery none|retry|degraded   recovery policy
- *   --detect-us <n>         fault detection latency
- *   --max-retries <n>       retry budget per request
- *   --backoff-us <n>        first retry backoff
- *   --checkpoint            checkpoint/restart killed batches
- *   --ber <n>               bit flips per million MACs (error study)
- *
- * Partition options (partition; --stages also pipelines serve and
- * faults):
- *   --stages <k>            chips in the pipeline group
- *   --sweep                 also print a K-sweep table
- *   --stream <n>            batches streamed through the pipeline
- *   --link-gbps <n>         inter-chip link bandwidth (default 300)
- *   --link-latency <n>      fixed link latency in cycles
- *
- * Shard options (shard; --dp also replicates serve and faults):
- *   --dp <r>                data-parallel replicas
- *   --tp <t>                tensor-parallel shards per replica
- *   --stages <k>            pipeline stages per shard
- *   --chips <n>             planner chip budget (default 8)
- *   --objective throughput|latency   planner ranking
- *   --sweep                 also print a budget-scaling table
- *
- * Bench options (bench; --jobs defaults to 1 here, the byte-stable
- * reference point):
- *   --reps <n>              timed repetitions per case (default 3)
- *   --warmups <n>           untimed warmup runs per case (default 1)
- *   --case <name>           run only this case (repeatable)
- *   --out <path>            output path (default BENCH_<suite>.json)
- *   --no-timing             omit wall-clock fields: the output is a
- *                           pure function of (code, suite, jobs) and
- *                           byte-identical across reruns
- *   --baseline <path>       compare against a saved BENCH_*.json;
- *                           exit 1 on regression
- *   --threshold <pct>       allowed slowdown vs a timed baseline
- *                           (default 10)
- *   --inject-slowdown <pct> test hook: report throughput as if this
- *                           much slower (proves the gate fails)
- *
- * --profile (any subcommand) turns the src/perf profiler on: bench
- * embeds per-case phase/counter snapshots, and every --ledger file
- * gains a "perf" section and "perfPhases" table (wall-clock — strip
- * them before byte-comparing ledgers).
+ * One option table (kOptions) and one command table (kCommands)
+ * define every flag, its value kind and bounds, its help text, and
+ * the commands that read it; `supernpu <command> --help` prints the
+ * command's options from them. A flag the command does not read,
+ * an out-of-range value or a stray argument is a fatal usage error.
  */
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -168,49 +57,350 @@ namespace {
 /** Parsed command-line state. */
 struct Options
 {
-    sfq::Technology technology = sfq::Technology::RSFQ;
-    double featureUm = 1.0;
-    int forcedBatch = 0;
-    int jobs = 0; ///< explore parallelism; 0 = hardware concurrency
+    sfq::DeviceConfig device;
     estimator::NpuConfig config = estimator::NpuConfig::superNpu();
-    bool configChosen = false;
-    std::string netFile;   ///< --netfile path, when given
-    std::string traceFile; ///< --trace path for the mapping CSV
+    dnn::Network net;       ///< the workload or --netfile network
+    int forcedBatch = 0;    ///< --batch; 0 = the solver's maximum
+    int jobs = 0;           ///< --jobs; 0 = the command's default
+    std::string netFile;    ///< --netfile path, when given
+    std::string traceFile;  ///< --trace path for the mapping CSV
     std::string ledgerFile; ///< --ledger path (.json or .csv)
-    bool jsonOut = false;  ///< --json: machine output on stdout
     serving::ServingConfig serve; ///< serve/faults-subcommand state
     reliability::FaultScheduleConfig faults; ///< fault rates + seed
     bool faultRateGiven = false; ///< any --*-rate flag seen
     double berFlipsPerMillion = 25.0; ///< --ber error-study rate
-    int stages = 0;        ///< --stages pipeline chips; 0 = unset
-    bool sweep = false;    ///< --sweep: partition K-sweep table
-    int streamBatches = 0; ///< --stream batches; 0 = default
+    int stages = 0;         ///< --stages; 0 = the command's default
+    bool sweep = false;     ///< --sweep: K-sweep / budget table
+    int streamBatches = 64; ///< --stream batches
     partition::LinkConfig link; ///< --link-gbps / --link-latency
-    int dataParallel = 0;  ///< --dp replica count; 0 = unset
-    int tensorShards = 0;  ///< --tp shard count; 0 = unset
-    int chipBudget = 0;    ///< --chips for shard planning; 0 = unset
+    int dataParallel = 0;   ///< --dp replica count; 0 = not given
+    int tensorShards = 0;   ///< --tp shard count; 0 = not given
+    int chipBudget = 8;     ///< --chips as shard's planner budget
     /** --objective for shard planning. */
     sharding::PlanObjective objective =
         sharding::PlanObjective::Throughput;
-
-    // --- check-subcommand state (src/check) -------------------------
-    std::uint64_t checkCases = 100; ///< --cases generated scenarios
-    std::string checkReplay;    ///< --replay repro path
-    bool checkNoShrink = false; ///< --no-shrink raw repros
-    std::string checkReproDir = "."; ///< --repro-dir failure output
-    check::Cook checkCook = check::Cook::None; ///< --cook
-    std::string checkOracle;    ///< --oracle restriction
-    std::string checkEmitCorpus; ///< --emit-corpus directory
-
-    bool profile = false;  ///< --profile: src/perf instrumentation on
-    int benchReps = 3;     ///< --reps timed repetitions
-    int benchWarmups = 1;  ///< --warmups untimed runs
-    bool benchNoTiming = false;   ///< --no-timing deterministic form
+    check::RunnerOptions checkRun; ///< check-subcommand state
+    bench::BenchOptions benchRun; ///< bench-subcommand state
     std::string benchOut;         ///< --out path; "" = default name
     std::string benchBaseline;    ///< --baseline comparison file
     double benchThreshold = 10.0; ///< --threshold allowed slowdown %
-    double benchInjectSlowdown = 0.0; ///< --inject-slowdown test hook
-    std::vector<std::string> benchOnly; ///< --case selections
+};
+
+/** The commands, as bits of an option's acceptance set. */
+enum : unsigned
+{
+    CmdWorkloads = 1u << 0,
+    CmdEstimate = 1u << 1,
+    CmdSimulate = 1u << 2,
+    CmdBatch = 1u << 3,
+    CmdServe = 1u << 4,
+    CmdFaults = 1u << 5,
+    CmdReport = 1u << 6,
+    CmdPartition = 1u << 7,
+    CmdShard = 1u << 8,
+    CmdCheck = 1u << 9,
+    CmdValidate = 1u << 10,
+    CmdExplore = 1u << 11,
+    CmdBench = 1u << 12,
+
+    /** Commands over one workload (a name or --netfile). */
+    CmdNet = CmdSimulate | CmdBatch | CmdServe | CmdFaults | CmdReport |
+             CmdPartition | CmdShard,
+    CmdConfig = CmdEstimate | CmdNet,
+    CmdDevice = CmdConfig | CmdCheck | CmdValidate | CmdExplore,
+    CmdBatched = CmdNet & ~CmdBatch,
+    CmdLedger = CmdBatched | CmdExplore,
+    CmdServing = CmdServe | CmdFaults,
+    CmdLink = CmdServing | CmdPartition | CmdShard,
+    CmdAll = ~0u,
+};
+
+/** What an option's value is. */
+enum class Kind
+{
+    Integer, ///< decimal digits, at most INT_MAX
+    Count,   ///< decimal digits, at most UINT64_MAX
+    Real,    ///< a finite number
+    Choice,  ///< one of the row's '|'-separated names
+    Path,    ///< any text
+    Switch,  ///< no value
+};
+
+/** The smallest value a numeric option accepts. */
+enum class Bound
+{
+    Any,
+    NonNegative,
+    Positive,
+};
+
+/** One parsed option value; the row's kind says which field is set. */
+struct Value
+{
+    std::uint64_t n = 0;  ///< Integer, Count
+    double x = 0.0;       ///< Real
+    std::size_t pick = 0; ///< Choice: index into the row's names
+    std::string text;     ///< Path
+};
+
+/** One row of the option table. */
+struct OptionRow
+{
+    const char *name;
+    Kind kind;
+    Bound bound;
+    const char *meta;  ///< value placeholder; a Choice's names
+    unsigned commands; ///< the commands that read it
+    const char *help;
+    void (*set)(Options &, const Value &);
+};
+
+const OptionRow kOptions[] = {
+    // --- device and architecture ------------------------------------
+    {"--tech", Kind::Choice, Bound::Any, "rsfq|ersfq", CmdDevice,
+     "bias technology (default rsfq)", [](Options &o, const Value &v) {
+         o.device.technology =
+             v.pick ? sfq::Technology::ERSFQ : sfq::Technology::RSFQ;
+     }},
+    {"--feature", Kind::Real, Bound::Positive, "<um>", CmdDevice,
+     "process feature size (default 1.0)",
+     [](Options &o, const Value &v) { o.device.featureSizeUm = v.x; }},
+    {"--width", Kind::Integer, Bound::Positive, "<n>", CmdConfig,
+     "PE array width",
+     [](Options &o, const Value &v) { o.config.peWidth = (int)v.n; }},
+    {"--height", Kind::Integer, Bound::Positive, "<n>", CmdConfig,
+     "PE array height",
+     [](Options &o, const Value &v) { o.config.peHeight = (int)v.n; }},
+    {"--regs", Kind::Integer, Bound::Positive, "<n>", CmdConfig,
+     "weight registers per PE",
+     [](Options &o, const Value &v) { o.config.regsPerPe = (int)v.n; }},
+    {"--division", Kind::Integer, Bound::Positive, "<n>", CmdConfig,
+     "output-buffer division degree",
+     [](Options &o, const Value &v) { o.config.outputDivision = (int)v.n; }},
+    {"--ifmap-mb", Kind::Integer, Bound::Positive, "<MiB>", CmdConfig,
+     "ifmap buffer capacity", [](Options &o, const Value &v) {
+         o.config.ifmapBufferBytes = v.n * units::MiB;
+     }},
+    {"--output-mb", Kind::Integer, Bound::Positive, "<MiB>", CmdConfig,
+     "integrated output buffer capacity", [](Options &o, const Value &v) {
+         o.config.integratedOutputBuffer = true;
+         o.config.outputBufferBytes = v.n * units::MiB;
+         o.config.psumBufferBytes = 0;
+         o.config.ofmapBufferBytes = 0;
+     }},
+    {"--bandwidth-gbps", Kind::Real, Bound::Positive, "<GB/s>", CmdConfig,
+     "DRAM bandwidth",
+     [](Options &o, const Value &v) { o.config.memoryBandwidth = v.x * 1e9; }},
+
+    // --- the workload and the run's outputs --------------------------
+    {"--netfile", Kind::Path, Bound::Any, "<path>", CmdNet,
+     "read the network from a netfile instead of a workload name",
+     [](Options &o, const Value &v) { o.netFile = v.text; }},
+    {"--batch", Kind::Integer, Bound::Positive, "<n>", CmdBatched,
+     "force a batch size (default: the largest that fits on chip)",
+     [](Options &o, const Value &v) { o.forcedBatch = (int)v.n; }},
+    {"--trace", Kind::Path, Bound::Any, "<csv>", CmdSimulate,
+     "write the mapping events as CSV",
+     [](Options &o, const Value &v) { o.traceFile = v.text; }},
+    {"--ledger", Kind::Path, Bound::Any, "<json|csv>", CmdLedger,
+     "write the run ledger",
+     [](Options &o, const Value &v) { o.ledgerFile = v.text; }},
+    {"--json", Kind::Switch, Bound::Any, "", CmdReport,
+     "ledger JSON on stdout (the default; accepted for scripts)",
+     [](Options &, const Value &) {}},
+    {"--jobs", Kind::Integer, Bound::NonNegative, "<n>",
+     CmdShard | CmdCheck | CmdExplore | CmdBench,
+     "worker threads; output is the same at any value (default 1;"
+     " explore: every hardware thread)",
+     [](Options &o, const Value &v) { o.jobs = (int)v.n; }},
+
+    // --- serving -----------------------------------------------------
+    {"--rps", Kind::Real, Bound::NonNegative, "<n>", CmdServing,
+     "offered load, requests/s (default 1000)",
+     [](Options &o, const Value &v) { o.serve.arrival.ratePerSec = v.x; }},
+    {"--chips", Kind::Integer, Bound::Positive, "<n>", CmdServing | CmdShard,
+     "NPU dies behind the dispatcher; shard: the planner's chip budget"
+     " (default 8)",
+     [](Options &o, const Value &v) {
+         o.serve.chips = o.chipBudget = (int)v.n;
+     }},
+    {"--policy", Kind::Choice, Bound::Any, "dynamic|fixed", CmdServing,
+     "batching policy", [](Options &o, const Value &v) {
+         o.serve.batching.policy = v.pick
+                                       ? serving::BatchPolicy::FixedBatch
+                                       : serving::BatchPolicy::DynamicTimeout;
+     }},
+    {"--dispatch", Kind::Choice, Bound::Any, "rr|jsq", CmdServing,
+     "request placement across chips", [](Options &o, const Value &v) {
+         o.serve.dispatch = v.pick
+                                ? serving::DispatchPolicy::JoinShortestQueue
+                                : serving::DispatchPolicy::RoundRobin;
+     }},
+    {"--arrival", Kind::Choice, Bound::Any, "poisson|bursty|closed",
+     CmdServing, "traffic shape", [](Options &o, const Value &v) {
+         static const serving::ArrivalKind kinds[] = {
+             serving::ArrivalKind::OpenPoisson, serving::ArrivalKind::Bursty,
+             serving::ArrivalKind::ClosedLoop};
+         o.serve.arrival.kind = kinds[v.pick];
+     }},
+    {"--timeout-us", Kind::Real, Bound::NonNegative, "<us>", CmdServing,
+     "dynamic-batching timeout", [](Options &o, const Value &v) {
+         o.serve.batching.timeoutSec = v.x * 1e-6;
+     }},
+    {"--requests", Kind::Count, Bound::Positive, "<n>", CmdServing,
+     "requests to simulate",
+     [](Options &o, const Value &v) { o.serve.requests = v.n; }},
+    {"--clients", Kind::Integer, Bound::Positive, "<n>", CmdServing,
+     "closed-loop client population",
+     [](Options &o, const Value &v) { o.serve.arrival.clients = (int)v.n; }},
+    {"--seed", Kind::Count, Bound::NonNegative, "<n>", CmdServing | CmdCheck,
+     "RNG seed", [](Options &o, const Value &v) { o.serve.seed = v.n; }},
+    {"--recovery", Kind::Choice, Bound::Any, "none|retry|degraded",
+     CmdServing, "recovery policy", [](Options &o, const Value &v) {
+         static const serving::RecoveryPolicy policies[] = {
+             serving::RecoveryPolicy::None,
+             serving::RecoveryPolicy::RetryBackoff,
+             serving::RecoveryPolicy::DegradedDispatch};
+         o.serve.resilience.recovery = policies[v.pick];
+     }},
+    {"--detect-us", Kind::Real, Bound::NonNegative, "<us>", CmdServing,
+     "fault detection latency", [](Options &o, const Value &v) {
+         o.serve.resilience.detectLatencySec = v.x * 1e-6;
+     }},
+    {"--max-retries", Kind::Integer, Bound::NonNegative, "<n>", CmdServing,
+     "retry budget per request", [](Options &o, const Value &v) {
+         o.serve.resilience.maxRetries = (int)v.n;
+     }},
+    {"--backoff-us", Kind::Real, Bound::NonNegative, "<us>", CmdServing,
+     "first retry backoff", [](Options &o, const Value &v) {
+         o.serve.resilience.backoffBaseSec = v.x * 1e-6;
+     }},
+    {"--checkpoint", Kind::Switch, Bound::Any, "", CmdServing,
+     "checkpoint/restart killed batches", [](Options &o, const Value &) {
+         o.serve.resilience.checkpointRestart = true;
+     }},
+
+    // --- fault injection ---------------------------------------------
+    {"--drop-rate", Kind::Real, Bound::NonNegative, "<n>", CmdFaults,
+     "pulse drops per chip-second", [](Options &o, const Value &v) {
+         o.faults.pulseDropRatePerSec = v.x;
+         o.faultRateGiven = true;
+     }},
+    {"--trap-rate", Kind::Real, Bound::NonNegative, "<n>", CmdFaults,
+     "flux traps per chip-second", [](Options &o, const Value &v) {
+         o.faults.fluxTrapRatePerSec = v.x;
+         o.faultRateGiven = true;
+     }},
+    {"--skew-rate", Kind::Real, Bound::NonNegative, "<n>", CmdFaults,
+     "clock-skew windows per chip-second", [](Options &o, const Value &v) {
+         o.faults.clockSkewRatePerSec = v.x;
+         o.faultRateGiven = true;
+     }},
+    {"--glitch-rate", Kind::Real, Bound::NonNegative, "<n>", CmdFaults,
+     "link glitches per chip-second", [](Options &o, const Value &v) {
+         o.faults.linkGlitchRatePerSec = v.x;
+         o.faultRateGiven = true;
+     }},
+    {"--fault-burst", Kind::Switch, Bound::Any, "", CmdFaults,
+     "bursty (on/off) transient arrivals", [](Options &o, const Value &) {
+         o.faults.arrival = reliability::FaultArrival::Burst;
+     }},
+    {"--fault-seed", Kind::Count, Bound::NonNegative, "<n>", CmdFaults,
+     "fault-schedule seed",
+     [](Options &o, const Value &v) { o.faults.seed = v.n; }},
+    {"--ber", Kind::Real, Bound::NonNegative, "<n>", CmdFaults,
+     "bit flips per million MACs in the error study (default 25)",
+     [](Options &o, const Value &v) { o.berFlipsPerMillion = v.x; }},
+
+    // --- multi-chip placement ----------------------------------------
+    {"--stages", Kind::Integer, Bound::Positive, "<k>", CmdLink,
+     "pipeline stages (chips per pipeline; partition default 4)",
+     [](Options &o, const Value &v) { o.stages = (int)v.n; }},
+    {"--dp", Kind::Integer, Bound::Positive, "<r>", CmdServing | CmdShard,
+     "data-parallel replicas",
+     [](Options &o, const Value &v) { o.dataParallel = (int)v.n; }},
+    {"--tp", Kind::Integer, Bound::Positive, "<t>", CmdShard,
+     "tensor-parallel shards per replica",
+     [](Options &o, const Value &v) { o.tensorShards = (int)v.n; }},
+    {"--objective", Kind::Choice, Bound::Any, "throughput|latency", CmdShard,
+     "planner ranking", [](Options &o, const Value &v) {
+         o.objective = v.pick ? sharding::PlanObjective::Latency
+                              : sharding::PlanObjective::Throughput;
+     }},
+    {"--sweep", Kind::Switch, Bound::Any, "", CmdPartition | CmdShard,
+     "also print a K-sweep (partition) or budget-scaling (shard) table",
+     [](Options &o, const Value &) { o.sweep = true; }},
+    {"--stream", Kind::Integer, Bound::Positive, "<n>", CmdPartition,
+     "batches streamed through the pipeline (default 64)",
+     [](Options &o, const Value &v) { o.streamBatches = (int)v.n; }},
+    {"--link-gbps", Kind::Real, Bound::Positive, "<GB/s>", CmdLink,
+     "inter-chip link bandwidth (default 300)",
+     [](Options &o, const Value &v) { o.link.bandwidthGBps = v.x; }},
+    {"--link-latency", Kind::Count, Bound::NonNegative, "<cycles>", CmdLink,
+     "fixed link latency",
+     [](Options &o, const Value &v) { o.link.latencyCycles = v.n; }},
+
+    // --- check -------------------------------------------------------
+    {"--cases", Kind::Count, Bound::Positive, "<n>", CmdCheck,
+     "generated scenarios (default 100)",
+     [](Options &o, const Value &v) { o.checkRun.cases = v.n; }},
+    {"--replay", Kind::Path, Bound::Any, "<file>", CmdCheck,
+     "replay one repro instead of generating cases",
+     [](Options &o, const Value &v) { o.checkRun.replayPath = v.text; }},
+    {"--no-shrink", Kind::Switch, Bound::Any, "", CmdCheck,
+     "write failing cases unshrunk",
+     [](Options &o, const Value &) { o.checkRun.shrinkFailures = false; }},
+    {"--repro-dir", Kind::Path, Bound::Any, "<dir>", CmdCheck,
+     "where failure repros land (default .)",
+     [](Options &o, const Value &v) { o.checkRun.reproDir = v.text; }},
+    {"--cook", Kind::Choice, Bound::Any, "none|tamper", CmdCheck,
+     "tamper: every oracle must fail on a sabotaged observation",
+     [](Options &o, const Value &v) {
+         o.checkRun.cook = v.pick ? check::Cook::Tamper : check::Cook::None;
+     }},
+    {"--oracle", Kind::Path, Bound::Any, "<name>", CmdCheck,
+     "run only this oracle",
+     [](Options &o, const Value &v) { o.checkRun.oracle = v.text; }},
+    {"--emit-corpus", Kind::Path, Bound::Any, "<dir>", CmdCheck,
+     "write each oracle's shrunk tamper repro",
+     [](Options &o, const Value &v) { o.checkRun.emitCorpusDir = v.text; }},
+
+    // --- bench -------------------------------------------------------
+    {"--reps", Kind::Integer, Bound::Positive, "<n>", CmdBench,
+     "timed repetitions per case (default 3)",
+     [](Options &o, const Value &v) { o.benchRun.repetitions = (int)v.n; }},
+    {"--warmups", Kind::Integer, Bound::NonNegative, "<n>", CmdBench,
+     "untimed warmup runs per case (default 1)",
+     [](Options &o, const Value &v) { o.benchRun.warmups = (int)v.n; }},
+    {"--case", Kind::Path, Bound::Any, "<name>", CmdBench,
+     "run only this case (repeatable)",
+     [](Options &o, const Value &v) { o.benchRun.only.push_back(v.text); }},
+    {"--out", Kind::Path, Bound::Any, "<path>", CmdBench,
+     "output path (default BENCH_<suite>.json)",
+     [](Options &o, const Value &v) { o.benchOut = v.text; }},
+    {"--no-timing", Kind::Switch, Bound::Any, "", CmdBench,
+     "omit wall-clock fields: byte-identical output across reruns",
+     [](Options &o, const Value &) { o.benchRun.includeTiming = false; }},
+    {"--baseline", Kind::Path, Bound::Any, "<path>", CmdBench,
+     "compare against a saved BENCH_*.json; exit 1 on regression",
+     [](Options &o, const Value &v) { o.benchBaseline = v.text; }},
+    {"--threshold", Kind::Real, Bound::Any, "<pct>", CmdBench,
+     "allowed slowdown vs a timed baseline (default 10)",
+     [](Options &o, const Value &v) { o.benchThreshold = v.x; }},
+    {"--inject-slowdown", Kind::Real, Bound::NonNegative, "<pct>", CmdBench,
+     "test hook: report throughput as if this much slower",
+     [](Options &o, const Value &v) { o.benchRun.injectSlowdownPct = v.x; }},
+
+    // --- every command -----------------------------------------------
+    {"--profile", Kind::Switch, Bound::Any, "", CmdAll,
+     "turn the src/perf profiler on (bench embeds it; ledgers gain"
+     " perf sections)",
+     [](Options &o, const Value &) {
+         o.benchRun.profile = true;
+         perf::setEnabled(true);
+     }},
+    {"--help", Kind::Switch, Bound::Any, "", CmdAll, "print this help",
+     [](Options &, const Value &) {}},
 };
 
 std::string
@@ -220,6 +410,65 @@ lowered(const std::string &text)
     for (char c : text)
         out += (char)std::tolower((unsigned char)c);
     return out;
+}
+
+/** Parse one value by its row's kind; fatal names flag and token. */
+Value
+parseValue(const OptionRow &row, const std::string &token)
+{
+    Value value;
+    const bool positive = row.bound == Bound::Positive;
+    const bool signless = row.bound == Bound::NonNegative;
+    char *stop = nullptr;
+    errno = 0;
+    bool ok = !token.empty();
+    switch (row.kind) {
+      case Kind::Integer:
+      case Kind::Count:
+        // Digits only: strtoull alone would take a sign or blanks.
+        ok = ok && std::all_of(token.begin(), token.end(), [](char c) {
+                 return std::isdigit((unsigned char)c) != 0;
+             });
+        value.n = ok ? std::strtoull(token.c_str(), &stop, 10) : 0;
+        ok = ok && errno != ERANGE && (!positive || value.n > 0) &&
+             (row.kind == Kind::Count || value.n <= (std::uint64_t)INT_MAX);
+        break;
+      case Kind::Real:
+        ok = ok && !std::isspace((unsigned char)token[0]);
+        value.x = ok ? std::strtod(token.c_str(), &stop) : 0.0;
+        ok = ok && stop == token.c_str() + token.size() && errno != ERANGE &&
+             std::isfinite(value.x) && (!positive || value.x > 0.0) &&
+             (!signless || value.x >= 0.0);
+        break;
+      case Kind::Choice: {
+        std::istringstream names(row.meta);
+        std::string name;
+        ok = false;
+        for (std::size_t i = 0; !ok && std::getline(names, name, '|'); ++i) {
+            ok = name == lowered(token);
+            value.pick = i;
+        }
+        break;
+      }
+      case Kind::Path:
+      case Kind::Switch:
+        ok = true;
+        value.text = token;
+        break;
+    }
+    if (!ok) {
+        const std::string sign = positive   ? "positive "
+                                 : signless ? "non-negative "
+                                            : "";
+        const std::string need =
+            row.kind == Kind::Choice ? std::string("one of ") + row.meta
+            : row.kind == Kind::Real ? "a finite " + sign + "number"
+            : row.kind == Kind::Count
+                ? "a " + sign + "integer"
+                : "a " + sign + "integer of at most 2147483647";
+        fatal("option '", row.name, "' needs ", need, ", got '", token, "'");
+    }
+    return value;
 }
 
 dnn::Network
@@ -255,238 +504,21 @@ tryConfig(const std::string &name, estimator::NpuConfig &out)
     return true;
 }
 
-/** Consume "--flag value" pairs; returns leftover positionals. */
-std::vector<std::string>
-parseOptions(int argc, char **argv, int first, Options &options)
+/** The chosen config's estimate on the chosen device. */
+estimator::NpuEstimate
+estimateFor(const Options &options)
 {
-    std::vector<std::string> positional;
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("option '", arg, "' needs a value");
-            return argv[++i];
-        };
-        if (arg == "--tech") {
-            const std::string value = lowered(next());
-            if (value == "rsfq") {
-                options.technology = sfq::Technology::RSFQ;
-            } else if (value == "ersfq") {
-                options.technology = sfq::Technology::ERSFQ;
-            } else {
-                fatal("unknown technology '", value, "'");
-            }
-        } else if (arg == "--feature") {
-            options.featureUm = std::stod(next());
-        } else if (arg == "--width") {
-            options.config.peWidth = std::stoi(next());
-        } else if (arg == "--height") {
-            options.config.peHeight = std::stoi(next());
-        } else if (arg == "--regs") {
-            options.config.regsPerPe = std::stoi(next());
-        } else if (arg == "--division") {
-            options.config.outputDivision = std::stoi(next());
-        } else if (arg == "--ifmap-mb") {
-            options.config.ifmapBufferBytes =
-                (std::uint64_t)std::stoul(next()) * units::MiB;
-        } else if (arg == "--output-mb") {
-            options.config.integratedOutputBuffer = true;
-            options.config.outputBufferBytes =
-                (std::uint64_t)std::stoul(next()) * units::MiB;
-            options.config.psumBufferBytes = 0;
-            options.config.ofmapBufferBytes = 0;
-        } else if (arg == "--bandwidth-gbps") {
-            options.config.memoryBandwidth = std::stod(next()) * 1e9;
-        } else if (arg == "--batch") {
-            options.forcedBatch = std::stoi(next());
-        } else if (arg == "--jobs") {
-            options.jobs = std::stoi(next());
-        } else if (arg == "--netfile") {
-            options.netFile = next();
-        } else if (arg == "--trace") {
-            options.traceFile = next();
-        } else if (arg == "--ledger") {
-            options.ledgerFile = next();
-        } else if (arg == "--json") {
-            options.jsonOut = true;
-        } else if (arg == "--rps") {
-            options.serve.arrival.ratePerSec = std::stod(next());
-        } else if (arg == "--chips") {
-            options.serve.chips = std::stoi(next());
-            options.chipBudget = options.serve.chips;
-        } else if (arg == "--policy") {
-            const std::string value = lowered(next());
-            if (value == "dynamic") {
-                options.serve.batching.policy =
-                    serving::BatchPolicy::DynamicTimeout;
-            } else if (value == "fixed") {
-                options.serve.batching.policy =
-                    serving::BatchPolicy::FixedBatch;
-            } else {
-                fatal("unknown batching policy '", value, "'");
-            }
-        } else if (arg == "--dispatch") {
-            const std::string value = lowered(next());
-            if (value == "rr") {
-                options.serve.dispatch =
-                    serving::DispatchPolicy::RoundRobin;
-            } else if (value == "jsq") {
-                options.serve.dispatch =
-                    serving::DispatchPolicy::JoinShortestQueue;
-            } else {
-                fatal("unknown dispatch policy '", value, "'");
-            }
-        } else if (arg == "--arrival") {
-            const std::string value = lowered(next());
-            if (value == "poisson") {
-                options.serve.arrival.kind =
-                    serving::ArrivalKind::OpenPoisson;
-            } else if (value == "bursty") {
-                options.serve.arrival.kind =
-                    serving::ArrivalKind::Bursty;
-            } else if (value == "closed") {
-                options.serve.arrival.kind =
-                    serving::ArrivalKind::ClosedLoop;
-            } else {
-                fatal("unknown arrival kind '", value, "'");
-            }
-        } else if (arg == "--timeout-us") {
-            options.serve.batching.timeoutSec =
-                std::stod(next()) * 1e-6;
-        } else if (arg == "--requests") {
-            options.serve.requests =
-                (std::uint64_t)std::stoull(next());
-        } else if (arg == "--clients") {
-            options.serve.arrival.clients = std::stoi(next());
-        } else if (arg == "--seed") {
-            options.serve.seed = (std::uint64_t)std::stoull(next());
-        } else if (arg == "--drop-rate") {
-            options.faults.pulseDropRatePerSec = std::stod(next());
-            options.faultRateGiven = true;
-        } else if (arg == "--trap-rate") {
-            options.faults.fluxTrapRatePerSec = std::stod(next());
-            options.faultRateGiven = true;
-        } else if (arg == "--skew-rate") {
-            options.faults.clockSkewRatePerSec = std::stod(next());
-            options.faultRateGiven = true;
-        } else if (arg == "--glitch-rate") {
-            options.faults.linkGlitchRatePerSec = std::stod(next());
-            options.faultRateGiven = true;
-        } else if (arg == "--fault-burst") {
-            options.faults.arrival = reliability::FaultArrival::Burst;
-        } else if (arg == "--fault-seed") {
-            options.faults.seed = (std::uint64_t)std::stoull(next());
-        } else if (arg == "--recovery") {
-            const std::string value = lowered(next());
-            if (value == "none") {
-                options.serve.resilience.recovery =
-                    serving::RecoveryPolicy::None;
-            } else if (value == "retry") {
-                options.serve.resilience.recovery =
-                    serving::RecoveryPolicy::RetryBackoff;
-            } else if (value == "degraded") {
-                options.serve.resilience.recovery =
-                    serving::RecoveryPolicy::DegradedDispatch;
-            } else {
-                fatal("unknown recovery policy '", value, "'");
-            }
-        } else if (arg == "--detect-us") {
-            options.serve.resilience.detectLatencySec =
-                std::stod(next()) * 1e-6;
-        } else if (arg == "--max-retries") {
-            options.serve.resilience.maxRetries = std::stoi(next());
-        } else if (arg == "--backoff-us") {
-            options.serve.resilience.backoffBaseSec =
-                std::stod(next()) * 1e-6;
-        } else if (arg == "--checkpoint") {
-            options.serve.resilience.checkpointRestart = true;
-        } else if (arg == "--ber") {
-            options.berFlipsPerMillion = std::stod(next());
-        } else if (arg == "--stages") {
-            options.stages = std::stoi(next());
-        } else if (arg == "--dp") {
-            options.dataParallel = std::stoi(next());
-        } else if (arg == "--tp") {
-            options.tensorShards = std::stoi(next());
-        } else if (arg == "--objective") {
-            const std::string value = lowered(next());
-            if (value == "throughput") {
-                options.objective =
-                    sharding::PlanObjective::Throughput;
-            } else if (value == "latency") {
-                options.objective = sharding::PlanObjective::Latency;
-            } else {
-                fatal("unknown plan objective '", value, "'");
-            }
-        } else if (arg == "--sweep") {
-            options.sweep = true;
-        } else if (arg == "--stream") {
-            options.streamBatches = std::stoi(next());
-        } else if (arg == "--link-gbps") {
-            options.link.bandwidthGBps = std::stod(next());
-        } else if (arg == "--link-latency") {
-            options.link.latencyCycles =
-                (std::uint64_t)std::stoull(next());
-        } else if (arg == "--cases") {
-            options.checkCases = (std::uint64_t)std::stoull(next());
-        } else if (arg == "--replay") {
-            options.checkReplay = next();
-        } else if (arg == "--no-shrink") {
-            options.checkNoShrink = true;
-        } else if (arg == "--repro-dir") {
-            options.checkReproDir = next();
-        } else if (arg == "--cook") {
-            const std::string value = lowered(next());
-            if (value == "none") {
-                options.checkCook = check::Cook::None;
-            } else if (value == "tamper") {
-                options.checkCook = check::Cook::Tamper;
-            } else {
-                fatal("unknown cook '", value, "'");
-            }
-        } else if (arg == "--oracle") {
-            options.checkOracle = next();
-        } else if (arg == "--emit-corpus") {
-            options.checkEmitCorpus = next();
-        } else if (arg == "--profile") {
-            options.profile = true;
-        } else if (arg == "--reps") {
-            options.benchReps = std::stoi(next());
-        } else if (arg == "--warmups") {
-            options.benchWarmups = std::stoi(next());
-        } else if (arg == "--no-timing") {
-            options.benchNoTiming = true;
-        } else if (arg == "--out") {
-            options.benchOut = next();
-        } else if (arg == "--baseline") {
-            options.benchBaseline = next();
-        } else if (arg == "--threshold") {
-            options.benchThreshold = std::stod(next());
-        } else if (arg == "--inject-slowdown") {
-            options.benchInjectSlowdown = std::stod(next());
-        } else if (arg == "--case") {
-            options.benchOnly.push_back(next());
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "usage: supernpu <command>"
-                         " [options]; run 'supernpu --help'\n");
-            fatal("unknown option '", arg, "'");
-        } else if (!options.configChosen &&
-                   tryConfig(arg, options.config)) {
-            options.configChosen = true;
-        } else {
-            positional.push_back(arg);
-        }
-    }
-    return positional;
+    const sfq::CellLibrary library(options.device);
+    return estimator::NpuEstimator(library).estimate(options.config);
 }
 
-sfq::DeviceConfig
-deviceFor(const Options &options)
+/** The forced --batch, or the largest batch that fits on chip. */
+int
+batchFor(const Options &options, const estimator::NpuEstimate &estimate)
 {
-    sfq::DeviceConfig device;
-    device.technology = options.technology;
-    device.featureSizeUm = options.featureUm;
-    return device;
+    return options.forcedBatch > 0
+               ? options.forcedBatch
+               : npusim::maxBatch(options.config, estimate, options.net);
 }
 
 /** Write the run ledger when --ledger was given; fatal on failure. */
@@ -522,7 +554,7 @@ maybeAudit(const obs::AuditReport &audit, const std::string &context)
 }
 
 int
-cmdWorkloads()
+cmdWorkloads(const Options &)
 {
     TextTable table("built-in workloads");
     table.row().cell("name").cell("layers").cell("GMAC/inf").cell(
@@ -546,14 +578,11 @@ cmdWorkloads()
 int
 cmdEstimate(const Options &options)
 {
-    const sfq::DeviceConfig device = deviceFor(options);
-    sfq::CellLibrary library(device);
-    estimator::NpuEstimator est(library);
-    const auto estimate = est.estimate(options.config);
+    const auto estimate = estimateFor(options);
 
     std::printf("%s @ %s %.2f um\n", options.config.name.c_str(),
-                sfq::technologyName(device.technology),
-                device.featureSizeUm);
+                sfq::technologyName(options.device.technology),
+                options.device.featureSizeUm);
     TextTable table;
     table.row().cell("unit").cell("freq (GHz)").cell("static (W)").cell(
         "area (mm2)").cell("MJJ");
@@ -592,20 +621,15 @@ cmdEstimate(const Options &options)
 }
 
 int
-cmdSimulate(const Options &options, const dnn::Network &net)
+cmdSimulate(const Options &options)
 {
-    const sfq::DeviceConfig device = deviceFor(options);
-    sfq::CellLibrary library(device);
-    estimator::NpuEstimator est(library);
-    const auto estimate = est.estimate(options.config);
+    const dnn::Network &net = options.net;
+    const auto estimate = estimateFor(options);
     npusim::NpuSimulator sim(estimate);
     npusim::TraceRecorder trace;
     if (!options.traceFile.empty())
         sim.setTrace(&trace);
-    const int batch =
-        options.forcedBatch > 0
-            ? options.forcedBatch
-            : npusim::maxBatch(options.config, estimate, net);
+    const int batch = batchFor(options, estimate);
     const auto run = sim.run(net, batch);
     const auto report = power::analyze(estimate, run);
 
@@ -620,7 +644,7 @@ cmdSimulate(const Options &options, const dnn::Network &net)
 
     std::printf("%s on %s (%s), batch %d\n", net.name.c_str(),
                 options.config.name.c_str(),
-                sfq::technologyName(device.technology), batch);
+                sfq::technologyName(options.device.technology), batch);
     std::printf("  %.1f GHz, %llu cycles, %.2f us/batch\n",
                 run.frequencyGhz,
                 (unsigned long long)run.totalCycles,
@@ -648,17 +672,12 @@ cmdSimulate(const Options &options, const dnn::Network &net)
 }
 
 int
-cmdReport(const Options &options, const dnn::Network &net)
+cmdReport(const Options &options)
 {
-    const sfq::DeviceConfig device = deviceFor(options);
-    sfq::CellLibrary library(device);
-    estimator::NpuEstimator est(library);
-    const auto estimate = est.estimate(options.config);
+    const dnn::Network &net = options.net;
+    const auto estimate = estimateFor(options);
     npusim::NpuSimulator sim(estimate);
-    const int batch =
-        options.forcedBatch > 0
-            ? options.forcedBatch
-            : npusim::maxBatch(options.config, estimate, net);
+    const int batch = batchFor(options, estimate);
     const auto run = sim.run(net, batch);
 
     // `report` is the audited machine interface: invariants always
@@ -673,46 +692,39 @@ cmdReport(const Options &options, const dnn::Network &net)
         if (!ledger.write(options.ledgerFile))
             fatal("cannot write ledger '", options.ledgerFile, "'");
     }
-    // JSON is the default (and only) stdout format; --json accepted
-    // for symmetry with scripts that pass it explicitly.
-    (void)options.jsonOut;
+    // JSON is the default (and only) stdout format; --json is a no-op.
     std::fputs(ledger.json().c_str(), stdout);
     return 0;
 }
 
 int
-cmdBatch(const Options &options, const dnn::Network &net)
+cmdBatch(const Options &options)
 {
-    const sfq::DeviceConfig device = deviceFor(options);
-    sfq::CellLibrary library(device);
-    estimator::NpuEstimator est(library);
-    const auto estimate = est.estimate(options.config);
+    const dnn::Network &net = options.net;
+    const auto estimate = estimateFor(options);
     std::printf("%s on %s: max on-chip batch %d\n", net.name.c_str(),
                 options.config.name.c_str(),
-                npusim::maxBatch(options.config, estimate, net));
+                batchFor(options, estimate));
     return 0;
 }
 
 /**
  * The serving config of `serve` and `faults`: the parsed serving
  * flags, the batch cap (forced or the solver's), and the placement
- * (--stages, --dp, link).
+ * (--stages, --dp, link), checked before any model work.
  */
 serving::ServingConfig
 servingConfigFor(const Options &options,
-                 const estimator::NpuEstimate &estimate,
-                 const dnn::Network &net)
+                 const estimator::NpuEstimate &estimate)
 {
     serving::ServingConfig serve = options.serve;
-    serve.batching.maxBatch =
-        options.forcedBatch > 0
-            ? options.forcedBatch
-            : npusim::maxBatch(options.config, estimate, net);
+    serve.batching.maxBatch = batchFor(options, estimate);
     if (options.stages > 0)
         serve.pipelineStages = options.stages;
     if (options.dataParallel > 0)
         serve.dataParallelReplicas = options.dataParallel;
     serve.link = options.link;
+    serve.check();
     return serve;
 }
 
@@ -736,17 +748,15 @@ rejectPipelinedCheckpoint(const Options &options, const char *command)
 }
 
 int
-cmdServe(const Options &options, const dnn::Network &net)
+cmdServe(const Options &options)
 {
+    const dnn::Network &net = options.net;
     if (const int status = rejectPipelinedCheckpoint(options, "serve"))
         return status;
-    const sfq::DeviceConfig device = deviceFor(options);
-    sfq::CellLibrary library(device);
-    estimator::NpuEstimator est(library);
-    const auto estimate = est.estimate(options.config);
+    const auto estimate = estimateFor(options);
 
     const serving::ServingConfig serve =
-        servingConfigFor(options, estimate, net);
+        servingConfigFor(options, estimate);
 
     serving::BatchServiceModel service(estimate, net);
     serving::ServingSimulator sim(service, serve);
@@ -769,17 +779,15 @@ cmdServe(const Options &options, const dnn::Network &net)
 }
 
 int
-cmdFaults(const Options &options, const dnn::Network &net)
+cmdFaults(const Options &options)
 {
+    const dnn::Network &net = options.net;
     if (const int status = rejectPipelinedCheckpoint(options, "faults"))
         return status;
-    const sfq::DeviceConfig device = deviceFor(options);
-    sfq::CellLibrary library(device);
-    estimator::NpuEstimator est(library);
-    const auto estimate = est.estimate(options.config);
+    const auto estimate = estimateFor(options);
 
     serving::ServingConfig serve =
-        servingConfigFor(options, estimate, net);
+        servingConfigFor(options, estimate);
     const int batch = serve.batching.maxBatch;
 
     // --- what one flux trap costs in cycles -------------------------
@@ -901,20 +909,14 @@ cmdFaults(const Options &options, const dnn::Network &net)
 }
 
 int
-cmdPartition(const Options &options, const dnn::Network &net)
+cmdPartition(const Options &options)
 {
-    const sfq::DeviceConfig device = deviceFor(options);
-    sfq::CellLibrary library(device);
-    estimator::NpuEstimator est(library);
-    const auto estimate = est.estimate(options.config);
+    const dnn::Network &net = options.net;
+    const auto estimate = estimateFor(options);
 
-    const int batch =
-        options.forcedBatch > 0
-            ? options.forcedBatch
-            : npusim::maxBatch(options.config, estimate, net);
+    const int batch = batchFor(options, estimate);
     const int stages = options.stages > 0 ? options.stages : 4;
-    const int batches =
-        options.streamBatches > 0 ? options.streamBatches : 64;
+    const int batches = options.streamBatches;
 
     partition::PipelineSimulator pipeline(
         estimate, options.link, &npusim::SimCache::global());
@@ -1012,17 +1014,12 @@ cmdPartition(const Options &options, const dnn::Network &net)
 }
 
 int
-cmdShard(const Options &options, const dnn::Network &net)
+cmdShard(const Options &options)
 {
-    const sfq::DeviceConfig device = deviceFor(options);
-    sfq::CellLibrary library(device);
-    estimator::NpuEstimator est(library);
-    const auto estimate = est.estimate(options.config);
+    const dnn::Network &net = options.net;
+    const auto estimate = estimateFor(options);
 
-    const int batch =
-        options.forcedBatch > 0
-            ? options.forcedBatch
-            : npusim::maxBatch(options.config, estimate, net);
+    const int batch = batchFor(options, estimate);
 
     sharding::HybridPlanner planner(estimate, options.link,
                                     &npusim::SimCache::global());
@@ -1034,7 +1031,7 @@ cmdShard(const Options &options, const dnn::Network &net)
     // Any explicit degree flag pins that factorization; otherwise
     // the planner searches the --chips budget. The budget also sets
     // the --sweep points below, so it is resolved either way.
-    const int budget = options.chipBudget > 0 ? options.chipBudget : 8;
+    const int budget = options.chipBudget;
     const bool fixed_point = options.dataParallel > 0 ||
                              options.tensorShards > 0 ||
                              options.stages > 0;
@@ -1153,8 +1150,7 @@ cmdShard(const Options &options, const dnn::Network &net)
 int
 cmdValidate(const Options &options)
 {
-    const sfq::DeviceConfig device = deviceFor(options);
-    sfq::CellLibrary library(device);
+    sfq::CellLibrary library(options.device);
     TextTable table("model validation (Fig. 13)");
     table.row().cell("unit").cell("metric").cell("model").cell(
         "reference").cell("error %");
@@ -1173,8 +1169,7 @@ cmdValidate(const Options &options)
 int
 cmdExplore(const Options &options)
 {
-    const sfq::DeviceConfig device = deviceFor(options);
-    sfq::CellLibrary library(device);
+    sfq::CellLibrary library(options.device);
     npusim::DesignSpaceExplorer explorer(
         library, dnn::evaluationWorkloads());
     ThreadPool pool(options.jobs);
@@ -1234,19 +1229,12 @@ cmdExplore(const Options &options)
 }
 
 int
-cmdBench(const Options &options, const std::string &suite)
+cmdBench(const Options &options)
 {
-    bench::BenchOptions opts;
-    opts.suite = suite.empty() ? "smoke" : lowered(suite);
-    opts.repetitions = options.benchReps;
-    opts.warmups = options.benchWarmups;
+    bench::BenchOptions opts = options.benchRun;
     // Unlike explore, the reference point is serial: the committed
     // baseline and the CI determinism check both run at --jobs 1.
     opts.jobs = options.jobs > 0 ? options.jobs : 1;
-    opts.includeTiming = !options.benchNoTiming;
-    opts.profile = options.profile;
-    opts.injectSlowdownPct = options.benchInjectSlowdown;
-    opts.only = options.benchOnly;
 
     const bench::BenchReport report = bench::runSuite(opts);
 
@@ -1312,17 +1300,9 @@ cmdBench(const Options &options, const std::string &suite)
 int
 cmdCheck(const Options &options)
 {
-    const sfq::DeviceConfig device = deviceFor(options);
-    const sfq::CellLibrary library(device);
-    check::RunnerOptions runner;
+    const sfq::CellLibrary library(options.device);
+    check::RunnerOptions runner = options.checkRun;
     runner.seed = options.serve.seed;
-    runner.cases = options.checkCases;
-    runner.replayPath = options.checkReplay;
-    runner.shrinkFailures = !options.checkNoShrink;
-    runner.reproDir = options.checkReproDir;
-    runner.cook = options.checkCook;
-    runner.oracle = options.checkOracle;
-    runner.emitCorpusDir = options.checkEmitCorpus;
     // Serial by default like bench; any --jobs value produces the
     // same tallies, warns, and repro bytes, so the flag only buys
     // wall clock (the CI check job runs with --jobs).
@@ -1330,58 +1310,176 @@ cmdCheck(const Options &options)
     return check::runCheck(runner, library);
 }
 
+/**
+ * The positional a command takes besides options and, for the
+ * CmdConfig commands, a config name.
+ */
+enum class Args
+{
+    None,     ///< nothing
+    Workload, ///< a workload name, unless --netfile gives the network
+    Suite,    ///< an optional bench suite
+};
+
+/** One row of the command table. */
+struct Command
+{
+    const char *name;
+    unsigned bit; ///< the command's Cmd* bit
+    Args args;
+    const char *synopsis; ///< the arguments, for usage text
+    const char *summary;
+    int (*run)(const Options &);
+};
+
+const Command kCommands[] = {
+    {"workloads", CmdWorkloads, Args::None, "", "list the built-in CNNs",
+     cmdWorkloads},
+    {"estimate", CmdEstimate, Args::None, "[config]",
+     "frequency, power and area of an architecture", cmdEstimate},
+    {"simulate", CmdSimulate, Args::Workload, "<workload> [config]",
+     "cycle-level performance and power", cmdSimulate},
+    {"batch", CmdBatch, Args::Workload, "<workload> [config]",
+     "the Table II maximum on-chip batch", cmdBatch},
+    {"serve", CmdServe, Args::Workload, "<workload> [config]",
+     "serving simulation: load, batching, dispatch, tail latency",
+     cmdServe},
+    {"faults", CmdFaults, Args::Workload, "<workload> [config]",
+     "fault-injection study and serving under a fault schedule",
+     cmdFaults},
+    {"report", CmdReport, Args::Workload, "<workload> [config]",
+     "audited run ledger as JSON on stdout", cmdReport},
+    {"partition", CmdPartition, Args::Workload, "<workload> [config]",
+     "multi-chip pipeline partition", cmdPartition},
+    {"shard", CmdShard, Args::Workload, "<workload> [config]",
+     "DPxTPxPP plan: a fixed --dp/--tp/--stages point or a --chips"
+     " search",
+     cmdShard},
+    {"check", CmdCheck, Args::None, "",
+     "differential and metamorphic fuzz harness", cmdCheck},
+    {"validate", CmdValidate, Args::None, "",
+     "the Fig. 13 model-validation table", cmdValidate},
+    {"explore", CmdExplore, Args::None, "", "design-space sweep",
+     cmdExplore},
+    {"bench", CmdBench, Args::Suite, "[smoke|full]",
+     "performance harness, written as BENCH_<suite>.json", cmdBench},
+};
+
+const char *const kConfigs =
+    "configs: baseline bufferopt resourceopt supernpu (default)\n";
+
+/** The command list; returns the usage exit status. */
 int
 usage(std::FILE *to = stderr)
 {
-    std::fprintf(to,
-                 "usage: supernpu <command> [...]\n"
-                 "  workloads                       list CNNs\n"
-                 "  estimate <config> [opts]        freq/power/area\n"
-                 "  simulate <workload> <config>    performance+power\n"
-                 "  batch <workload> <config>       Table II batch\n"
-                 "  serve <workload> <config>       serving simulation\n"
-                 "  faults <workload> <config>      fault-injection study\n"
-                 "  report <workload> <config>      audited JSON run ledger\n"
-                 "  partition <workload> <config>   multi-chip pipeline\n"
-                 "  shard <workload> <config>       DPxTPxPP planner\n"
-                 "  check                           differential fuzz harness\n"
-                 "  validate                        Fig. 13 table\n"
-                 "  explore                         design-space sweep\n"
-                 "  bench [smoke|full]              performance harness\n"
-                 "configs: baseline bufferopt resourceopt supernpu\n"
-                 "options: --tech --feature --width --height --regs\n"
-                 "         --division --ifmap-mb --output-mb\n"
-                 "         --bandwidth-gbps --batch --netfile <path>\n"
-                 "         --trace <csv path> --jobs <n>\n"
-                 "         --ledger <json|csv path> --json --help\n"
-                 "serve:   --rps --chips --policy dynamic|fixed\n"
-                 "         --dispatch rr|jsq\n"
-                 "         --arrival poisson|bursty|closed\n"
-                 "         --timeout-us --requests --clients --seed\n"
-                 "         --stages <k> (pipeline groups of k chips)\n"
-                 "         --dp <r> (replica groups of r chips)\n"
-                 "faults:  the serve options, --drop-rate --trap-rate\n"
-                 "         --skew-rate --glitch-rate --fault-burst\n"
-                 "         --fault-seed --recovery none|retry|degraded\n"
-                 "         --detect-us --max-retries --backoff-us\n"
-                 "         --checkpoint --ber\n"
-                 "partition: --stages <k> --sweep --stream <batches>\n"
-                 "         --link-gbps <n> --link-latency <cycles>\n"
-                 "shard:   --dp <r> --tp <t> --stages <k> --chips <n>\n"
-                 "         --objective throughput|latency --sweep\n"
-                 "         --jobs <n> (search parallelism; output is\n"
-                 "         byte-identical at any value, default 1)\n"
-                 "check:   --cases <n> --seed <s> --replay <file>\n"
-                 "         --no-shrink --repro-dir <dir>\n"
-                 "         --oracle <name> --cook none|tamper\n"
-                 "         --emit-corpus <dir> --jobs (default 1;\n"
-                 "         identical output at any value)\n"
-                 "bench:   --reps --warmups --case <name> --out <path>\n"
-                 "         --no-timing --baseline <path> --threshold\n"
-                 "         --inject-slowdown <pct> --jobs (default 1)\n"
-                 "any:     --profile (perf phases/counters; bench\n"
-                 "         embeds them, --ledger gains perf sections)\n");
+    std::fprintf(to, "usage: supernpu <command> [arguments] [options]\n");
+    for (const Command &command : kCommands) {
+        const std::string head =
+            std::string(command.name) + " " + command.synopsis;
+        std::fprintf(to, "  %-30s %s\n", head.c_str(), command.summary);
+    }
+    std::fprintf(to, "%srun 'supernpu <command> --help' for its options\n",
+                 kConfigs);
     return 2;
+}
+
+/** One command's arguments and options, from the two tables. */
+void
+printHelp(const Command &command)
+{
+    std::printf("usage: supernpu <command> [arguments] [options]\n"
+                "       supernpu %s %s%s[options]\n%s\n",
+                command.name, command.synopsis,
+                *command.synopsis ? " " : "", command.summary);
+    if (command.bit & CmdConfig)
+        std::fputs(kConfigs, stdout);
+    std::printf("options:\n");
+    for (const OptionRow &row : kOptions) {
+        if (!(row.commands & command.bit))
+            continue;
+        const std::string head =
+            std::string(row.name) + (*row.meta ? " " : "") + row.meta;
+        std::printf("  %-31s %s\n", head.c_str(), row.help);
+    }
+}
+
+/** The usage line every command-line error starts with. */
+void
+usageLine(const Command &command)
+{
+    std::fprintf(stderr, "usage: supernpu %s [options]; run 'supernpu %s"
+                 " --help'\n", command.name, command.name);
+}
+
+/**
+ * Parse argv[2..] for `command`: every flag through the option table,
+ * then the positionals by the command's Args. The flags apply after
+ * the positional config, so they override it wherever they stand.
+ */
+Options
+parseCommandLine(int argc, char **argv, const Command &command)
+{
+    Options options;
+    std::vector<std::pair<const OptionRow *, Value>> flags;
+    std::vector<std::string> positional;
+    bool config_chosen = false;
+    for (int i = 2; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.rfind("--", 0) != 0) {
+            if (!config_chosen && (command.bit & CmdConfig) &&
+                tryConfig(arg, options.config)) {
+                config_chosen = true;
+            } else {
+                positional.push_back(arg);
+            }
+            continue;
+        }
+        const auto row = std::find_if(
+            std::begin(kOptions), std::end(kOptions),
+            [&](const OptionRow &r) { return arg == r.name; });
+        if (row == std::end(kOptions)) {
+            usageLine(command);
+            fatal("unknown option '", arg, "'");
+        }
+        if (!(row->commands & command.bit)) {
+            usageLine(command);
+            fatal("option '", arg, "' does not apply to '", command.name,
+                  "'");
+        }
+        if (row->kind != Kind::Switch && i + 1 >= argc)
+            fatal("option '", arg, "' needs a value");
+        flags.emplace_back(row, row->kind == Kind::Switch
+                                     ? Value{}
+                                     : parseValue(*row, argv[++i]));
+    }
+    for (const auto &[row, value] : flags)
+        row->set(options, value);
+    options.config.check();
+
+    // Each command takes at most one positional besides the config.
+    const bool needs_net =
+        command.args == Args::Workload && options.netFile.empty();
+    if (needs_net && positional.empty())
+        fatal("'", command.name, "' needs a workload name or --netfile");
+    const std::size_t allowed =
+        needs_net || command.args == Args::Suite ? 1 : 0;
+    if (positional.size() > allowed) {
+        usageLine(command);
+        fatal("unexpected argument '", positional[allowed], "'");
+    }
+    if (needs_net) {
+        options.net = findWorkload(positional.front());
+    } else if (command.args == Args::Workload) {
+        std::ifstream file(options.netFile);
+        if (!file)
+            fatal("cannot open '", options.netFile, "'");
+        std::ostringstream text;
+        text << file.rdbuf();
+        options.net = dnn::parseNetwork(text.str());
+    } else if (!positional.empty()) {
+        options.benchRun.suite = lowered(positional.front());
+    }
+    return options;
 }
 
 } // namespace
@@ -1391,87 +1489,22 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         return usage();
+    const auto command = std::find_if(
+        std::begin(kCommands), std::end(kCommands),
+        [&](const Command &c) { return !std::strcmp(argv[1], c.name); });
+    const bool known = command != std::end(kCommands);
     // --help anywhere on the line wins: usage on stdout, exit 0.
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--help") ||
             !std::strcmp(argv[i], "-h")) {
-            usage(stdout);
+            if (known)
+                printHelp(*command);
+            else
+                usage(stdout);
             return 0;
         }
     }
-    const std::string command = argv[1];
-
-    Options options;
-    const std::vector<std::string> positional =
-        parseOptions(argc, argv, 2, options);
-    options.config.check();
-    if (options.profile)
-        perf::setEnabled(true);
-
-    // Stray positionals are user errors, not things to ignore: each
-    // subcommand takes at most one (the workload name).
-    const auto reject_extra = [&](std::size_t allowed) {
-        if (positional.size() <= allowed)
-            return;
-        std::fprintf(stderr, "usage: supernpu %s [options]; run"
-                     " 'supernpu --help'\n", command.c_str());
-        fatal("unexpected argument '", positional[allowed], "'");
-    };
-
-    if (command == "workloads" || command == "estimate" ||
-        command == "validate" || command == "explore") {
-        reject_extra(0);
-        if (command == "workloads")
-            return cmdWorkloads();
-        if (command == "estimate")
-            return cmdEstimate(options);
-        if (command == "validate")
-            return cmdValidate(options);
-        return cmdExplore(options);
-    }
-    if (command == "check") {
-        reject_extra(0);
-        return cmdCheck(options);
-    }
-    if (command == "bench") {
-        reject_extra(1);
-        return cmdBench(options,
-                        positional.empty() ? "" : positional.front());
-    }
-    if (command == "simulate" || command == "batch" ||
-        command == "serve" || command == "faults" ||
-        command == "report" || command == "partition" ||
-        command == "shard") {
-        dnn::Network net;
-        if (!options.netFile.empty()) {
-            reject_extra(0);
-            std::ifstream file(options.netFile);
-            if (!file)
-                fatal("cannot open '", options.netFile, "'");
-            std::ostringstream text;
-            text << file.rdbuf();
-            net = dnn::parseNetwork(text.str());
-        } else {
-            if (positional.empty()) {
-                fatal("'", command,
-                      "' needs a workload name or --netfile");
-            }
-            reject_extra(1);
-            net = findWorkload(positional.front());
-        }
-        if (command == "simulate")
-            return cmdSimulate(options, net);
-        if (command == "serve")
-            return cmdServe(options, net);
-        if (command == "faults")
-            return cmdFaults(options, net);
-        if (command == "report")
-            return cmdReport(options, net);
-        if (command == "partition")
-            return cmdPartition(options, net);
-        if (command == "shard")
-            return cmdShard(options, net);
-        return cmdBatch(options, net);
-    }
-    return usage();
+    if (!known)
+        return usage();
+    return command->run(parseCommandLine(argc, argv, *command));
 }
