@@ -30,13 +30,13 @@
 #include <string>
 #include <vector>
 
+#include "common/physics.hh"
+
 namespace supernpu {
 namespace jsim {
 
-/** Magnetic flux quantum, Wb. */
-constexpr double phi0 = 2.067833848e-15;
-/** Phi0 / 2 pi, the phase-to-flux conversion factor. */
-constexpr double phi0Over2Pi = phi0 / 6.283185307179586;
+using physics::phi0;
+using physics::phi0Over2Pi;
 
 /** Node index type; node 0 is always ground. */
 using NodeId = std::size_t;

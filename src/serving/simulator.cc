@@ -2,10 +2,15 @@
  * @file
  * Discrete-event serving loop implementation.
  *
- * Event ordering: the heap orders by (time, sequence). The sequence
+ * Event ordering: the calendar pops by (time, sequence). The sequence
  * tiebreak makes simultaneous events process in creation order, which
  * keeps runs deterministic across standard-library heap
- * implementations.
+ * implementations. The calendar keeps the two sources that are
+ * already in order out of its heap: the time-sorted fault schedule
+ * is read through a cursor (its sequence numbers are reserved at seed
+ * time, as if every fault had been pushed then), and an open-loop
+ * source's one pending arrival waits in a slot. The heap holds the
+ * rest, a few events per dispatch target.
  *
  * Timeout events are advisory: a fired timeout only launches a batch
  * if the chip is idle and the queue's own `launchable` test agrees.
@@ -93,8 +98,8 @@ ServingConfig::check() const
 
 namespace {
 
-/** Event kinds of the calendar queue. */
-enum class EventKind
+/** Event kinds of the calendar. */
+enum class EventKind : std::uint8_t
 {
     Arrival,   ///< one request enters the system
     Timeout,   ///< a target's batch-timeout deadline passed
@@ -111,32 +116,156 @@ struct Event
 {
     double timeSec;
     std::uint64_t seq; ///< creation order, the determinism tiebreak
-    EventKind kind;
-    /** Dispatch target; Fault: the struck physical chip. */
-    int chip;
     /**
      * Fault: index into the fault schedule. Detect: the corruption
-     * wave it was armed for. Unused otherwise.
+     * wave it was armed for. Retry: the slot of its parked request.
+     * Unused otherwise.
      */
-    std::uint64_t tag = 0;
-    /** The re-enqueued request of a Retry event. */
-    Request retryRequest{};
+    std::uint64_t tag;
+    /** Dispatch target; Fault: the struck physical chip. */
+    int chip;
+    EventKind kind;
 };
+static_assert(sizeof(Event) == 32, "heap events should stay 32 bytes");
+
+/** Sentinel: no event pending. */
+constexpr std::uint64_t kNoSeq =
+    std::numeric_limits<std::uint64_t>::max();
+
+/** The calendar's (time, seq) order. */
+bool
+earlier(double a_sec, std::uint64_t a_seq, double b_sec,
+        std::uint64_t b_seq)
+{
+    if (a_sec != b_sec)
+        return a_sec < b_sec;
+    return a_seq < b_seq;
+}
 
 /** Min-heap ordering on (time, seq). */
 struct EventAfter
 {
     bool operator()(const Event &a, const Event &b) const
     {
-        if (a.timeSec != b.timeSec)
-            return a.timeSec > b.timeSec;
-        return a.seq > b.seq;
+        return earlier(b.timeSec, b.seq, a.timeSec, a.seq);
     }
 };
 
-/** Sentinel: no event pending. */
-constexpr std::uint64_t kNoSeq =
-    std::numeric_limits<std::uint64_t>::max();
+/**
+ * The event calendar: one (time, seq) order over three parts.
+ *
+ *  - a cursor over the fault schedule, which is already sorted by
+ *    time; fault i carries sequence number faultSeq0 + i, reserved
+ *    when the schedule is attached;
+ *  - a slot for the one pending arrival of an open-loop source;
+ *  - a binary heap of every other event.
+ *
+ * Every event takes its sequence number when it is scheduled, so the
+ * pop order is the one a single heap over all of them would give.
+ */
+class Calendar
+{
+  public:
+    explicit Calendar(std::size_t heap_capacity)
+    {
+        std::vector<Event> backing;
+        backing.reserve(heap_capacity);
+        _heap = Heap(EventAfter{}, std::move(backing));
+    }
+
+    /** Schedule a heap event; returns its sequence number. */
+    std::uint64_t push(double time_sec, EventKind kind, int chip,
+                       std::uint64_t tag = 0)
+    {
+        _heap.push(Event{time_sec, _nextSeq, tag, chip, kind});
+        return _nextSeq++;
+    }
+
+    /** Schedule the open-loop source's next arrival (none pending). */
+    void pushArrival(double time_sec)
+    {
+        SUPERNPU_ASSERT(_arrivalSeq == kNoSeq,
+                        "open-loop source already has an arrival pending");
+        _arrivalSec = time_sec;
+        _arrivalSeq = _nextSeq++;
+    }
+
+    /** Stream a time-sorted fault schedule; reserves its seqs. */
+    void attachFaults(const std::vector<reliability::FaultEvent> &faults)
+    {
+        _faults = &faults;
+        _faultSeq0 = _nextSeq;
+        _nextSeq += (std::uint64_t)faults.size();
+    }
+
+    bool empty() const
+    {
+        return _heap.empty() && _arrivalSeq == kNoSeq &&
+               (_faults == nullptr || _faultNext == _faults->size());
+    }
+
+    /** Remove and return the earliest event; the calendar is nonempty. */
+    Event pop()
+    {
+        // An empty part compares as (+inf, kNoSeq), after any event.
+        enum class Part { Heap, Fault, Arrival } part = Part::Heap;
+        double sec = std::numeric_limits<double>::infinity();
+        std::uint64_t seq = kNoSeq;
+        if (!_heap.empty()) {
+            sec = _heap.top().timeSec;
+            seq = _heap.top().seq;
+        }
+        if (_faults != nullptr && _faultNext < _faults->size()) {
+            const double fault_sec = (*_faults)[_faultNext].timeSec;
+            const std::uint64_t fault_seq = _faultSeq0 + _faultNext;
+            if (earlier(fault_sec, fault_seq, sec, seq)) {
+                part = Part::Fault;
+                sec = fault_sec;
+                seq = fault_seq;
+            }
+        }
+        if (_arrivalSeq != kNoSeq &&
+            earlier(_arrivalSec, _arrivalSeq, sec, seq))
+            part = Part::Arrival;
+
+        switch (part) {
+          case Part::Fault: {
+            const reliability::FaultEvent &fault = (*_faults)[_faultNext];
+            const Event event{fault.timeSec, _faultSeq0 + _faultNext,
+                              (std::uint64_t)_faultNext, fault.chip,
+                              EventKind::Fault};
+            ++_faultNext;
+            return event;
+          }
+          case Part::Arrival: {
+            const Event event{_arrivalSec, _arrivalSeq, 0, -1,
+                              EventKind::Arrival};
+            _arrivalSeq = kNoSeq;
+            return event;
+          }
+          case Part::Heap:
+            break;
+        }
+        SUPERNPU_ASSERT(!_heap.empty(), "pop from an empty calendar");
+        const Event event = _heap.top();
+        _heap.pop();
+        return event;
+    }
+
+  private:
+    using Heap =
+        std::priority_queue<Event, std::vector<Event>, EventAfter>;
+
+    Heap _heap;
+    std::uint64_t _nextSeq = 0;
+
+    double _arrivalSec = 0.0;
+    std::uint64_t _arrivalSeq = kNoSeq; ///< kNoSeq: no arrival pending
+
+    const std::vector<reliability::FaultEvent> *_faults = nullptr;
+    std::size_t _faultNext = 0;     ///< cursor into *_faults
+    std::uint64_t _faultSeq0 = 0;   ///< seq of (*_faults)[0]
+};
 
 /** One batch in flight on a dispatch target. */
 struct Batch
@@ -181,6 +310,8 @@ struct Target
     BatchQueue queue;
     /** Batches in flight, FIFO-ordered by completion. */
     std::deque<Batch> inFlight;
+    /** Requests across inFlight, kept on launch, completion and kill. */
+    int inFlightRequests = 0;
     bool busy = false;            ///< lane 0 holds a batch
     double freeSec = 0.0;         ///< when lane 0 frees
     std::uint64_t pendingFreeSeq = kNoSeq; ///< valid StageFree event
@@ -195,16 +326,12 @@ struct Target
 
     // --- fault state (inert without a fault schedule) ---------------
     double permDerate = 1.0; ///< flux-trap service multiplier
-    bool quarantined = false;
     double skewUntilSec = 0.0; ///< clock-skew window end
     double skewFactor = 1.0;   ///< service multiplier in the window
 
     int outstanding() const
     {
-        int in_flight = 0;
-        for (const Batch &batch : inFlight)
-            in_flight += (int)batch.requests.size();
-        return (int)queue.depth() + in_flight;
+        return (int)queue.depth() + inFlightRequests;
     }
 };
 
@@ -221,30 +348,28 @@ ServingReport
 ServingSimulator::run()
 {
     perf::Scope perf_scope("serving.run");
-    // The calendar's backing store is sized up front: steady state
+    // The heap's backing store is sized up front: steady state
     // carries roughly one pending completion/timeout pair per
-    // dispatch target plus the arrival chain, and the whole fault
-    // schedule lands on the calendar at seed time. Reserving once
-    // keeps the heap from reallocating mid-run.
-    std::vector<Event> calendar;
-    calendar.reserve(_cfg.faults.events().size() +
-                     (std::size_t)_cfg.chips * 4 +
-                     (std::size_t)_cfg.arrival.clients + 64);
-    std::priority_queue<Event, std::vector<Event>, EventAfter> events(
-        EventAfter{}, std::move(calendar));
-    std::uint64_t next_seq = 0;
-    const auto schedule = [&](double time, EventKind kind, int chip) {
-        events.push(Event{time, next_seq++, kind, chip});
-        return next_seq - 1;
-    };
-    const auto schedule_tagged = [&](double time, EventKind kind,
-                                     int chip, std::uint64_t tag) {
-        events.push(Event{time, next_seq++, kind, chip, tag});
-    };
+    // dispatch target plus the closed-loop clients' arrivals. Faults
+    // and the open-loop arrival never enter the heap. Reserving once
+    // keeps it from reallocating mid-run.
+    Calendar calendar((std::size_t)_cfg.chips * 4 +
+                      (std::size_t)_cfg.arrival.clients + 64);
+    // A Retry event parks its request in a reused slot and carries
+    // the slot index as its tag, which keeps Event small.
+    std::vector<Request> retry_slots;
+    std::vector<std::uint64_t> free_retry_slots;
     const auto schedule_retry = [&](double time,
                                     const Request &request) {
-        events.push(
-            Event{time, next_seq++, EventKind::Retry, -1, 0, request});
+        std::uint64_t slot = retry_slots.size();
+        if (free_retry_slots.empty()) {
+            retry_slots.push_back(request);
+        } else {
+            slot = free_retry_slots.back();
+            free_retry_slots.pop_back();
+            retry_slots[(std::size_t)slot] = request;
+        }
+        calendar.push(time, EventKind::Retry, -1, slot);
     };
 
     // Every dispatch target is a group of G = R·K chips: K stage
@@ -326,8 +451,8 @@ ServingSimulator::run()
         if (failed)
             ++failed_requests;
         if (!arrivals.openLoop() && injected < _cfg.requests) {
-            schedule(clock + arrivals.thinkGapSec(), EventKind::Arrival,
-                     -1);
+            calendar.push(clock + arrivals.thinkGapSec(),
+                          EventKind::Arrival, -1);
             ++injected;
         }
     };
@@ -356,30 +481,27 @@ ServingSimulator::run()
         }
     };
 
-    // Dispatch target for a new or re-enqueued request. Only when a
-    // target is actually quarantined does the health mask exist, so
-    // a fault-free run drives the dispatcher exactly as before.
+    // Dispatch target for a new or re-enqueued request. Only once a
+    // target is actually quarantined does the dispatcher see the
+    // health mask (0: quarantined), so a fault-free run drives it
+    // exactly as before.
+    std::vector<int> outstanding((std::size_t)n_targets);
+    std::vector<char> healthy((std::size_t)n_targets, 1);
     const auto pick_target = [&]() {
-        std::vector<int> outstanding(n_targets);
         for (int i = 0; i < n_targets; ++i)
-            outstanding[i] = targets[i].outstanding();
-        if (quarantined_count > 0) {
-            // With no healthy target left, Dispatcher::pick would
-            // fall back to dispatching onto a quarantined one and
-            // the run would silently "serve" from known-bad hardware.
-            if (quarantined_count >= n_targets) {
-                fatal("all ", n_targets, " dispatch target(s) of ", G,
-                      " chip(s) quarantined: no healthy dispatch "
-                      "target remains (permanent faults exceeded the "
-                      "cluster's redundancy)");
-            }
-            std::vector<char> healthy((std::size_t)n_targets);
-            for (int i = 0; i < n_targets; ++i)
-                healthy[(std::size_t)i] =
-                    targets[i].quarantined ? 0 : 1;
-            return dispatcher.pick(outstanding, healthy);
+            outstanding[(std::size_t)i] = targets[i].outstanding();
+        if (quarantined_count == 0)
+            return dispatcher.pick(outstanding);
+        // With no healthy target left, Dispatcher::pick would fall
+        // back to dispatching onto a quarantined one and the run
+        // would silently "serve" from known-bad hardware.
+        if (quarantined_count >= n_targets) {
+            fatal("all ", n_targets, " dispatch target(s) of ", G,
+                  " chip(s) quarantined: no healthy dispatch target "
+                  "remains (permanent faults exceeded the cluster's "
+                  "redundancy)");
         }
-        return dispatcher.pick(outstanding);
+        return dispatcher.pick(outstanding, healthy);
     };
 
     // Put a batch in service: it holds lane 0 for the (derated)
@@ -409,13 +531,15 @@ ServingSimulator::run()
                 batch.laneStartSec[lane] + lane_busy[lane];
         }
         target.lastDoneSec = batch.doneSec;
+        target.inFlightRequests += size;
         metrics.recordGroupBatch(index * G, size, lane_busy, R);
-        batch.doneSeq = schedule(batch.doneSec, EventKind::Done, index);
+        batch.doneSeq =
+            calendar.push(batch.doneSec, EventKind::Done, index);
         target.busy = true;
         if (timing.intervalSec < timing.latencySec) {
             target.freeSec = clock + derate(target, timing.intervalSec);
             target.pendingFreeSeq =
-                schedule(target.freeSec, EventKind::StageFree, index);
+                calendar.push(target.freeSec, EventKind::StageFree, index);
         }
         target.inFlight.push_back(std::move(batch));
     };
@@ -428,7 +552,7 @@ ServingSimulator::run()
             const double deadline = target.queue.nextDeadlineSec();
             if (!target.busy && deadline > clock &&
                 deadline < std::numeric_limits<double>::infinity()) {
-                schedule(deadline, EventKind::Timeout, index);
+                calendar.push(deadline, EventKind::Timeout, index);
             }
             return;
         }
@@ -441,26 +565,22 @@ ServingSimulator::run()
     // Seed the calendar: open-loop sources self-schedule; closed-loop
     // clients all fire their first request at t = 0.
     if (arrivals.openLoop()) {
-        schedule(arrivals.nextGapSec(), EventKind::Arrival, -1);
+        calendar.pushArrival(arrivals.nextGapSec());
         ++injected;
     } else {
         const std::uint64_t first = std::min<std::uint64_t>(
             (std::uint64_t)_cfg.arrival.clients, _cfg.requests);
         for (std::uint64_t i = 0; i < first; ++i)
-            schedule(0.0, EventKind::Arrival, -1);
+            calendar.push(0.0, EventKind::Arrival, -1);
         injected = first;
     }
 
-    // Materialized fault schedule onto the calendar. Empty schedule:
-    // nothing pushed, sequence numbering untouched.
-    for (std::size_t i = 0; i < _cfg.faults.events().size(); ++i) {
-        const reliability::FaultEvent &fault = _cfg.faults.events()[i];
-        schedule_tagged(fault.timeSec, EventKind::Fault, fault.chip,
-                        (std::uint64_t)i);
-    }
+    // The materialized fault schedule streams from its cursor. Empty
+    // schedule: no sequence number reserved, numbering untouched.
+    calendar.attachFaults(_cfg.faults.events());
 
     while (completed < _cfg.requests) {
-        if (events.empty()) {
+        if (calendar.empty()) {
             // Only reachable when the fixed-batch policy stranded
             // partial batches after the last injection: flush them.
             bool flushed = false;
@@ -478,8 +598,7 @@ ServingSimulator::run()
             continue;
         }
 
-        const Event event = events.top();
-        events.pop();
+        const Event event = calendar.pop();
         ++events_processed;
         if (perf::enabled()) {
             static perf::Counter &perf_events =
@@ -496,8 +615,7 @@ ServingSimulator::run()
             ++queued_depth;
             try_launch(target);
             if (arrivals.openLoop() && injected < _cfg.requests) {
-                schedule(clock + arrivals.nextGapSec(),
-                         EventKind::Arrival, -1);
+                calendar.pushArrival(clock + arrivals.nextGapSec());
                 ++injected;
             }
             break;
@@ -522,6 +640,7 @@ ServingSimulator::run()
             const bool failed = batch->wave != 0;
             for (const Request &request : batch->requests)
                 complete_request(request, failed);
+            target.inFlightRequests -= (int)batch->requests.size();
             recycle_batch(std::move(*batch));
             target.inFlight.pop_front();
             // Without a pending StageFree, the batch held lane 0
@@ -557,8 +676,8 @@ ServingSimulator::run()
                     newly = true;
                 }
                 if (newly && detects) {
-                    schedule_tagged(clock + res.detectLatencySec,
-                                    EventKind::Detect, index, wave);
+                    calendar.push(clock + res.detectLatencySec,
+                                  EventKind::Detect, index, wave);
                 }
             };
             switch (fault.kind) {
@@ -572,16 +691,16 @@ ServingSimulator::run()
                 // the derated chip throttles the whole group, so the
                 // loss covers all G chips.
                 target.permDerate *= fault.magnitude;
-                if (!target.quarantined) {
+                if (healthy[(std::size_t)index]) {
                     for (int c = index * G; c < (index + 1) * G; ++c) {
                         metrics.setPermanentLoss(
                             c, clock, 1.0 - 1.0 / target.permDerate);
                     }
                 }
                 if (res.recovery == RecoveryPolicy::DegradedDispatch &&
-                    !target.quarantined) {
-                    schedule_tagged(clock + res.detectLatencySec,
-                                    EventKind::Quarantine, index, 0);
+                    healthy[(std::size_t)index]) {
+                    calendar.push(clock + res.detectLatencySec,
+                                  EventKind::Quarantine, index);
                 }
                 break;
               case reliability::FaultKind::ClockSkew:
@@ -614,7 +733,7 @@ ServingSimulator::run()
                     batch.doneSec += stall;
                     batch.glitchSec += stall;
                     batch.doneSeq =
-                        schedule(batch.doneSec, EventKind::Done, index);
+                        calendar.push(batch.doneSec, EventKind::Done, index);
                     for (int l = 0; l < K; ++l) {
                         double &start = batch.laneStartSec[(std::size_t)l];
                         double &end = batch.laneEndSec[(std::size_t)l];
@@ -631,7 +750,7 @@ ServingSimulator::run()
                 target.lastDoneSec += stall;
                 if (target.pendingFreeSeq != kNoSeq) {
                     target.freeSec += stall;
-                    target.pendingFreeSeq = schedule(
+                    target.pendingFreeSeq = calendar.push(
                         target.freeSec, EventKind::StageFree, index);
                 }
                 // Stalls between windows serialize on their lane: a
@@ -700,13 +819,14 @@ ServingSimulator::run()
                     batch->laneEndSec[0] = batch->doneSec;
                     target.lastDoneSec = batch->doneSec;
                     charge_lane(index, 0, remaining);
-                    batch->doneSeq = schedule(batch->doneSec,
-                                              EventKind::Done, index);
+                    batch->doneSeq = calendar.push(
+                        batch->doneSec, EventKind::Done, index);
                     ++batch;
                     continue;
                 }
                 // Kill the batch; requests back off and re-enter,
                 // or give up past their retry/deadline budget.
+                target.inFlightRequests -= (int)batch->requests.size();
                 kill_requests(batch->requests);
                 recycle_batch(std::move(*batch));
                 batch = target.inFlight.erase(batch);
@@ -739,9 +859,9 @@ ServingSimulator::run()
           }
           case EventKind::Quarantine: {
             Target &target = targets[event.chip];
-            if (target.quarantined)
+            if (!healthy[(std::size_t)event.chip])
                 break;
-            target.quarantined = true;
+            healthy[(std::size_t)event.chip] = 0;
             ++quarantined_count;
             // A quarantined group takes all G of its chips out.
             for (int c = event.chip * G; c < (event.chip + 1) * G;
@@ -766,7 +886,8 @@ ServingSimulator::run()
             break;
           }
           case EventKind::Retry: {
-            Request request = event.retryRequest;
+            Request request = retry_slots[(std::size_t)event.tag];
+            free_retry_slots.push_back(event.tag);
             request.enqueueSec = clock;
             const int target = pick_target();
             targets[target].queue.push(request);
@@ -791,6 +912,12 @@ ServingSimulator::run()
                     "serving run lost requests");
     SUPERNPU_ASSERT(queued_depth == 0,
                     "serving run ended with queued requests");
+    // The dispatcher's running JSQ counts must drain with the work.
+    for (const Target &target : targets) {
+        SUPERNPU_ASSERT(target.inFlightRequests == 0 &&
+                            target.inFlight.empty(),
+                        "serving run ended with batches in flight");
+    }
 
     ServingReport report = metrics.finish(clock);
     report.network = _service.network().name;

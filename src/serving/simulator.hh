@@ -4,24 +4,30 @@
  * (arrival.hh), a dispatcher places them on chip groups
  * (dispatch.hh), per-group batch queues form batches (batcher.hh),
  * and each launched batch occupies its group's chips for the
- * cycle-level timing of a GroupTimingModel (service_model.hh). Completion latencies and system occupancy feed
- * the metrics collector (metrics.hh).
+ * cycle-level timing of a GroupTimingModel (service_model.hh).
+ * Completion latencies and system occupancy feed the metrics
+ * collector (metrics.hh).
  *
- * The event loop is a classic calendar queue over three event kinds:
- * request arrival, batch-timeout expiry, and chip completion. All
- * stochastic choices flow through one seeded common/rng generator,
- * so a (config, seed) pair replays bit-identically.
+ * The event loop pops eight event kinds in one (time, sequence)
+ * order: arrival, batch timeout, batch completion, fault, detection,
+ * quarantine, retry and pipeline stage-free. Its calendar has three
+ * parts: a cursor over the time-sorted fault schedule, a slot for an
+ * open-loop source's one pending arrival, and a small heap of every
+ * other event. All stochastic choices flow through one seeded
+ * common/rng generator, so a (config, seed) pair replays
+ * bit-identically.
  *
  * Drain semantics: once the configured request count has been
  * injected, remaining queued requests flush even if the fixed-batch
  * policy would strand a partial batch — so `completed == generated`
  * always holds at the end of run().
  *
- * Fault injection: attaching a reliability::FaultSchedule adds fault
- * events to the calendar — pulse drops corrupt in-flight batches,
- * flux traps permanently derate (and, under degraded dispatch,
- * quarantine) chips, clock-skew windows derate launches, and link
- * glitches stall a lane and stretch in-flight batches. Detection
+ * Fault injection: attaching a reliability::FaultSchedule streams
+ * its events through the calendar's fault cursor — pulse drops
+ * corrupt in-flight batches, flux traps permanently derate (and,
+ * under degraded dispatch, quarantine) chips, clock-skew windows
+ * derate launches, and link glitches stall a lane and stretch
+ * in-flight batches. Detection
  * kills only the batches of the corruption wave it was armed for,
  * and a kill gives each chip back the compute and stall it cut
  * short. The attached ResilienceConfig decides what happens after

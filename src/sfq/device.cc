@@ -8,13 +8,12 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/physics.hh"
 
 namespace supernpu {
 namespace sfq {
 
 namespace {
-/** Flux quantum, Wb (duplicated from jsim to keep sfq standalone). */
-constexpr double phi0 = 2.067833848e-15;
 /** Below this feature size the linear frequency scaling law stops. */
 constexpr double scalingFloorUm = 0.2;
 } // namespace
@@ -65,7 +64,7 @@ DeviceConfig::switchEnergyFactor() const
 double
 DeviceConfig::energyPerJjSwitch() const
 {
-    return unitCriticalCurrent * phi0;
+    return unitCriticalCurrent * physics::phi0;
 }
 
 } // namespace sfq

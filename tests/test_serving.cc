@@ -654,6 +654,84 @@ TEST_F(ServingFixture, DetectKillsOnlyItsWaveOnPipeline)
     expectDetectKillsOnlyItsWave(service, oneShotConfig(2, 2, 1));
 }
 
+// --- calendar tie order ---------------------------------------------
+
+/**
+ * A schedule built to tie the fault cursor with the rest of the
+ * calendar on 4 chips as two 2-chip groups (chips 0-1 and 2-3):
+ *
+ *  - a pulse drop and a link glitch at t = 0 tie with the closed-loop
+ *    clients' seed arrivals. The faults take their sequence numbers
+ *    after the seeds, so they strike the batches those arrivals
+ *    launched;
+ *  - a pulse drop and a link glitch strike chips 2 and 3, both in
+ *    group 1, at the same instant;
+ *  - a pulse drop falls after the last completion and never fires.
+ *
+ * Zero think time makes every client re-ask at its completion
+ * instant, so the run is dense in same-time events.
+ */
+ServingReport
+runTieSchedule(const BatchServiceModel &service, int stages,
+               int replicas)
+{
+    ServingConfig serving;
+    serving.chips = 4;
+    serving.pipelineStages = stages;
+    serving.dataParallelReplicas = replicas;
+    serving.requests = 400;
+    serving.arrival.kind = ArrivalKind::ClosedLoop;
+    serving.arrival.clients = 8;
+    serving.batching.maxBatch = 4;
+    const double latency =
+        GroupTimingModel(service, stages, replicas, serving.link)
+            .timing(4)
+            .latencySec;
+    serving.batching.timeoutSec = 0.5 * latency;
+    serving.resilience.recovery = RecoveryPolicy::RetryBackoff;
+    serving.resilience.detectLatencySec = 0.25 * latency;
+    serving.resilience.backoffBaseSec = latency;
+
+    using reliability::FaultKind;
+    reliability::FaultScheduleConfig faults;
+    faults.chips = serving.chips;
+    serving.faults = reliability::FaultSchedule::fromEvents(
+        faults, {faultAt(FaultKind::PulseDrop, 0, 0.0),
+                 faultAt(FaultKind::LinkGlitch, 1, 0.0, 0.3 * latency),
+                 faultAt(FaultKind::PulseDrop, 2, 3.0 * latency),
+                 faultAt(FaultKind::LinkGlitch, 3, 3.0 * latency,
+                         0.3 * latency),
+                 faultAt(FaultKind::PulseDrop, 0, 1e3)});
+    const ServingReport report = ServingSimulator(service, serving).run();
+    EXPECT_EQ(report.completed, serving.requests);
+    const obs::AuditReport audit = obs::auditServing(report);
+    EXPECT_TRUE(audit.ok()) << audit.summary();
+    return report;
+}
+
+// The pinned values are those of a calendar that pushed every fault
+// onto one heap at seed time: streaming the schedule must not move
+// a single event.
+TEST_F(ServingFixture, FaultTiesKeepTheirOrderOnPipeline)
+{
+    const ServingReport report = runTieSchedule(service, 2, 1);
+    EXPECT_EQ(report.eventsProcessed, 935u);
+    EXPECT_EQ(report.faultsInjected, 4u);
+    EXPECT_EQ(report.batchesKilled, 2u);
+    EXPECT_EQ(report.requestsKilled, 8u);
+    EXPECT_DOUBLE_EQ(report.latencyP99, 4.4765495526304152e-07);
+}
+
+TEST_F(ServingFixture, FaultTiesKeepTheirOrderOnReplicaGroup)
+{
+    const ServingReport report = runTieSchedule(service, 1, 2);
+    EXPECT_EQ(report.eventsProcessed, 826u);
+    EXPECT_EQ(report.faultsInjected, 4u);
+    EXPECT_EQ(report.batchesKilled, 2u);
+    EXPECT_EQ(report.requestsKilled, 8u);
+    EXPECT_DOUBLE_EQ(report.latencyP99, 1.877521442647435e-07);
+}
+
 // --- degenerate metrics (zero-makespan guard) ------------------------
 
 TEST(Metrics, ZeroMakespanReportsZeroRatesNotNan)

@@ -54,6 +54,13 @@ using namespace supernpu;
 
 namespace {
 
+/**
+ * Most worker threads --jobs may ask for: far past any host's cores,
+ * and low enough that a typo cannot ask the OS for millions of
+ * threads.
+ */
+constexpr std::uint64_t kMaxJobs = 1024;
+
 /** Parsed command-line state. */
 struct Options
 {
@@ -210,9 +217,14 @@ const OptionRow kOptions[] = {
      [](Options &, const Value &) {}},
     {"--jobs", Kind::Integer, Bound::NonNegative, "<n>",
      CmdShard | CmdCheck | CmdExplore | CmdBench,
-     "worker threads; output is the same at any value (default 1;"
-     " explore: every hardware thread)",
-     [](Options &o, const Value &v) { o.jobs = (int)v.n; }},
+     "worker threads, at most 1024; output is the same at any value"
+     " (default 1; explore: every hardware thread)",
+     [](Options &o, const Value &v) {
+         if (v.n > kMaxJobs)
+             fatal("option '--jobs' allows at most ", kMaxJobs,
+                   " worker threads, got ", v.n);
+         o.jobs = (int)v.n;
+     }},
 
     // --- serving -----------------------------------------------------
     {"--rps", Kind::Real, Bound::NonNegative, "<n>", CmdServing,
