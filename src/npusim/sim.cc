@@ -21,6 +21,37 @@ namespace {
 /** Cycles to switch integrated-buffer chunk roles (mux reconfig). */
 constexpr std::uint64_t chunkSwitchCycles = 4;
 
+/** `layers` as a named result, totals summed: run's and runRange's. */
+SimResult
+assemble(const estimator::NpuEstimate &est, std::string name, int batch,
+         std::vector<LayerResult> layers)
+{
+    SimResult result;
+    result.networkName = std::move(name);
+    result.configName = est.config.name;
+    result.batch = batch;
+    result.frequencyGhz = est.frequencyGhz;
+    for (const LayerResult &lr : layers) {
+        result.computeCycles += lr.computeCycles;
+        result.prepCycles += lr.prepCycles;
+        result.prep.add(lr.prep);
+        result.memoryStallCycles += lr.memoryStallCycles;
+        result.macOps += lr.macOps;
+        result.dramBytes += lr.dramBytes;
+        result.dramWeightBytes += lr.dramWeightBytes;
+        result.dramIfmapBytes += lr.dramIfmapBytes;
+        result.dramOutputBytes += lr.dramOutputBytes;
+        result.ifmapShiftChunkCycles += lr.ifmapShiftChunkCycles;
+        result.outputShiftChunkCycles += lr.outputShiftChunkCycles;
+        result.dauWordsForwarded += lr.dauWordsForwarded;
+        result.nwHops += lr.nwHops;
+    }
+    result.totalCycles = result.computeCycles + result.prepCycles +
+                         result.memoryStallCycles;
+    result.layers = std::move(layers);
+    return result;
+}
+
 } // namespace
 
 NpuSimulator::NpuSimulator(const estimator::NpuEstimate &estimate)
@@ -260,44 +291,54 @@ NpuSimulator::run(const dnn::Network &network, int batch) const
     perf::Scope perf_scope("npusim.run");
     network.check();
 
-    SimResult result;
-    result.networkName = network.name;
-    result.configName = _est.config.name;
-    result.batch = batch;
-    result.frequencyGhz = _est.frequencyGhz;
-
+    std::vector<LayerResult> layers;
+    layers.reserve(network.layers.size());
     bool ifmap_on_chip = false; // the first layer's input is in DRAM
     std::uint64_t prev_compute = 0; // nothing precedes the first fetch
     for (const auto &layer : network.layers) {
-        LayerResult lr =
-            simulateLayer(layer, batch, ifmap_on_chip, prev_compute);
-        ifmap_on_chip = lr.outputOnChip;
-        prev_compute = lr.lastMappingComputeCycles;
-        result.computeCycles += lr.computeCycles;
-        result.prepCycles += lr.prepCycles;
-        result.prep.add(lr.prep);
-        result.memoryStallCycles += lr.memoryStallCycles;
-        result.macOps += lr.macOps;
-        result.dramBytes += lr.dramBytes;
-        result.dramWeightBytes += lr.dramWeightBytes;
-        result.dramIfmapBytes += lr.dramIfmapBytes;
-        result.dramOutputBytes += lr.dramOutputBytes;
-        result.ifmapShiftChunkCycles += lr.ifmapShiftChunkCycles;
-        result.outputShiftChunkCycles += lr.outputShiftChunkCycles;
-        result.dauWordsForwarded += lr.dauWordsForwarded;
-        result.nwHops += lr.nwHops;
-        result.layers.push_back(std::move(lr));
+        layers.push_back(
+            simulateLayer(layer, batch, ifmap_on_chip, prev_compute));
+        ifmap_on_chip = layers.back().outputOnChip;
+        prev_compute = layers.back().lastMappingComputeCycles;
     }
-    result.totalCycles = result.computeCycles + result.prepCycles +
-                         result.memoryStallCycles;
     if (perf::enabled()) {
         static perf::Counter &runs = perf::counter("npusim.runs");
-        static perf::Counter &layers =
+        static perf::Counter &layer_sims =
             perf::counter("npusim.layerSims");
         runs.add(1);
-        layers.add(result.layers.size());
+        layer_sims.add(layers.size());
     }
-    return result;
+    return assemble(_est, network.name, batch, std::move(layers));
+}
+
+SimResult
+NpuSimulator::runRange(const dnn::Network &network, int first, int last,
+                       int batch, const SimResult &whole) const
+{
+    const int n = (int)network.layers.size();
+    SUPERNPU_ASSERT(!_trace, "runRange copies layers no trace sees");
+    SUPERNPU_ASSERT(first >= 0 && first <= last && last < n,
+                    "layer range [", first, ", ", last, "] outside ", n);
+    SUPERNPU_ASSERT((int)whole.layers.size() == n && whole.batch == batch,
+                    "wide run does not match ", n, " layers at batch ",
+                    batch);
+
+    // The wide run's layers, but the head starts cold: its input in
+    // DRAM, nothing before its first weight fetch.
+    std::vector<LayerResult> layers(whole.layers.begin() + first,
+                                    whole.layers.begin() + last + 1);
+    layers[0] = simulateLayer(network.layers[first], batch, false, 0);
+    if (perf::enabled()) {
+        static perf::Counter &layer_sims =
+            perf::counter("npusim.layerSims");
+        layer_sims.add(1);
+    }
+    const bool all = first == 0 && last == n - 1;
+    return assemble(_est,
+                    all ? network.name
+                        : network.name + "[" + std::to_string(first) +
+                              "-" + std::to_string(last) + "]",
+                    batch, std::move(layers));
 }
 
 } // namespace npusim

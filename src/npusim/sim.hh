@@ -61,6 +61,19 @@ class NpuSimulator
     /** Simulate a whole network at the given batch size. */
     SimResult run(const dnn::Network &network, int batch) const;
 
+    /**
+     * run() of layers [first, last] as a sub-network `name[first-last]`
+     * (the whole range keeps the name), given `whole` == run(network,
+     * batch). A layer reads its predecessor only through outputOnChip
+     * and lastMappingComputeCycles, which ignore that predecessor's
+     * inputs, so the head is simulated cold and the tail copied from
+     * `whole`. The head counts in npusim.layerSims, the call not in
+     * npusim.runs. Panics with a trace attached or on a range, layer
+     * count or batch that `whole` does not match.
+     */
+    SimResult runRange(const dnn::Network &network, int first, int last,
+                       int batch, const SimResult &whole) const;
+
     /** The estimate this simulator was built from. */
     const estimator::NpuEstimate &estimate() const { return _est; }
 

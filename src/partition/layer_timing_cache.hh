@@ -13,13 +13,15 @@
  * finished derivation on (network hash, batch) and shares it across
  * one search, so only the first K of each (R, T) pays for the
  * whole-network SimResult walk and the guarded link-cost arithmetic.
- * The entry also carries the cut search's DP rows and stage hashes
- * (CutTable), so a later K extends the table instead of rebuilding
- * it.
+ * The entry also carries the cut search's DP rows (CutTable), so a
+ * later K extends the table instead of rebuilding it, and the
+ * whole-network simulation itself, from which
+ * NpuSimulator::runRange composes every stage a cut picks.
  *
  * It is an unbounded common/memo.hh Memo: it lives inside one
- * Partitioner and holds one small vector set per (sub-network, batch)
- * a search touches. The hybrid planner's search peeks it and replays
+ * Partitioner and holds one small vector set, and keeps one
+ * whole-network SimResult alive, per (network, batch) a search
+ * touches. The hybrid planner's search peeks it and replays
  * its lookups in serial order (Memo::replay), so the totals the
  * byte-compared shard ledgers embed match the serial walk at any job
  * count.
@@ -32,11 +34,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash.hh"
 #include "common/memo.hh"
+#include "npusim/result.hh"
 
 namespace supernpu {
 namespace partition {
@@ -50,15 +52,10 @@ namespace partition {
  * row s-1 alone and never reads the requested K, so one table
  * answers every K. Only what reconstruction and extension need is
  * kept: every cut row and the frontier dp row.
- *
- * The stage sub-networks those cuts produce are hashed once per
- * range, so a later K (or a repeat of the same K) that ends a stage
- * at the same boundaries reuses the hash instead of re-running the
- * byte-serial npusim::hashNetwork over the stage's layers.
  */
 struct CutTable
 {
-    /** Guards every member: extension, reconstruction, hashing. */
+    /** Guards every member: extension and reconstruction. */
     std::mutex mutex;
     /**
      * cut[s][j] = last layer of stage s-1 in the best s-stage split
@@ -69,9 +66,6 @@ struct CutTable
     /** dp row cut.size()-1 (best bottleneck per prefix); empty
      *  until the first partition() builds row 1. */
     std::vector<double> frontier;
-    /** hashNetwork of the stage sub-network [first, last], keyed
-     *  first << 32 | last. */
-    std::unordered_map<std::uint64_t, std::uint64_t> stageHashes;
 };
 
 /** The cut-search inputs derived from one (network, batch) point. */
@@ -86,10 +80,11 @@ struct LayerTimings
     std::vector<double> linkAfter;
     std::vector<std::uint64_t> linkCycles; ///< size n
     std::vector<std::uint64_t> linkBytes;  ///< size n
+    /** The whole-network simulation the timings derive from. */
+    std::shared_ptr<const npusim::SimResult> sim;
     /**
-     * The DP rows and stage hashes shared across K. Memo values are
-     * const; the table behind this pointer mutates under its own
-     * lock.
+     * The DP rows shared across K. Memo values are const; the table
+     * behind this pointer mutates under its own lock.
      */
     std::unique_ptr<CutTable> cuts = std::make_unique<CutTable>();
 

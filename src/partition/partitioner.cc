@@ -9,6 +9,7 @@
 #include <limits>
 #include <mutex>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace supernpu {
@@ -46,35 +47,25 @@ Partitioner::Partitioner(const estimator::NpuEstimate &estimate,
     _link.check();
 }
 
-std::shared_ptr<const npusim::SimResult>
-Partitioner::simulate(std::uint64_t network_hash,
-                      const dnn::Network &network, int batch) const
-{
-    npusim::SimKey key;
-    key.networkHash = network_hash;
-    key.configHash = _configHash;
-    key.batch = batch;
-    return _cache->getOrRun(key, _sim, network);
-}
-
 LayerTimings
-Partitioner::buildTimings(const dnn::Network &network,
-                          const npusim::SimResult &full,
-                          int batch) const
+Partitioner::buildTimings(
+    const dnn::Network &network,
+    std::shared_ptr<const npusim::SimResult> full, int batch) const
 {
     // One whole-network simulation supplies the per-layer costs the
     // DP balances. These embed on-chip hand-off and overlap effects
     // of the unsplit schedule, so they are an estimate for *cut
-    // selection*; the chosen stages are re-simulated exactly.
+    // selection*; each chosen stage is then costed exactly, composed
+    // from this same run by NpuSimulator::runRange.
     const int n = (int)network.layers.size();
 
     LayerTimings t;
-    t.configName = full.configName;
-    t.frequencyGhz = full.frequencyGhz;
+    t.configName = full->configName;
+    t.frequencyGhz = full->frequencyGhz;
     t.prefix.assign(n + 1, 0.0);
     for (int l = 0; l < n; ++l) {
         t.prefix[l + 1] =
-            t.prefix[l] + (double)full.layers[l].totalCycles();
+            t.prefix[l] + (double)full->layers[l].totalCycles();
     }
     // Outbound link occupancy if the boundary sits after layer l.
     t.linkAfter.assign(n, 0.0);
@@ -86,25 +77,12 @@ Partitioner::buildTimings(const dnn::Network &network,
             transferCycles(_link, t.linkBytes[l], t.frequencyGhz);
         t.linkAfter[l] = (double)t.linkCycles[l];
     }
+    t.sim = std::move(full);
     return t;
 }
 
-dnn::Network
-stageNetwork(const dnn::Network &network, int first, int last)
-{
-    if (first == 0 && last == (int)network.layers.size() - 1)
-        return network;
-    dnn::Network stage;
-    stage.name = network.name + "[" + std::to_string(first) + "-" +
-                 std::to_string(last) + "]";
-    stage.layers.assign(network.layers.begin() + first,
-                        network.layers.begin() + last + 1);
-    return stage;
-}
-
 std::vector<Partitioner::StageCut>
-Partitioner::cutStages(const dnn::Network &network,
-                       std::uint64_t network_hash,
+Partitioner::cutStages(std::uint64_t network_hash,
                        const LayerTimings &timings, int first_k,
                        int last_k)
 {
@@ -162,22 +140,19 @@ Partitioner::cutStages(const dnn::Network &network,
                             "partition DP reconstruction broke");
         }
 
-        // K=1 reuses the whole-network hash; a sub-range is hashed
-        // the first time any K of this entry ends a stage on it.
+        // A stage's key names its parent and its range, in O(1): its
+        // simulation is runRange over the parent's, so nothing else
+        // can change it. K=1 keeps the whole network's hash — and
+        // with it the single-chip path's very cache entry.
         result.hash.resize(k, network_hash);
         int first = 0;
         for (int s = 0; s < k; ++s) {
             const int last = result.last[s];
-            if (first != 0 || last != n - 1) {
-                const std::uint64_t range =
-                    (std::uint64_t)first << 32 | (std::uint64_t)last;
-                const auto [it, fresh] =
-                    table.stageHashes.try_emplace(range);
-                if (fresh)
-                    it->second = npusim::hashNetwork(
-                        stageNetwork(network, first, last));
-                result.hash[s] = it->second;
-            }
+            if (first != 0 || last != n - 1)
+                result.hash[s] = Fnv1a(network_hash)
+                                     .word((std::uint64_t)first)
+                                     .word((std::uint64_t)last)
+                                     .value();
             first = last + 1;
         }
     }
@@ -262,22 +237,20 @@ Partitioner::partition(std::uint64_t net_hash,
     const auto timings =
         _timings.getOrCompute({net_hash, batch}, [&] {
             return buildTimings(
-                network, *simulate(net_hash, network, batch), batch);
+                network,
+                _cache->getOrRun({net_hash, _configHash, batch}, _sim,
+                                 network),
+                batch);
         });
-    const StageCut cut =
-        cutStages(network, net_hash, *timings, stages, stages)[0];
+    const StageCut cut = cutStages(net_hash, *timings, stages, stages)[0];
 
-    // Every chosen stage is re-simulated as a standalone
-    // sub-network; the sub-network is only built on a cache miss.
+    // Every chosen stage costs as a standalone sub-network, composed
+    // on a cache miss from the whole-network run the timings keep.
     return assemble(network.name, *timings, cut, batch, [&](int s) {
         const int first = s == 0 ? 0 : cut.last[s - 1] + 1;
-        npusim::SimKey key;
-        key.networkHash = cut.hash[s];
-        key.configHash = _configHash;
-        key.batch = batch;
-        return _cache->getOrCompute(key, [&] {
-            return _sim.run(stageNetwork(network, first, cut.last[s]),
-                            batch);
+        return _cache->getOrCompute({cut.hash[s], _configHash, batch}, [&] {
+            return _sim.runRange(network, first, cut.last[s], batch,
+                                 *timings->sim);
         });
     });
 }

@@ -11,10 +11,13 @@
  * npusim::SimCache), the DP picks the cuts over those prefix sums
  * plus the outbound link transfer at each candidate boundary (its
  * rows are shared by every K of one (network, batch) point), and
- * every chosen stage is then re-simulated exactly as a standalone
+ * every chosen stage is then costed exactly as a standalone
  * sub-network — a stage head refills its ifmap buffer from memory
  * and cannot overlap its first weight fetch with a previous layer,
  * just as a real chip receiving activations over the link would.
+ * Such a stage is its cold head layer plus the whole run's later
+ * layers, so NpuSimulator::runRange composes it from the whole run;
+ * its cache key is an O(1) mix of (network hash, first, last).
  *
  * K=1 equivalence guarantee: a single-stage partition keeps the
  * original network (same name, same layers), so its stage SimResult
@@ -47,9 +50,9 @@ struct PipelineStage
     int firstLayer = 0; ///< inclusive index into the source network
     int lastLayer = 0;  ///< inclusive
     /**
-     * Cycle simulation of the stage, as a standalone sub-network
-     * (stageNetwork), at the plan's batch. Its networkName names
-     * the sub-network (K=1: the original network's name).
+     * Cycle simulation of the stage, as a standalone sub-network,
+     * at the plan's batch (NpuSimulator::runRange). Its networkName
+     * names the sub-network (K=1: the original network's name).
      */
     std::shared_ptr<const npusim::SimResult> sim;
     std::uint64_t stageCycles = 0; ///< sim->totalCycles
@@ -101,16 +104,6 @@ struct PartitionPlan
     double intervalSec() const;
 };
 
-/**
- * Layers [first, last] of `network` as a standalone stage. The whole
- * range is the network itself — identical name and layers, so its
- * simulation hits (or seeds) the exact cache entry the single-chip
- * path uses. This is the byte-identity guarantee
- * docs/partitioning.md pins.
- */
-dnn::Network stageNetwork(const dnn::Network &network, int first,
-                          int last);
-
 /** Bottleneck-minimizing contiguous partitioner for one design. */
 class Partitioner
 {
@@ -160,30 +153,31 @@ class Partitioner
     // --- the pieces partition() is built from, which the hybrid
     // planner's search also drives phase by phase ------------------
 
-    /** The stages of one cut: boundaries and sub-network hashes. */
+    /** The stages of one cut: boundaries and stage keys. */
     struct StageCut
     {
         std::vector<int> last; ///< last layer of each stage
-        std::vector<std::uint64_t> hash; ///< hashNetwork per stage
+        std::vector<std::uint64_t> hash; ///< SimKey::networkHash
     };
 
     /**
      * The cut-search inputs of `network` at `batch`, derived from
-     * `full`, the whole network's simulation at that batch.
+     * `full`, the whole network's simulation at that batch, which
+     * they keep for runRange.
      */
-    LayerTimings buildTimings(const dnn::Network &network,
-                              const npusim::SimResult &full,
-                              int batch) const;
+    LayerTimings buildTimings(
+        const dnn::Network &network,
+        std::shared_ptr<const npusim::SimResult> full, int batch) const;
 
     /**
-     * The best K-way split of `network` (hashed `network_hash`) for
-     * every K in [first_k, last_k], in order. Extends the entry's
-     * shared DP rows up to last_k first and hashes each stage range
-     * it has not seen, all under one CutTable lock.
+     * The best K-way split of the network hashed `network_hash`
+     * for every K in [first_k, last_k], in order. Extends the
+     * entry's shared DP rows up to last_k first, under one CutTable
+     * lock. The only place stage keys are made.
      */
     static std::vector<StageCut>
-    cutStages(const dnn::Network &network, std::uint64_t network_hash,
-              const LayerTimings &timings, int first_k, int last_k);
+    cutStages(std::uint64_t network_hash, const LayerTimings &timings,
+              int first_k, int last_k);
 
     /**
      * The plan of one cut of a `network_name` point at `batch`:
@@ -200,11 +194,6 @@ class Partitioner
     LayerTimingCache &timingCache() const { return _timings; }
 
   private:
-    /** Cached simulation of `network` (hashed `network_hash`). */
-    std::shared_ptr<const npusim::SimResult>
-    simulate(std::uint64_t network_hash, const dnn::Network &network,
-             int batch) const;
-
     npusim::NpuSimulator _sim;
     LinkConfig _link;
     npusim::SimCache *_cache;

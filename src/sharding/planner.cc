@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <map>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -73,11 +72,7 @@ HybridPlanner::HybridPlanner(const estimator::NpuEstimate &estimate,
 npusim::SimKey
 HybridPlanner::simKey(std::uint64_t network_hash, int batch) const
 {
-    npusim::SimKey key;
-    key.networkHash = network_hash;
-    key.configHash = _sharder._configHash;
-    key.batch = batch;
-    return key;
+    return {network_hash, _sharder._configHash, batch};
 }
 
 ShardPlan
@@ -217,6 +212,7 @@ struct SearchPoint
 {
     int t = 1, share = 1;
     int soloPoint = 0;  ///< the (1, share) point: the unsharded run
+    std::size_t firstCandidate = 0; ///< the first candidate reading it
     int maxStages = 1;  ///< largest K any candidate asks for
     npusim::SimKey wideKey; ///< the T-way shard network at the share
     std::shared_ptr<const npusim::SimResult> wide;
@@ -265,6 +261,7 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
                 point.t = t;
                 point.share = share;
                 point.soloPoint = point_of.at({1, share});
+                point.firstCandidate = candidates.size();
                 points.push_back(std::move(point));
             }
             const int k_limit = std::min(chip_budget / (r * t), max_k);
@@ -335,64 +332,59 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
             if (!p.timingsResident)
                 p.timings =
                     std::make_shared<const partition::LayerTimings>(
-                        _partitioner.buildTimings(shard.network,
-                                                  *p.wide, p.share));
+                        _partitioner.buildTimings(shard.network, p.wide,
+                                                  p.share));
             p.cuts = partition::Partitioner::cutStages(
-                shard.network, shard.hash, *p.timings, 1,
-                p.maxStages);
+                shard.hash, *p.timings, 1, p.maxStages);
             p.tensor = _sharder.assemble(network, p.t, p.share, p.wide,
                                          points[p.soloPoint].wide);
             const int n = p.timings->layerCount();
+            std::vector<char> seen(n * n, 0);
             for (const auto &cut : p.cuts) {
                 int first = 0;
                 for (std::size_t s = 0; s < cut.last.size(); ++s) {
                     const int last = cut.last[s];
-                    if (first != 0 || last != n - 1)
+                    if ((first != 0 || last != n - 1) &&
+                        !seen[first * n + last]++)
                         p.ranges.push_back(StageRange{
                             simKey(cut.hash[s], p.share), first, last});
                     first = last + 1;
                 }
             }
-            std::sort(p.ranges.begin(), p.ranges.end(),
-                      [](const StageRange &a, const StageRange &b) {
-                          return std::tie(a.first, a.last) <
-                                 std::tie(b.first, b.last);
-                      });
-            p.ranges.erase(
-                std::unique(p.ranges.begin(), p.ranges.end(),
-                            [](const StageRange &a,
-                               const StageRange &b) {
-                                return a.first == b.first &&
-                                       a.last == b.last;
-                            }),
-                p.ranges.end());
         });
 
         // The serial walk's lookup sequences, candidate by candidate
         // in the order evaluate() issues them. The timing memo is
         // unbounded, so a point's LayerTimings misses exactly once —
         // at its first candidate, unless it was resident — and that
-        // miss looks the wide simulation up again.
-        std::vector<char> timings_seen(points.size(), 0);
-        std::size_t lookups = points.size();
-        for (const Candidate &c : candidates)
-            lookups += 2 + (c.t > 1) + c.k;
-        sim_keys.reserve(lookups);
-        timing_keys.reserve(candidates.size());
-        for (const Candidate &c : candidates) {
-            const SearchPoint &p = points[c.point];
-            sim_keys.push_back(p.wideKey);
-            if (c.t > 1)
-                sim_keys.push_back(points[p.soloPoint].wideKey);
-            timing_keys.push_back({shards[c.t - 1].hash, p.share});
-            if (!p.timingsResident && !timings_seen[c.point]) {
-                timings_seen[c.point] = 1;
-                sim_keys.push_back(p.wideKey);
-            }
-            for (std::uint64_t hash : p.cuts[c.k - 1].hash)
-                sim_keys.push_back(simKey(hash, p.share));
-            sim_keys.push_back(solo_key);
+        // miss looks the wide simulation up again. Each candidate's
+        // lookup count is known up front, so each fills its own
+        // slice of the sequence, at an offset from a prefix sum.
+        const auto rewide = [&](std::size_t i) {
+            const SearchPoint &p = points[candidates[i].point];
+            return !p.timingsResident && p.firstCandidate == i;
+        };
+        std::vector<std::size_t> offset(candidates.size() + 1, 0);
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+            const Candidate &c = candidates[i];
+            offset[i + 1] = offset[i] + 2 + (c.t > 1) + rewide(i) + c.k;
         }
+        sim_keys.resize(offset.back());
+        timing_keys.resize(candidates.size());
+        pool.parallelFor(candidates.size(), [&](std::size_t i) {
+            const Candidate &c = candidates[i];
+            const SearchPoint &p = points[c.point];
+            npusim::SimKey *key = &sim_keys[offset[i]];
+            *key++ = p.wideKey;
+            if (c.t > 1)
+                *key++ = points[p.soloPoint].wideKey;
+            timing_keys[i] = {shards[c.t - 1].hash, p.share};
+            if (rewide(i))
+                *key++ = p.wideKey;
+            for (std::uint64_t hash : p.cuts[c.k - 1].hash)
+                *key++ = simKey(hash, p.share);
+            *key = solo_key;
+        });
 
         // Every key the sequence names: the wide runs are in hand
         // (and the solo keys are T=1 wide keys); a stage key is
@@ -416,11 +408,11 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
         perf::Scope span("planner.simulate");
         pool.parallelFor(misses.size(), [&](std::size_t i) {
             const Miss &miss = misses[i];
-            const dnn::Network stage = partition::stageNetwork(
-                shards[miss.point->t - 1].network, miss.range->first,
-                miss.range->last);
             *miss.slot = std::make_shared<const npusim::SimResult>(
-                _sharder._sim.run(stage, miss.point->share));
+                _sharder._sim.runRange(
+                    shards[miss.point->t - 1].network,
+                    miss.range->first, miss.range->last,
+                    miss.point->share, *miss.point->timings->sim));
         });
     }
 

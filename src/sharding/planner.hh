@@ -11,8 +11,8 @@
  *  - TP (T): within a replica, every layer's filters split across T
  *    chips (tensor_shard geometry), adding a per-layer all-reduce.
  *  - PP (K): the T-wide sharded network is cut into K contiguous
- *    stages by partition::Partitioner — genuine stage re-simulation
- *    of the shrunk geometry — with the per-layer TP all-reduce
+ *    stages by partition::Partitioner — each a standalone stage of
+ *    the shrunk geometry — with the per-layer TP all-reduce
  *    cycles overlaid onto each stage's occupancy. (Cuts are chosen
  *    by the partitioner *before* the overlay — a documented
  *    approximation; the overlaid occupancies are what the plan
@@ -39,14 +39,15 @@
  *  1. derive (parallel per (T, replica share) point): the wide
  *     simulation (resident, or run now), the LayerTimings, the cut
  *     DP grown to the largest K any candidate asks for, every K's
- *     cuts and stage hashes, and the TensorShardResult — once per
- *     point instead of once per candidate;
- *  2. derive (serial): the exact SimCache and LayerTimingCache key
- *     sequences the serial walk issues, including the repeated wide
- *     lookup inside a LayerTimings miss;
- *  3. simulate (parallel, no lock): every distinct key of those
- *     sequences that is not resident, stage sub-networks built only
- *     here;
+ *     cuts and O(1) stage keys, and the TensorShardResult — once
+ *     per point instead of once per candidate;
+ *  2. derive (parallel per candidate, at offsets from a prefix sum
+ *     of the lookup counts): the exact SimCache and LayerTimingCache
+ *     key sequences the serial walk issues, including the repeated
+ *     wide lookup inside a LayerTimings miss;
+ *  3. simulate (parallel, no lock): every distinct stage key of
+ *     those sequences that is not resident, by runRange — one cold
+ *     head layer plus the point's wide run's later layers;
  *  4. replay (serial): both sequences through their memos'
  *     Memo::replay, which counts and evicts exactly as the serial
  *     walk's getOrCompute calls would;

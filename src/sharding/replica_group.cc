@@ -43,11 +43,8 @@ ReplicaGroup::ReplicaGroup(const estimator::NpuEstimate &estimate,
 std::shared_ptr<const npusim::SimResult>
 ReplicaGroup::simulate(const dnn::Network &network, int batch) const
 {
-    npusim::SimKey key;
-    key.networkHash = npusim::hashNetwork(network);
-    key.configHash = _configHash;
-    key.batch = batch;
-    return _cache->getOrRun(key, _sim, network);
+    return _cache->getOrRun(
+        {npusim::hashNetwork(network), _configHash, batch}, _sim, network);
 }
 
 ReplicaGroupResult

@@ -87,11 +87,8 @@ std::shared_ptr<const npusim::SimResult>
 TensorSharder::simulate(std::uint64_t network_hash,
                         const dnn::Network &network, int batch) const
 {
-    npusim::SimKey key;
-    key.networkHash = network_hash;
-    key.configHash = _configHash;
-    key.batch = batch;
-    return _cache->getOrRun(key, _sim, network);
+    return _cache->getOrRun({network_hash, _configHash, batch}, _sim,
+                            network);
 }
 
 TensorShardResult

@@ -2,16 +2,20 @@
  * @file
  * Tests for the cycle-level NPU performance simulator: the batch
  * solver (Table II), MAC conservation, the Fig. 15/18/20/22 cost
- * mechanics, and the optimization-step orderings.
+ * mechanics, the optimization-step orderings, and the composition
+ * of stage sub-networks from a whole-network run (runRange).
  */
 
 #include <gtest/gtest.h>
+
+#include <tuple>
 
 #include "common/units.hh"
 #include "dnn/networks.hh"
 #include "npusim/batch.hh"
 #include "npusim/mapping.hh"
 #include "npusim/sim.hh"
+#include "obs/ledger.hh"
 
 namespace supernpu {
 namespace npusim {
@@ -583,6 +587,126 @@ TEST_F(SimFixture, DepthwiseUnderutilizesThePeArray)
     const double util_pw =
         (double)rpw.macOps / (double)rpw.totalCycles();
     EXPECT_LT(util_dw, util_pw / 10.0);
+}
+
+// --- stage composition (runRange) --------------------------------------------
+
+/** Every LayerResult field, in declaration order. */
+auto
+layerFields(const LayerResult &l)
+{
+    return std::make_tuple(
+        l.layerName, l.computeCycles, l.prepCycles, l.memoryStallCycles,
+        l.prep.weightLoad, l.prep.ifmapFill, l.prep.ifmapRewind,
+        l.prep.psumMove, l.prep.outputFlush, l.prep.outputHandoff,
+        l.macOps, l.weightMappings, l.dramBytes, l.dramWeightBytes,
+        l.dramIfmapBytes, l.dramOutputBytes, l.outputOnChip,
+        l.lastMappingComputeCycles, l.ifmapShiftChunkCycles,
+        l.outputShiftChunkCycles, l.dauWordsForwarded, l.nwHops);
+}
+
+/** Every SimResult field except the per-layer list. */
+auto
+totalFields(const SimResult &r)
+{
+    return std::make_tuple(
+        r.networkName, r.configName, r.batch, r.frequencyGhz,
+        r.layers.size(), r.totalCycles, r.computeCycles, r.prepCycles,
+        r.memoryStallCycles, r.prep.weightLoad, r.prep.ifmapFill,
+        r.prep.ifmapRewind, r.prep.psumMove, r.prep.outputFlush,
+        r.prep.outputHandoff, r.macOps, r.dramBytes, r.dramWeightBytes,
+        r.dramIfmapBytes, r.dramOutputBytes, r.ifmapShiftChunkCycles,
+        r.outputShiftChunkCycles, r.dauWordsForwarded, r.nwHops,
+        r.faultEventsInjected, r.faultRecomputeCycles);
+}
+
+/** One built-in workload per instance. */
+class RangeComposition : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(RangeComposition, EveryRangeEqualsTheStandaloneSubNetwork)
+{
+    // A standalone stage is its head layer simulated cold plus the
+    // wide run's later layers: runRange must equal run() on the
+    // hand-built sub-network field by field and in the ledger, for
+    // every range, both ends of the optimization ladder, double
+    // buffering on and off, and batches up to one whose ifmaps no
+    // longer fit on chip.
+    std::vector<dnn::Network> nets = dnn::evaluationWorkloads();
+    nets.push_back(dnn::makeResNet18());
+    nets.push_back(dnn::makeVgg19());
+    const dnn::Network &net = nets.at(GetParam());
+    const int n = (int)net.layers.size();
+
+    sfq::DeviceConfig dev;
+    sfq::CellLibrary lib(dev);
+    NpuEstimator estimator(lib);
+    int cold_heads = 0, streamed_heads = 0;
+    for (NpuConfig config : {NpuConfig::superNpu(), NpuConfig::baseline()}) {
+        for (bool double_buffer : {false, true}) {
+            config.weightDoubleBuffering = double_buffer;
+            const NpuEstimate est = estimator.estimate(config);
+            const NpuSimulator sim(est);
+            for (int batch : {1, 7, maxBatch(config, est, net)}) {
+                const SimResult whole = sim.run(net, batch);
+                for (int first = 0; first < n; ++first) {
+                    const bool fits =
+                        maxIfmapBatch(config, est, net.layers[first]) >=
+                        batch;
+                    ++(fits ? cold_heads : streamed_heads);
+                    for (int last = first; last < n; ++last) {
+                        SCOPED_TRACE(config.name + " db=" +
+                                     std::to_string(double_buffer) +
+                                     " batch=" + std::to_string(batch) +
+                                     " [" + std::to_string(first) + ", " +
+                                     std::to_string(last) + "]");
+                        dnn::Network stage;
+                        stage.name = net.name;
+                        if (first != 0 || last != n - 1)
+                            stage.name += "[" + std::to_string(first) +
+                                          "-" + std::to_string(last) +
+                                          "]";
+                        stage.layers.assign(
+                            net.layers.begin() + first,
+                            net.layers.begin() + last + 1);
+                        const SimResult expected = sim.run(stage, batch);
+                        const SimResult composed =
+                            sim.runRange(net, first, last, batch, whole);
+                        ASSERT_EQ(totalFields(composed),
+                                  totalFields(expected));
+                        for (int l = 0; l <= last - first; ++l)
+                            ASSERT_EQ(layerFields(composed.layers[l]),
+                                      layerFields(expected.layers[l]))
+                                << "layer " << l;
+                        obs::RunLedger a, b;
+                        obs::addSimResult(a, composed);
+                        obs::addSimResult(b, expected);
+                        ASSERT_EQ(a.json(), b.json());
+                    }
+                }
+            }
+        }
+    }
+    // Heads whose ifmap fills from DRAM and heads that stream it.
+    EXPECT_GT(cold_heads, 0);
+    EXPECT_GT(streamed_heads, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(BuiltinWorkloads, RangeComposition,
+                         ::testing::Range(0, 8));
+
+TEST_F(SimFixture, RunRangeRejectsAMismatchedWideRun)
+{
+    const NpuSimulator sim(estimate(NpuConfig::superNpu()));
+    const dnn::Network net = dnn::makeAlexNet();
+    const SimResult whole = sim.run(net, 2);
+    EXPECT_DEATH(sim.runRange(net, 0, 1, 3, whole), "does not match");
+    EXPECT_DEATH(sim.runRange(net, 2, 1, 2, whole), "layer range");
+    TraceRecorder trace;
+    NpuSimulator traced(estimate(NpuConfig::superNpu()));
+    traced.setTrace(&trace);
+    EXPECT_DEATH(traced.runRange(net, 0, 1, 2, whole), "trace");
 }
 
 } // namespace

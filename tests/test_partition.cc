@@ -13,8 +13,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -193,6 +195,50 @@ TEST_F(PartitionFixture, RepartitioningHitsTheLayerTimingCache)
               first.misses + 1);
 }
 
+TEST_F(PartitionFixture, StageKeysNameTheParentAndTheRange)
+{
+    // A stage's cache key is an O(1) mix of its parent's hash and its
+    // range. Over every K's cuts of two parents that differ only in
+    // name, one (parent, range) always gets one key, a key never
+    // names two (parent, range) pairs, and K=1 keeps the parent's own
+    // hash — the single-chip path's cache entry.
+    dnn::Network twin = net;
+    twin.name = "PartTwin";
+    const int n = (int)net.layers.size();
+    Partitioner partitioner(estimate, {}, &cache);
+    const npusim::NpuSimulator sim(estimate);
+    using Range = std::tuple<int, int, int>; // parent, first, last
+    std::map<std::uint64_t, Range> range_of;
+    std::map<Range, std::uint64_t> key_of;
+    int parent = 0;
+    for (const dnn::Network *network : {&net, &twin}) {
+        const std::uint64_t hash = npusim::hashNetwork(*network);
+        const LayerTimings timings = partitioner.buildTimings(
+            *network, cache.getOrRun(sim, *network, batch), batch);
+        const std::vector<Partitioner::StageCut> cuts =
+            Partitioner::cutStages(hash, timings, 1, n);
+        EXPECT_EQ(cuts[0].hash, std::vector<std::uint64_t>{hash});
+        for (const Partitioner::StageCut &cut : cuts) {
+            int first = 0;
+            for (std::size_t s = 0; s < cut.last.size(); ++s) {
+                const Range range{parent, first, cut.last[s]};
+                EXPECT_EQ(range_of.try_emplace(cut.hash[s], range)
+                              .first->second,
+                          range);
+                EXPECT_EQ(key_of.try_emplace(range, cut.hash[s])
+                              .first->second,
+                          cut.hash[s]);
+                first = cut.last[s] + 1;
+            }
+        }
+        ++parent;
+    }
+    // Per parent at least the whole range (K=1) and the n single
+    // layers (K=n), each under a key of its own.
+    EXPECT_EQ(key_of.size(), range_of.size());
+    EXPECT_GE(key_of.size(), 2u * (std::size_t)(n + 1));
+}
+
 // --- layer-timing cache ----------------------------------------------
 
 /** A minimal one-layer LayerTimings tagged by configName. */
@@ -302,8 +348,8 @@ TEST(CutTable, AnyKOrderMatchesAFreshPartitionerPerK)
     const int batch = npusim::maxBatch(config, estimate, net);
     const int n = (int)net.layers.size();
 
-    // The reference: a fresh Partitioner, hence a fresh DP table and
-    // stage-hash table, for every K. Simulations are pure, so the
+    // The reference: a fresh Partitioner, hence a fresh DP table,
+    // for every K. Simulations are pure, so the
     // SimCache may be shared.
     npusim::SimCache cache;
     std::vector<PartitionPlan> fresh;
