@@ -97,7 +97,7 @@ main(int argc, char **argv)
         .cell("util %");
 
     auto kc = [](std::uint64_t cycles) { return (double)cycles / 1e3; };
-    for (const auto &layer : run.layers) {
+    for (const auto &layer : run.layers()) {
         const double util =
             (double)layer.macOps /
             ((double)layer.totalCycles() * config.peCount());

@@ -318,15 +318,17 @@ oracleDoubleBuffering(const CheckCase &c, const sfq::CellLibrary &lib,
     Checker checker;
     checker.expectLe(on.totalCycles, off.totalCycles,
                      "double buffering must never slow a run");
-    for (std::size_t i = 0; i < off.layers.size(); ++i) {
-        checker.expectLe(on.layers[i].prep.weightLoad,
-                         off.layers[i].prep.weightLoad,
+    const npusim::LayerView on_layers = on.layers();
+    const npusim::LayerView off_layers = off.layers();
+    for (std::size_t i = 0; i < off_layers.size(); ++i) {
+        checker.expectLe(on_layers[i].prep.weightLoad,
+                         off_layers[i].prep.weightLoad,
                          "double buffering must never add weight-load "
-                         "cycles (" + off.layers[i].layerName + ")");
+                         "cycles (" + off_layers[i].layerName + ")");
     }
-    if (!off.layers.empty() && off.layers[0].weightMappings == 1) {
-        checker.expectEq(on.layers[0].prep.weightLoad,
-                         off.layers[0].prep.weightLoad,
+    if (!off_layers.empty() && off_layers[0].weightMappings == 1) {
+        checker.expectEq(on_layers[0].prep.weightLoad,
+                         off_layers[0].prep.weightLoad,
                          "the first mapping has nothing to hide "
                          "behind");
     }
@@ -351,9 +353,9 @@ oracleRegsMonotone(const CheckCase &c, const sfq::CellLibrary &lib,
     const npusim::SimResult hi =
         npusim::NpuSimulator(est_hi).run(net, c.batch);
     std::uint64_t lo_mappings = 0, hi_mappings = 0;
-    for (const npusim::LayerResult &layer : lo.layers)
+    for (const npusim::LayerResult &layer : lo.layers())
         lo_mappings += layer.weightMappings;
-    for (const npusim::LayerResult &layer : hi.layers)
+    for (const npusim::LayerResult &layer : hi.layers())
         hi_mappings += layer.weightMappings;
     if (cook == Cook::Tamper)
         hi_mappings = lo_mappings + 1;

@@ -21,6 +21,42 @@ PrepBreakdown::add(const PrepBreakdown &other)
     outputHandoff += other.outputHandoff;
 }
 
+LayerView
+SimResult::layers() const
+{
+    if (_layerCount == 0)
+        return {};
+    const std::vector<LayerResult> &tail = _wide ? _wide->_owned : _owned;
+    return LayerView(_owned.data(), tail.data() + _tailFirst, _layerCount);
+}
+
+void
+SimResult::setLayers(std::vector<LayerResult> layers)
+{
+    _owned = std::move(layers);
+    _wide.reset();
+    _tailFirst = 1;
+    _layerCount = _owned.size();
+}
+
+void
+SimResult::shareTail(LayerResult head,
+                     std::shared_ptr<const SimResult> wide,
+                     std::size_t first, std::size_t last)
+{
+    SUPERNPU_ASSERT(wide && !wide->_wide,
+                    "a stage shares the tail of a run that owns all its "
+                    "layers, not of another stage");
+    SUPERNPU_ASSERT(first <= last && last < wide->_layerCount,
+                    "layer range [", first, ", ", last, "] outside ",
+                    wide->_layerCount);
+    _owned.clear();
+    _owned.push_back(std::move(head));
+    _wide = std::move(wide);
+    _tailFirst = first + 1;
+    _layerCount = last - first + 1;
+}
+
 double
 SimResult::seconds() const
 {

@@ -6,7 +6,10 @@
 #ifndef SUPERNPU_NPUSIM_RESULT_HH
 #define SUPERNPU_NPUSIM_RESULT_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -78,7 +81,77 @@ struct LayerResult
     }
 };
 
-/** Whole-network simulation result. */
+/**
+ * Read-only view of a SimResult's per-layer results in network order:
+ * layer 0, then a contiguous run of the rest. Valid while the
+ * SimResult it came from lives.
+ */
+class LayerView
+{
+  public:
+    class const_iterator
+    {
+      public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = LayerResult;
+        using difference_type = std::ptrdiff_t;
+        using pointer = const LayerResult *;
+        using reference = const LayerResult &;
+
+        const_iterator(const LayerView &view, std::size_t i)
+            : _head(view._head), _tail(view._tail), _i(i)
+        {
+        }
+        reference operator*() const
+        {
+            return _i == 0 ? *_head : _tail[_i - 1];
+        }
+        const_iterator &operator++()
+        {
+            ++_i;
+            return *this;
+        }
+        bool operator==(const const_iterator &o) const { return _i == o._i; }
+        bool operator!=(const const_iterator &o) const { return _i != o._i; }
+
+      private:
+        const LayerResult *_head;
+        const LayerResult *_tail;
+        std::size_t _i;
+    };
+
+    LayerView() = default;
+    LayerView(const LayerResult *head, const LayerResult *tail,
+              std::size_t size)
+        : _head(head), _tail(tail), _size(size)
+    {
+    }
+
+    std::size_t size() const { return _size; }
+    bool empty() const { return _size == 0; }
+    const LayerResult &operator[](std::size_t i) const
+    {
+        return i == 0 ? *_head : _tail[i - 1];
+    }
+    const_iterator begin() const { return const_iterator(*this, 0); }
+    const_iterator end() const { return const_iterator(*this, _size); }
+
+  private:
+    const LayerResult *_head = nullptr;
+    const LayerResult *_tail = nullptr; ///< layers 1..size-1
+    std::size_t _size = 0;
+};
+
+/**
+ * Whole-network (or pipeline-stage) simulation result.
+ *
+ * Who owns which layers: a result of NpuSimulator::run() or of the
+ * TPU comparator owns every layer. A stage composed by
+ * NpuSimulator::runRange owns only its cold head layer; the rest of
+ * its layers are its wide run's, read in place through a shared
+ * pointer that keeps that wide run alive as long as the stage lives.
+ * Readers see both kinds through the one view, layers().
+ */
 struct SimResult
 {
     std::string networkName;
@@ -86,7 +159,17 @@ struct SimResult
     int batch = 1;
     double frequencyGhz = 0.0;
 
-    std::vector<LayerResult> layers;
+    /** Every per-layer result, in network order. */
+    LayerView layers() const;
+    /** Own `layers` as every per-layer result. Totals stay as set. */
+    void setLayers(std::vector<LayerResult> layers);
+    /**
+     * Own `head` as layer 0 and read `wide`'s layers first+1..last
+     * in place as the rest. `wide` must own all its layers. Totals
+     * stay as set.
+     */
+    void shareTail(LayerResult head, std::shared_ptr<const SimResult> wide,
+                   std::size_t first, std::size_t last);
 
     std::uint64_t totalCycles = 0;
     std::uint64_t computeCycles = 0;
@@ -137,6 +220,15 @@ struct SimResult
     double peUtilization(int pe_count) const;
     /** Fraction of cycles spent outside computation. */
     double preparationFraction() const;
+
+  private:
+    /** Every layer, or a composed stage's head only. */
+    std::vector<LayerResult> _owned;
+    /** A composed stage's wide run, whose _owned holds the tail. */
+    std::shared_ptr<const SimResult> _wide;
+    /** Index of layer 1 in the tail's vector (_wide's or _owned). */
+    std::size_t _tailFirst = 1;
+    std::size_t _layerCount = 0;
 };
 
 } // namespace npusim

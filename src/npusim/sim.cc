@@ -21,17 +21,19 @@ namespace {
 /** Cycles to switch integrated-buffer chunk roles (mux reconfig). */
 constexpr std::uint64_t chunkSwitchCycles = 4;
 
-/** `layers` as a named result, totals summed: run's and runRange's. */
+/**
+ * `result` named, its layers summed into its totals: the one roll-up
+ * of run() and runRange().
+ */
 SimResult
 assemble(const estimator::NpuEstimate &est, std::string name, int batch,
-         std::vector<LayerResult> layers)
+         SimResult result)
 {
-    SimResult result;
     result.networkName = std::move(name);
     result.configName = est.config.name;
     result.batch = batch;
     result.frequencyGhz = est.frequencyGhz;
-    for (const LayerResult &lr : layers) {
+    for (const LayerResult &lr : result.layers()) {
         result.computeCycles += lr.computeCycles;
         result.prepCycles += lr.prepCycles;
         result.prep.add(lr.prep);
@@ -48,7 +50,6 @@ assemble(const estimator::NpuEstimate &est, std::string name, int batch,
     }
     result.totalCycles = result.computeCycles + result.prepCycles +
                          result.memoryStallCycles;
-    result.layers = std::move(layers);
     return result;
 }
 
@@ -308,26 +309,30 @@ NpuSimulator::run(const dnn::Network &network, int batch) const
         runs.add(1);
         layer_sims.add(layers.size());
     }
-    return assemble(_est, network.name, batch, std::move(layers));
+    SimResult result;
+    result.setLayers(std::move(layers));
+    return assemble(_est, network.name, batch, std::move(result));
 }
 
 SimResult
 NpuSimulator::runRange(const dnn::Network &network, int first, int last,
-                       int batch, const SimResult &whole) const
+                       int batch,
+                       std::shared_ptr<const SimResult> whole) const
 {
     const int n = (int)network.layers.size();
-    SUPERNPU_ASSERT(!_trace, "runRange copies layers no trace sees");
+    SUPERNPU_ASSERT(!_trace, "runRange shares layers no trace sees");
     SUPERNPU_ASSERT(first >= 0 && first <= last && last < n,
                     "layer range [", first, ", ", last, "] outside ", n);
-    SUPERNPU_ASSERT((int)whole.layers.size() == n && whole.batch == batch,
+    SUPERNPU_ASSERT(whole && (int)whole->layers().size() == n &&
+                        whole->batch == batch,
                     "wide run does not match ", n, " layers at batch ",
                     batch);
 
     // The wide run's layers, but the head starts cold: its input in
     // DRAM, nothing before its first weight fetch.
-    std::vector<LayerResult> layers(whole.layers.begin() + first,
-                                    whole.layers.begin() + last + 1);
-    layers[0] = simulateLayer(network.layers[first], batch, false, 0);
+    SimResult result;
+    result.shareTail(simulateLayer(network.layers[first], batch, false, 0),
+                     std::move(whole), first, last);
     if (perf::enabled()) {
         static perf::Counter &layer_sims =
             perf::counter("npusim.layerSims");
@@ -338,7 +343,7 @@ NpuSimulator::runRange(const dnn::Network &network, int first, int last,
                     all ? network.name
                         : network.name + "[" + std::to_string(first) +
                               "-" + std::to_string(last) + "]",
-                    batch, std::move(layers));
+                    batch, std::move(result));
 }
 
 } // namespace npusim

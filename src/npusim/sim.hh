@@ -26,6 +26,8 @@
 #ifndef SUPERNPU_NPUSIM_SIM_HH
 #define SUPERNPU_NPUSIM_SIM_HH
 
+#include <memory>
+
 #include "dnn/layer.hh"
 #include "estimator/npu_estimator.hh"
 #include "result.hh"
@@ -66,13 +68,17 @@ class NpuSimulator
      * (the whole range keeps the name), given `whole` == run(network,
      * batch). A layer reads its predecessor only through outputOnChip
      * and lastMappingComputeCycles, which ignore that predecessor's
-     * inputs, so the head is simulated cold and the tail copied from
-     * `whole`. The head counts in npusim.layerSims, the call not in
-     * npusim.runs. Panics with a trace attached or on a range, layer
-     * count or batch that `whole` does not match.
+     * inputs, so the head is simulated cold and the tail shared with
+     * `whole`: the result owns its head layer only, reads layers
+     * first+1..last in place from `whole` and keeps `whole` alive.
+     * The head counts in npusim.layerSims, the call not in
+     * npusim.runs. Panics with a trace attached, on a range, layer
+     * count or batch that `whole` does not match, or when `whole` is
+     * itself a composed stage.
      */
     SimResult runRange(const dnn::Network &network, int first, int last,
-                       int batch, const SimResult &whole) const;
+                       int batch,
+                       std::shared_ptr<const SimResult> whole) const;
 
     /** The estimate this simulator was built from. */
     const estimator::NpuEstimate &estimate() const { return _est; }

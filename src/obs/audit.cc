@@ -132,7 +132,7 @@ auditSim(const npusim::SimResult &result)
     std::uint64_t dram = 0, dram_weight = 0, dram_ifmap = 0;
     std::uint64_t dram_output = 0;
     npusim::PrepBreakdown buckets;
-    for (const npusim::LayerResult &layer : result.layers) {
+    for (const npusim::LayerResult &layer : result.layers()) {
         auditLayer(report, layer);
         compute += layer.computeCycles;
         prep += layer.prepCycles;
@@ -386,14 +386,14 @@ auditSharding(const sharding::TensorShardResult &result)
     }
     audit.merge(auditSim(*result.wideSim));
     expectEq(audit, "sharding/tp", "layerCount",
-             (std::uint64_t)result.wideSim->layers.size(),
+             (std::uint64_t)result.wideSim->layers().size(),
              (std::uint64_t)result.layers.size());
     std::uint64_t shard = 0, coll = 0, bytes = 0;
     for (std::size_t l = 0; l < result.layers.size(); ++l) {
         const sharding::ShardLayerTiming &timing = result.layers[l];
         expectEq(audit, "sharding/tp/" + timing.layerName,
                  "shardCycles",
-                 result.wideSim->layers[l].totalCycles(),
+                 result.wideSim->layers()[l].totalCycles(),
                  timing.shardCycles);
         shard += timing.shardCycles;
         coll = sharding::saturatingAdd(coll, timing.reduceCycles);

@@ -324,7 +324,7 @@ addSimResult(RunLedger &ledger, const npusim::SimResult &result)
          "dramBytes", "dramWeightBytes", "dramIfmapBytes",
          "dramOutputBytes"});
     (void)layers;
-    for (const npusim::LayerResult &layer : result.layers) {
+    for (const npusim::LayerResult &layer : result.layers()) {
         ledger.addRow(
             "layers",
             {Value::text(layer.layerName),

@@ -65,7 +65,7 @@ Partitioner::buildTimings(
     t.prefix.assign(n + 1, 0.0);
     for (int l = 0; l < n; ++l) {
         t.prefix[l + 1] =
-            t.prefix[l] + (double)full->layers[l].totalCycles();
+            t.prefix[l] + (double)full->layers()[l].totalCycles();
     }
     // Outbound link occupancy if the boundary sits after layer l.
     t.linkAfter.assign(n, 0.0);
@@ -250,7 +250,7 @@ Partitioner::partition(std::uint64_t net_hash,
         const int first = s == 0 ? 0 : cut.last[s - 1] + 1;
         return _cache->getOrCompute({cut.hash[s], _configHash, batch}, [&] {
             return _sim.runRange(network, first, cut.last[s], batch,
-                                 *timings->sim);
+                                 timings->sim);
         });
     });
 }

@@ -116,7 +116,7 @@ caseMicroKernels(const CaseCtx &ctx)
             const npusim::SimResult result = sim.run(net, batch);
             cycles += result.totalCycles;
             macs += result.macOps;
-            for (const auto &layer : result.layers)
+            for (const auto &layer : result.layers())
                 mappings += layer.weightMappings;
             run.work += 1;
         }

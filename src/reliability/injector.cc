@@ -141,7 +141,7 @@ FaultInjector::run(const dnn::Network &network, int batch,
         out.faultEventsInjected = events_for_chip;
         if (drops_in_span > 0) {
             std::uint64_t mappings = 0;
-            for (const auto &layer : out.layers)
+            for (const auto &layer : out.layers())
                 mappings += layer.weightMappings;
             const std::uint64_t redo =
                 out.totalCycles / std::max<std::uint64_t>(1, mappings);

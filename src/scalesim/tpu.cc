@@ -144,6 +144,8 @@ TpuSimulator::run(const dnn::Network &network, int batch) const
     result.batch = batch;
     result.frequencyGhz = _config.frequencyGhz;
 
+    std::vector<npusim::LayerResult> layers;
+    layers.reserve(network.layers.size());
     for (const auto &layer : network.layers) {
         npusim::LayerResult lr = simulateLayer(layer, batch);
         result.computeCycles += lr.computeCycles;
@@ -151,8 +153,9 @@ TpuSimulator::run(const dnn::Network &network, int batch) const
         result.memoryStallCycles += lr.memoryStallCycles;
         result.macOps += lr.macOps;
         result.dramBytes += lr.dramBytes;
-        result.layers.push_back(std::move(lr));
+        layers.push_back(std::move(lr));
     }
+    result.setLayers(std::move(layers));
     result.totalCycles = result.computeCycles + result.prepCycles +
                          result.memoryStallCycles;
     return result;

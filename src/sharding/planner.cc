@@ -412,7 +412,7 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
                 _sharder._sim.runRange(
                     shards[miss.point->t - 1].network,
                     miss.range->first, miss.range->last,
-                    miss.point->share, *miss.point->timings->sim));
+                    miss.point->share, miss.point->timings->sim));
         });
     }
 

@@ -144,7 +144,7 @@ TensorSharder::assemble(
     for (int l = 0; l < n; ++l) {
         ShardLayerTiming timing;
         timing.layerName = network.layers[l].name;
-        timing.shardCycles = wide->layers[l].totalCycles();
+        timing.shardCycles = wide->layers()[l].totalCycles();
         if (shards > 1) {
             timing.reduceBytes = partition::activationBytes(
                 network.layers[l], batch);

@@ -15,6 +15,7 @@
 #include "npusim/batch.hh"
 #include "npusim/mapping.hh"
 #include "npusim/sim.hh"
+#include "npusim/sim_cache.hh"
 #include "obs/ledger.hh"
 
 namespace supernpu {
@@ -259,7 +260,7 @@ TEST_F(SimFixture, LayerTotalsRollUp)
     NpuSimulator sim(est);
     const SimResult result = sim.run(dnn::makeResNet50(), 4);
     std::uint64_t compute = 0, prep = 0, stall = 0, macs = 0;
-    for (const auto &layer : result.layers) {
+    for (const auto &layer : result.layers()) {
         compute += layer.computeCycles;
         prep += layer.prepCycles;
         stall += layer.memoryStallCycles;
@@ -285,7 +286,7 @@ TEST_F(SimFixture, PrepBreakdownAccountsEveryPrepCycle)
             const SimResult r = sim.run(net, 2);
             EXPECT_EQ(r.prep.total(), r.prepCycles)
                 << net.name << " on " << config.name;
-            for (const auto &layer : r.layers) {
+            for (const auto &layer : r.layers()) {
                 EXPECT_EQ(layer.prep.total(), layer.prepCycles)
                     << layer.layerName;
             }
@@ -564,8 +565,8 @@ TEST_F(SimFixture, RunThreadsOverlapAcrossLayers)
     const LayerResult a = sim.simulateLayer(net.layers[0], 1, false, 0);
     const LayerResult b = sim.simulateLayer(
         net.layers[1], 1, a.outputOnChip, a.lastMappingComputeCycles);
-    EXPECT_EQ(whole.layers[0].prep.weightLoad, a.prep.weightLoad);
-    EXPECT_EQ(whole.layers[1].prep.weightLoad, b.prep.weightLoad);
+    EXPECT_EQ(whole.layers()[0].prep.weightLoad, a.prep.weightLoad);
+    EXPECT_EQ(whole.layers()[1].prep.weightLoad, b.prep.weightLoad);
 
     // Ignoring the cross-layer seed would overstate the second
     // layer's exposed fetch.
@@ -611,7 +612,7 @@ totalFields(const SimResult &r)
 {
     return std::make_tuple(
         r.networkName, r.configName, r.batch, r.frequencyGhz,
-        r.layers.size(), r.totalCycles, r.computeCycles, r.prepCycles,
+        r.layers().size(), r.totalCycles, r.computeCycles, r.prepCycles,
         r.memoryStallCycles, r.prep.weightLoad, r.prep.ifmapFill,
         r.prep.ifmapRewind, r.prep.psumMove, r.prep.outputFlush,
         r.prep.outputHandoff, r.macOps, r.dramBytes, r.dramWeightBytes,
@@ -649,7 +650,8 @@ TEST_P(RangeComposition, EveryRangeEqualsTheStandaloneSubNetwork)
             const NpuEstimate est = estimator.estimate(config);
             const NpuSimulator sim(est);
             for (int batch : {1, 7, maxBatch(config, est, net)}) {
-                const SimResult whole = sim.run(net, batch);
+                const auto whole =
+                    std::make_shared<const SimResult>(sim.run(net, batch));
                 for (int first = 0; first < n; ++first) {
                     const bool fits =
                         maxIfmapBatch(config, est, net.layers[first]) >=
@@ -676,8 +678,8 @@ TEST_P(RangeComposition, EveryRangeEqualsTheStandaloneSubNetwork)
                         ASSERT_EQ(totalFields(composed),
                                   totalFields(expected));
                         for (int l = 0; l <= last - first; ++l)
-                            ASSERT_EQ(layerFields(composed.layers[l]),
-                                      layerFields(expected.layers[l]))
+                            ASSERT_EQ(layerFields(composed.layers()[l]),
+                                      layerFields(expected.layers()[l]))
                                 << "layer " << l;
                         obs::RunLedger a, b;
                         obs::addSimResult(a, composed);
@@ -700,13 +702,91 @@ TEST_F(SimFixture, RunRangeRejectsAMismatchedWideRun)
 {
     const NpuSimulator sim(estimate(NpuConfig::superNpu()));
     const dnn::Network net = dnn::makeAlexNet();
-    const SimResult whole = sim.run(net, 2);
+    const auto whole = std::make_shared<const SimResult>(sim.run(net, 2));
     EXPECT_DEATH(sim.runRange(net, 0, 1, 3, whole), "does not match");
     EXPECT_DEATH(sim.runRange(net, 2, 1, 2, whole), "layer range");
     TraceRecorder trace;
     NpuSimulator traced(estimate(NpuConfig::superNpu()));
     traced.setTrace(&trace);
     EXPECT_DEATH(traced.runRange(net, 0, 1, 2, whole), "trace");
+}
+
+TEST_F(SimFixture, RunRangeRejectsAComposedWideRun)
+{
+    // A stage's tail lives in a run that owns every layer; a stage
+    // composed from another stage would chain them.
+    const NpuSimulator sim(estimate(NpuConfig::superNpu()));
+    const dnn::Network net = dnn::makeAlexNet();
+    const int n = (int)net.layers.size();
+    const auto whole = std::make_shared<const SimResult>(sim.run(net, 2));
+    const auto composed = std::make_shared<const SimResult>(
+        sim.runRange(net, 0, n - 1, 2, whole));
+    ASSERT_EQ((int)composed->layers().size(), n);
+    EXPECT_DEATH(sim.runRange(net, 1, 2, 2, composed),
+                 "owns all its layers");
+}
+
+TEST_F(SimFixture, StageTailIsTheWideRunsLayersAndKeepsItAlive)
+{
+    // A composed stage owns its cold head only: every later layer is
+    // the wide run's own object, and the stage keeps that run alive
+    // after the cache evicts both and every other owner lets go.
+    const NpuSimulator sim(estimate(NpuConfig::superNpu()));
+    const dnn::Network net = dnn::makeResNet50();
+    const int n = (int)net.layers.size(), batch = 2;
+    const int first = 3, last = n - 4;
+    dnn::Network sub;
+    sub.name = net.name + "[" + std::to_string(first) + "-" +
+               std::to_string(last) + "]";
+    sub.layers.assign(net.layers.begin() + first,
+                      net.layers.begin() + last + 1);
+    const SimResult expected = sim.run(sub, batch);
+    obs::RunLedger expected_ledger;
+    obs::addSimResult(expected_ledger, expected);
+
+    SimCache cache(1);
+    const std::uint64_t config_hash = hashEstimate(sim.estimate());
+    auto whole = cache.getOrRun({hashNetwork(net), config_hash, batch},
+                                sim, net);
+    auto stage = cache.getOrCompute({1, config_hash, batch}, [&] {
+        return sim.runRange(net, first, last, batch, whole);
+    });
+    const LayerView wide_layers = whole->layers();
+    const LayerView stage_layers = stage->layers();
+    ASSERT_EQ((int)stage_layers.size(), last - first + 1);
+    EXPECT_NE(&stage_layers[0], &wide_layers[first]);
+    for (int l = 1; l <= last - first; ++l)
+        EXPECT_EQ(&stage_layers[l], &wide_layers[first + l]) << l;
+    int walked = 0;
+    for (const LayerResult &layer : stage_layers) {
+        EXPECT_EQ(&layer, &stage_layers[walked]) << walked;
+        ++walked;
+    }
+    EXPECT_EQ(walked, last - first + 1);
+
+    // Capacity 1: the stage evicted the wide run; a third key evicts
+    // the stage. Then the stage is the wide run's last owner.
+    cache.getOrCompute({2, config_hash, batch}, [] { return SimResult(); });
+    ASSERT_EQ(cache.size(), 1u);
+    ASSERT_FALSE(cache.peek({hashNetwork(net), config_hash, batch}));
+    ASSERT_FALSE(cache.peek({1, config_hash, batch}));
+    const std::weak_ptr<const SimResult> wide_alive = whole;
+    whole.reset();
+    EXPECT_EQ(wide_alive.use_count(), 1);
+
+    // Fully readable: every layer and the ledger match the standalone
+    // sub-network's run.
+    ASSERT_EQ(stage->layers().size(), expected.layers().size());
+    for (std::size_t l = 0; l < expected.layers().size(); ++l)
+        EXPECT_EQ(layerFields(stage->layers()[l]),
+                  layerFields(expected.layers()[l]))
+            << "layer " << l;
+    obs::RunLedger ledger;
+    obs::addSimResult(ledger, *stage);
+    EXPECT_EQ(ledger.json(), expected_ledger.json());
+
+    stage.reset();
+    EXPECT_TRUE(wide_alive.expired());
 }
 
 } // namespace

@@ -280,7 +280,7 @@ TEST_F(ObsFixture, SimResultPassesAuditAndFillsLedger)
     EXPECT_EQ(total->asInt(), result.totalCycles);
     const RunLedger::Table *layers = ledger.findTable("layers");
     ASSERT_NE(layers, nullptr);
-    EXPECT_EQ(layers->rows.size(), result.layers.size());
+    EXPECT_EQ(layers->rows.size(), result.layers().size());
 }
 
 TEST_F(ObsFixture, CookedSimBooksAreCaught)
@@ -297,8 +297,12 @@ TEST_F(ObsFixture, CookedSimBooksAreCaught)
 TEST_F(ObsFixture, CookedLayerDramStreamsAreCaught)
 {
     npusim::SimResult result = simResult();
-    ASSERT_FALSE(result.layers.empty());
-    result.layers[0].dramWeightBytes += 8;
+    ASSERT_FALSE(result.layers().empty());
+    // A run() result owns every layer: tamper with its first one.
+    std::vector<npusim::LayerResult> layers(result.layers().begin(),
+                                            result.layers().end());
+    layers[0].dramWeightBytes += 8;
+    result.setLayers(std::move(layers));
     const AuditReport audit = auditSim(result);
     ASSERT_FALSE(audit.ok());
     EXPECT_NE(audit.summary().find(":dramBytes"), std::string::npos);

@@ -328,7 +328,7 @@ expectSamePlan(const PartitionPlan &a, const PartitionPlan &b)
         EXPECT_EQ(x.firstLayer, y.firstLayer);
         EXPECT_EQ(x.lastLayer, y.lastLayer);
         EXPECT_EQ(x.sim->networkName, y.sim->networkName);
-        EXPECT_EQ(x.sim->layers.size(), y.sim->layers.size());
+        EXPECT_EQ(x.sim->layers().size(), y.sim->layers().size());
         EXPECT_EQ(x.stageCycles, y.stageCycles);
         EXPECT_EQ(x.sim->totalCycles, y.sim->totalCycles);
         EXPECT_EQ(x.linkBytes, y.linkBytes);
@@ -421,7 +421,7 @@ TEST(CutTable, SharedTableCutsAreMinMaxOptimal)
     const LinkConfig link;
     std::vector<double> prefix(n + 1, 0.0), link_after(n, 0.0);
     for (int l = 0; l < n; ++l) {
-        prefix[l + 1] = prefix[l] + (double)full->layers[l].totalCycles();
+        prefix[l + 1] = prefix[l] + (double)full->layers()[l].totalCycles();
         if (l + 1 < n)
             link_after[l] = (double)transferCycles(
                 link, activationBytes(net.layers[l], batch),

@@ -96,7 +96,7 @@ TEST_F(TraceFixture, CsvHasHeaderAndOneLinePerEvent)
     }
     // One mapping event per weight mapping the result accounted.
     std::uint64_t mappings = 0;
-    for (const auto &layer : result.layers)
+    for (const auto &layer : result.layers())
         mappings += layer.weightMappings;
     EXPECT_EQ(trace.events().size(), mappings);
 }
