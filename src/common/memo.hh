@@ -29,16 +29,18 @@
  * value stays valid while a caller holds it even after eviction.
  *
  * The batch path is for a caller that needs a parallel computation to
- * count exactly as its serial walk: peek(key) reads a resident value
- * without counting or touching the LRU order, and replay(keys,
- * value_of) walks a key sequence under one lock, hit for hit, miss
- * for miss and eviction for eviction as that many getOrCompute calls
- * on one thread would. The hybrid planner derives its whole
- * search's lookup sequence first, computes the distinct missing
- * values in parallel with no lock held, and then replays the
- * sequence once — so its hit, miss and eviction totals (which the
- * byte-compared shard ledgers embed) are the serial walk's at any
- * job count and any capacity.
+ * count exactly as its serial walk. peek(key) reads a resident value
+ * without counting or touching the LRU order; peek(first, last) does
+ * the same for a run of keys under one lock. replay(ids, keys,
+ * value_of) walks a lookup sequence given as dense ids — each an
+ * index into a table of keys — under one lock, hit for hit, miss for
+ * miss and eviction for eviction as one getOrCompute(keys[id]) per
+ * id on one thread would. The hybrid planner numbers the distinct
+ * keys of its whole search, derives the lookup sequence as ids,
+ * computes the missing values in parallel with no lock held, and
+ * then replays the sequence once — so its hit, miss and eviction
+ * totals (which the byte-compared shard ledgers embed) are the
+ * serial walk's at any job count and any capacity.
  */
 
 #ifndef SUPERNPU_COMMON_MEMO_HH
@@ -48,12 +50,14 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "perf/profile.hh"
 
@@ -147,28 +151,50 @@ class Memo
     }
 
     /**
-     * Walk `keys` in order under one lock, exactly as that many
-     * getOrCompute calls on one thread would: a resident key is a
-     * hit and moves to the front; any other key is a miss that
-     * stores value_of(key) (a shared_ptr<const Value>) and evicts
-     * past capacity. value_of runs under the lock, so it must not
-     * re-enter the memo; it must return the value compute() would
-     * have produced for the key. Counters and perf counters are
-     * added in bulk.
+     * peek() of every key in [first, last), in order, under one
+     * lock.
      */
-    template <typename Keys, typename ValueOf>
-    void replay(const Keys &keys, ValueOf &&value_of)
+    template <typename KeyIt>
+    std::vector<std::shared_ptr<const Value>> peek(KeyIt first,
+                                                   KeyIt last) const
+    {
+        std::vector<std::shared_ptr<const Value>> values;
+        values.reserve((std::size_t)std::distance(first, last));
+        std::lock_guard<std::mutex> lock(_mutex);
+        for (; first != last; ++first) {
+            const auto it = _index.find(*first);
+            values.push_back(it == _index.end() ? nullptr
+                                                : it->second->second);
+        }
+        return values;
+    }
+
+    /**
+     * Walk the lookup sequence `ids` in order under one lock, exactly
+     * as one getOrCompute(keys[id]) per id on one thread would: a
+     * resident key is a hit and moves to the front; any other key is
+     * a miss that stores value_of(id) (a shared_ptr<const Value>) and
+     * evicts past capacity. Every id must index `keys`; the keys need
+     * not be distinct, since residency is judged by key. value_of
+     * runs under the lock, so it must not re-enter the memo; it must
+     * return the value compute() would have produced for keys[id].
+     * Counters and perf counters are added in bulk.
+     */
+    template <typename ValueOf>
+    void replay(const std::vector<std::uint32_t> &ids,
+                const std::vector<Key> &keys, ValueOf &&value_of)
     {
         std::uint64_t hits = 0, misses = 0;
         std::lock_guard<std::mutex> lock(_mutex);
-        for (const Key &key : keys) {
+        for (const std::uint32_t id : ids) {
+            const Key &key = keys[id];
             const auto it = _index.find(key);
             if (it != _index.end()) {
                 ++hits;
                 _lru.splice(_lru.begin(), _lru, it->second);
             } else {
                 ++misses;
-                insertLocked(key, value_of(key));
+                insertLocked(key, value_of(id));
             }
         }
         _stats.hits += hits;

@@ -339,7 +339,7 @@ caseShardScaling(const CaseCtx &ctx)
 // smoke suite, ResNet50 within 1024 chips (17 931 candidates, over
 // 100 ms a repetition) in the full suite — the case the perf job
 // times at jobs 1 and 4 to gate the parallel speedup. Every
-// evaluated plan and the layer-timing-cache tallies are pinned as
+// candidate's row and the layer-timing-cache tallies are pinned as
 // metrics; all of them must be identical at any job count.
 CaseRun
 casePlannerSearch(const CaseCtx &ctx)
@@ -361,13 +361,13 @@ casePlannerSearch(const CaseCtx &ctx)
     CaseRun run;
     run.work = search.evaluated.size();
     Fnv1a print;
-    for (const auto &plan : search.evaluated) {
-        print.bytes(&plan.dataParallel, sizeof plan.dataParallel);
-        print.bytes(&plan.tensorShards, sizeof plan.tensorShards);
-        print.bytes(&plan.pipelineStages, sizeof plan.pipelineStages);
-        print.bytes(&plan.intervalCycles, sizeof plan.intervalCycles);
-        print.bytes(&plan.latencyCycles, sizeof plan.latencyCycles);
-        print.real(plan.throughput());
+    for (const sharding::PlanRow &row : search.evaluated) {
+        print.bytes(&row.dataParallel, sizeof row.dataParallel);
+        print.bytes(&row.tensorShards, sizeof row.tensorShards);
+        print.bytes(&row.pipelineStages, sizeof row.pipelineStages);
+        print.bytes(&row.intervalCycles, sizeof row.intervalCycles);
+        print.bytes(&row.latencyCycles, sizeof row.latencyCycles);
+        print.real(row.throughput());
     }
     const partition::LayerTimingCacheStats timings =
         planner.timingCacheStats();

@@ -484,12 +484,14 @@ ServingSimulator::run()
     // Dispatch target for a new or re-enqueued request. Only once a
     // target is actually quarantined does the dispatcher see the
     // health mask (0: quarantined), so a fault-free run drives it
-    // exactly as before.
-    std::vector<int> outstanding((std::size_t)n_targets);
+    // exactly as before. JSQ reads each target's outstanding count
+    // (queued + in flight, Target::outstanding()), kept where it
+    // changes: a queue push, a completion, a kill and a quarantine
+    // flush. A launch moves requests from the queue into flight and
+    // leaves it alone.
+    std::vector<int> outstanding((std::size_t)n_targets, 0);
     std::vector<char> healthy((std::size_t)n_targets, 1);
     const auto pick_target = [&]() {
-        for (int i = 0; i < n_targets; ++i)
-            outstanding[(std::size_t)i] = targets[i].outstanding();
         if (quarantined_count == 0)
             return dispatcher.pick(outstanding);
         // With no healthy target left, Dispatcher::pick would fall
@@ -562,6 +564,15 @@ ServingSimulator::run()
         launch_batch(index, std::move(batch));
     };
 
+    // Queue a new or re-entering request on the picked target.
+    const auto dispatch = [&](const Request &request) {
+        const int index = pick_target();
+        targets[index].queue.push(request);
+        ++queued_depth;
+        ++outstanding[(std::size_t)index];
+        try_launch(index);
+    };
+
     // Seed the calendar: open-loop sources self-schedule; closed-loop
     // clients all fire their first request at t = 0.
     if (arrivals.openLoop()) {
@@ -610,10 +621,7 @@ ServingSimulator::run()
 
         switch (event.kind) {
           case EventKind::Arrival: {
-            const int target = pick_target();
-            targets[target].queue.push(Request{arrived++, clock, clock});
-            ++queued_depth;
-            try_launch(target);
+            dispatch(Request{arrived++, clock, clock});
             if (arrivals.openLoop() && injected < _cfg.requests) {
                 calendar.pushArrival(clock + arrivals.nextGapSec());
                 ++injected;
@@ -641,6 +649,8 @@ ServingSimulator::run()
             for (const Request &request : batch->requests)
                 complete_request(request, failed);
             target.inFlightRequests -= (int)batch->requests.size();
+            outstanding[(std::size_t)event.chip] -=
+                (int)batch->requests.size();
             recycle_batch(std::move(*batch));
             target.inFlight.pop_front();
             // Without a pending StageFree, the batch held lane 0
@@ -827,6 +837,8 @@ ServingSimulator::run()
                 // Kill the batch; requests back off and re-enter,
                 // or give up past their retry/deadline budget.
                 target.inFlightRequests -= (int)batch->requests.size();
+                outstanding[(std::size_t)index] -=
+                    (int)batch->requests.size();
                 kill_requests(batch->requests);
                 recycle_batch(std::move(*batch));
                 batch = target.inFlight.erase(batch);
@@ -875,13 +887,11 @@ ServingSimulator::run()
                 queued_depth -= chunk.size();
                 moved.insert(moved.end(), chunk.begin(), chunk.end());
             }
+            outstanding[(std::size_t)event.chip] -= (int)moved.size();
             for (Request request : moved) {
                 request.enqueueSec = clock;
-                const int next = pick_target();
-                targets[next].queue.push(request);
-                ++queued_depth;
+                dispatch(request);
                 ++redispatches;
-                try_launch(next);
             }
             break;
           }
@@ -889,10 +899,7 @@ ServingSimulator::run()
             Request request = retry_slots[(std::size_t)event.tag];
             free_retry_slots.push_back(event.tag);
             request.enqueueSec = clock;
-            const int target = pick_target();
-            targets[target].queue.push(request);
-            ++queued_depth;
-            try_launch(target);
+            dispatch(request);
             break;
           }
           case EventKind::StageFree: {
@@ -912,11 +919,16 @@ ServingSimulator::run()
                     "serving run lost requests");
     SUPERNPU_ASSERT(queued_depth == 0,
                     "serving run ended with queued requests");
-    // The dispatcher's running JSQ counts must drain with the work.
-    for (const Target &target : targets) {
+    // The dispatcher's running JSQ counts must drain with the work,
+    // and the kept counts must agree with the targets'.
+    for (int i = 0; i < n_targets; ++i) {
+        const Target &target = targets[i];
         SUPERNPU_ASSERT(target.inFlightRequests == 0 &&
                             target.inFlight.empty(),
                         "serving run ended with batches in flight");
+        SUPERNPU_ASSERT(outstanding[(std::size_t)i] ==
+                            target.outstanding(),
+                        "kept JSQ count drifted from its target");
     }
 
     ServingReport report = metrics.finish(clock);

@@ -30,30 +30,36 @@
  * keep the earlier triple, so results are deterministic.
  *
  * plan() is byte-identical to the serial loop of standalone
- * evaluate() calls over that enumeration: every candidate, and the
- * SimCache and LayerTimingCache hit, miss and eviction totals, at
- * any job count and any cache capacity. It gets there in phases
- * that share no per-candidate lock, each fanned across a
- * common/parallel ThreadPool where it can be:
+ * evaluate() calls over that enumeration: every candidate's row, the
+ * winner's full plan, and the SimCache and LayerTimingCache hit,
+ * miss and eviction totals, at any job count and any cache capacity.
+ * It gets there in phases that share no per-candidate lock, each
+ * fanned across a common/parallel ThreadPool where it can be:
  *
  *  1. derive (parallel per (T, replica share) point): the wide
  *     simulation (resident, or run now), the LayerTimings, the cut
  *     DP grown to the largest K any candidate asks for, every K's
  *     cuts and O(1) stage keys, and the TensorShardResult — once
- *     per point instead of once per candidate;
+ *     per point instead of once per candidate. Every distinct
+ *     SimCache key gets a dense id: point i's wide key is id i, and
+ *     each point's stage sub-ranges follow, point by point;
+ *     residency is one locked peek over the wide keys and one over
+ *     the stage keys;
  *  2. derive (parallel per candidate, at offsets from a prefix sum
- *     of the lookup counts): the exact SimCache and LayerTimingCache
- *     key sequences the serial walk issues, including the repeated
- *     wide lookup inside a LayerTimings miss;
- *  3. simulate (parallel, no lock): every distinct stage key of
- *     those sequences that is not resident, by runRange — one cold
- *     head layer plus the point's wide run's later layers;
- *  4. replay (serial): both sequences through their memos'
+ *     of the lookup counts): the exact SimCache lookup sequence the
+ *     serial walk issues, as ids — including the repeated wide
+ *     lookup inside a LayerTimings miss — and the LayerTimingCache
+ *     sequence as point ids;
+ *  3. simulate (parallel, no lock): every stage id whose key is not
+ *     resident, by runRange — one cold head layer plus the point's
+ *     wide run's later layers — into its slot of the by-id results;
+ *  4. replay (serial): both id sequences through their memos'
  *     Memo::replay, which counts and evicts exactly as the serial
  *     walk's getOrCompute calls would;
- *  5. evaluate (parallel): every candidate assembled from the
- *     read-only results by the one evaluation body standalone
- *     evaluate() also runs, into slot order.
+ *  5. evaluate (parallel): every candidate's PlanRow, its stage
+ *     cycles read by id from the by-id results; then, after the
+ *     pick, the winner's full ShardPlan, built once by the one
+ *     evaluation body standalone evaluate() also runs.
  *
  * So `jobs` is a pure wall-clock knob and the byte-compared shard
  * ledgers (which embed the cache tallies) repeat across --jobs.
@@ -83,24 +89,52 @@ enum class PlanObjective
 
 const char *planObjectiveName(PlanObjective objective);
 
-/** One evaluated DP×TP×PP placement of a network on a budget. */
-struct ShardPlan
+/**
+ * The figures of merit of one DP×TP×PP placement: its degrees, its
+ * cycle totals, and what throughput(), latencySec() and chips()
+ * read. A search keeps one per candidate; a ShardPlan is its row
+ * plus the books behind it.
+ */
+struct PlanRow
 {
-    std::string networkName;
-    std::string configName;
     int dataParallel = 1;   ///< R (after clamping to the batch)
     int tensorShards = 1;   ///< T
     int pipelineStages = 1; ///< K (after the partitioner's clamp)
     int batch = 1;          ///< total batch across the group
-    int replicaShare = 1;   ///< ceil(batch/R) per replica
     double frequencyGhz = 0.0;
-    partition::LinkConfig link;
+
+    /** Σ per-stage TP all-reduce cycles: all of one batch. */
+    std::uint64_t tensorCollectiveCycles = 0;
+    /** DP all-gather of the final outputs across replicas. */
+    std::uint64_t gatherCycles = 0;
+    /** max per-stage occupancy with the TP overlay. */
+    std::uint64_t bottleneckCycles = 0;
+    /** Σ per-stage occupancy with the overlay: one batch through. */
+    std::uint64_t fillCycles = 0;
+    /** max(bottleneck, gather): steady-state initiation interval. */
+    std::uint64_t intervalCycles = 0;
+    /** fill + gather: first batch end to end. */
+    std::uint64_t latencyCycles = 0;
 
     /** Chips the plan occupies: R·T·K. */
     int chips() const
     {
         return dataParallel * tensorShards * pipelineStages;
     }
+
+    double intervalSec() const;
+    double latencySec() const;
+    /** Steady-state inferences/sec of the group. */
+    double throughput() const;
+};
+
+/** One evaluated DP×TP×PP placement of a network on a budget. */
+struct ShardPlan : PlanRow
+{
+    std::string networkName;
+    std::string configName;
+    int replicaShare = 1;   ///< ceil(batch/R) per replica
+    partition::LinkConfig link;
 
     /** PP split of the T-wide shard network at the replica share. */
     partition::PartitionPlan pipeline;
@@ -109,22 +143,11 @@ struct ShardPlan
     /** Per-stage occupancy + overlay — what paces the pipeline. */
     std::vector<std::uint64_t> stageOccupancyCycles;
 
-    /** Σ stageCollectiveCycles: all TP all-reduces of one batch. */
-    std::uint64_t tensorCollectiveCycles = 0;
     /** Σ per-layer full-ofmap all-reduce bytes. */
     std::uint64_t tensorCollectiveBytes = 0;
-    /** DP all-gather of the final outputs across replicas. */
+    /** Bytes of the DP all-gather (0 without DP). */
     std::uint64_t gatherBytes = 0;
-    std::uint64_t gatherCycles = 0;
 
-    /** max stageOccupancyCycles. */
-    std::uint64_t bottleneckCycles = 0;
-    /** Σ stageOccupancyCycles: one batch through the pipeline. */
-    std::uint64_t fillCycles = 0;
-    /** max(bottleneck, gather): steady-state initiation interval. */
-    std::uint64_t intervalCycles = 0;
-    /** fill + gather: first batch end to end. */
-    std::uint64_t latencyCycles = 0;
     /** Full batch on ONE chip at this design point (baseline). */
     std::uint64_t soloCycles = 0;
     /** Full-batch MACs across the whole group. */
@@ -132,10 +155,6 @@ struct ShardPlan
     /** Per-chip peak MAC/s of the design point (audit ceiling). */
     double peakMacPerSec = 0.0;
 
-    double intervalSec() const;
-    double latencySec() const;
-    /** Steady-state inferences/sec of the group. */
-    double throughput() const;
     /**
      * soloCycles / intervalCycles. Can exceed R·T·K when tensor
      * sharding narrows a layer below the PE-array width and drops
@@ -147,17 +166,22 @@ struct ShardPlan
     double effectiveMacPerSec() const;
 };
 
-/** Planner search output: the winner plus every candidate. */
+/** Planner search output: every candidate's row and the winner. */
 struct PlanSearch
 {
     PlanObjective objective = PlanObjective::Throughput;
     int chipBudget = 1;
-    /** Every (R,T,K) with R·T·K ≤ budget, enumeration order. */
-    std::vector<ShardPlan> evaluated;
+    /**
+     * Every (R,T,K) with R·T·K ≤ budget, enumeration order: the row
+     * of the plan evaluate() builds for that triple.
+     */
+    std::vector<PlanRow> evaluated;
     /** Index of the winner in `evaluated`. */
     int bestIndex = 0;
+    /** The winner's full plan: evaluate() of its triple. */
+    ShardPlan winner;
 
-    const ShardPlan &best() const { return evaluated[bestIndex]; }
+    const ShardPlan &best() const { return winner; }
 };
 
 /** DP×TP×PP factorization search for one design point. */
@@ -205,8 +229,8 @@ class HybridPlanner
      * The cache-backed results one evaluation reads: the T-way shard
      * timing and the PP split of the shard network, both at the
      * replica share, and the full-batch solo simulation. evaluate()
-     * resolves them through live cache lookups, plan() from its
-     * replayed search tables.
+     * resolves them through live cache lookups, plan() (for its
+     * winner) from the search's by-id results.
      */
     struct Resolved
     {
@@ -216,9 +240,9 @@ class HybridPlanner
     };
 
     /**
-     * The one evaluation body behind evaluate() and plan(): the
-     * degrees are already validated and clamped, and `resolved`
-     * carries everything the caches supply.
+     * The one evaluation body behind evaluate() and plan()'s
+     * winner: the degrees are already validated and clamped, and
+     * `resolved` carries everything the caches supply.
      */
     ShardPlan evaluate(const dnn::Network &network, int data_parallel,
                        int tensor_shards, int batch,

@@ -530,22 +530,33 @@ TEST(Memo, ReplayMatchesSerialGetOrCompute)
     perf::setEnabled(true);
     const auto value_of = [](int key) { return key * 10 + 1; };
     const std::vector<int> universe = {0, 1, 2, 3, 4, 5, 6, 7};
+    // The id table: every key of the universe, and two of them a
+    // second time under another id.
+    const std::vector<int> keys = {3, 0, 7, 1, 5, 2, 6, 4, 7, 0};
+    const int max_id = (int)keys.size() - 1;
     Rng rng(17);
     int trial = 0;
-    for (std::size_t capacity : {0, 1, 4}) {
+    for (std::size_t capacity : {0, 1, 3, 4}) {
         for (int round = 0; round < 20; ++round, ++trial) {
             SCOPED_TRACE("capacity " + std::to_string(capacity) +
                          " round " + std::to_string(round));
             // Half the rounds replay onto a memo already holding
             // entries (walked in serially by both sides first).
-            std::vector<int> prefix, keys;
+            std::vector<int> prefix;
+            std::vector<std::uint32_t> ids;
             if (round % 2 == 1) {
                 for (int i = 0; i < 6; ++i)
                     prefix.push_back((int)rng.uniformInt(0, 7));
             }
+            // Every third round repeats ids back to back: runs of
+            // hits on the front entry, and of a miss and its hits.
             const int length = (int)rng.uniformInt(0, 40);
-            for (int i = 0; i < length; ++i)
-                keys.push_back((int)rng.uniformInt(0, 7));
+            for (int i = 0; i < length; ++i) {
+                const auto id = (std::uint32_t)rng.uniformInt(0, max_id);
+                const int copies =
+                    round % 3 == 0 ? (int)rng.uniformInt(1, 3) : 1;
+                ids.insert(ids.end(), copies, id);
+            }
 
             const std::string serial_name =
                 "test.memoSerial" + std::to_string(trial);
@@ -558,10 +569,12 @@ TEST(Memo, ReplayMatchesSerialGetOrCompute)
                 replayed.getOrCompute(key,
                                       [&] { return value_of(key); });
             }
-            for (int key : keys)
+            for (std::uint32_t id : ids) {
+                const int key = keys[id];
                 serial.getOrCompute(key, [&] { return value_of(key); });
-            replayed.replay(keys, [&](int key) {
-                return std::make_shared<const int>(value_of(key));
+            }
+            replayed.replay(ids, keys, [&](std::uint32_t id) {
+                return std::make_shared<const int>(value_of(keys[id]));
             });
 
             const MemoStats a = serial.stats(), b = replayed.stats();
@@ -611,6 +624,38 @@ TEST(Memo, PeekCountsNothing)
     EXPECT_FALSE(memo.peek(1));
     EXPECT_TRUE(memo.peek(2));
     EXPECT_EQ(memo.stats().evictions, 1u);
+    perf::setEnabled(was_profiling);
+}
+
+TEST(Memo, RangePeekIsOnePeekPerKey)
+{
+    const bool was_profiling = perf::enabled();
+    perf::setEnabled(true);
+    Memo<int, int> memo(2, "test.memoRangePeek");
+    memo.getOrCompute(1, [] { return 11; });
+    memo.getOrCompute(2, [] { return 21; });
+
+    // In key order, absent and repeated keys included; nothing is
+    // counted, stored or refreshed.
+    const std::vector<int> keys = {2, 3, 1, 2};
+    const std::vector<std::shared_ptr<const int>> values =
+        memo.peek(keys.begin(), keys.end());
+    ASSERT_EQ(values.size(), keys.size());
+    ASSERT_TRUE(values[0] && values[2] && values[3]);
+    EXPECT_EQ(*values[0], 21);
+    EXPECT_FALSE(values[1]);
+    EXPECT_EQ(*values[2], 11);
+    EXPECT_EQ(values[3], values[0]);
+    EXPECT_TRUE(memo.peek(keys.begin(), keys.begin()).empty());
+    EXPECT_EQ(memo.size(), 2u);
+    EXPECT_EQ(memo.stats().hits, 0u);
+    EXPECT_EQ(memo.stats().misses, 2u);
+    EXPECT_EQ(perf::counter("test.memoRangePeek.hits").value(), 0u);
+
+    // Key 1 stays the least recently used entry.
+    memo.getOrCompute(3, [] { return 31; });
+    EXPECT_FALSE(memo.peek(1));
+    EXPECT_TRUE(memo.peek(2));
     perf::setEnabled(was_profiling);
 }
 

@@ -734,6 +734,75 @@ TEST_F(ServingFixture, FaultTiesKeepTheirOrderOnReplicaGroup)
 
 // --- degenerate metrics (zero-makespan guard) ------------------------
 
+TEST_F(ServingFixture, JsqKeptCountsFollowKillsRedispatchRestartsAndDrain)
+{
+    // JSQ keeps each target's outstanding count where it changes,
+    // and the run's closing assert checks every kept count against
+    // its target. Each run below drives paths that change it or must
+    // leave it alone: retry-backoff kills, degraded-dispatch
+    // quarantine with its redispatch, and checkpoint restarts. All
+    // run the fixed-batch policy on an odd request count, so partial
+    // batches strand at the end for the drain.
+    struct Case
+    {
+        const char *name;
+        RecoveryPolicy recovery;
+        bool checkpoint;
+    };
+    const double batch_sec = service.batchSeconds(4);
+    for (const Case &c :
+         {Case{"retry", RecoveryPolicy::RetryBackoff, false},
+          Case{"degraded", RecoveryPolicy::DegradedDispatch, false},
+          Case{"checkpoint", RecoveryPolicy::RetryBackoff, true}}) {
+        SCOPED_TRACE(c.name);
+        ServingConfig serving = baseConfig(2.0 * service.peakRps(4));
+        serving.chips = 4;
+        serving.dispatch = DispatchPolicy::JoinShortestQueue;
+        serving.batching.policy = BatchPolicy::FixedBatch;
+        serving.batching.maxBatch = 4;
+        serving.requests = 1001;
+        // Pulse drops round-robin over the chips through the run,
+        // and under degraded dispatch a flux trap on chip 2 halfway.
+        const double horizon =
+            (double)serving.requests / serving.arrival.ratePerSec;
+        reliability::FaultScheduleConfig faults;
+        faults.chips = serving.chips;
+        std::vector<reliability::FaultEvent> events;
+        for (int i = 0; i < 40; ++i)
+            events.push_back(faultAt(reliability::FaultKind::PulseDrop,
+                                     i % serving.chips,
+                                     horizon * (i + 0.5) / 40));
+        if (c.recovery == RecoveryPolicy::DegradedDispatch)
+            events.push_back(faultAt(reliability::FaultKind::FluxTrap, 2,
+                                     0.5 * horizon,
+                                     faults.fluxTrapDerate));
+        serving.faults =
+            reliability::FaultSchedule::fromEvents(faults, events);
+        serving.resilience.recovery = c.recovery;
+        serving.resilience.detectLatencySec = 0.25 * batch_sec;
+        serving.resilience.backoffBaseSec = batch_sec;
+        serving.resilience.checkpointRestart = c.checkpoint;
+        serving.resilience.checkpointIntervalSec = 0.1 * batch_sec;
+
+        const auto report = ServingSimulator(service, serving).run();
+        EXPECT_EQ(report.completed, serving.requests);
+        // Fixed batching launches a partial batch only in the drain.
+        EXPECT_LT(report.meanBatch, 4.0);
+        if (c.checkpoint) {
+            EXPECT_GT(report.restarts, 0u);
+            EXPECT_EQ(report.requestsKilled, 0u);
+        } else {
+            EXPECT_GT(report.requestsKilled, 0u);
+            EXPECT_GT(report.retriesTotal, 0u);
+        }
+        if (c.recovery == RecoveryPolicy::DegradedDispatch) {
+            EXPECT_GT(report.redispatches, 0u);
+        }
+        const obs::AuditReport audit = obs::auditServing(report);
+        EXPECT_TRUE(audit.ok()) << audit.summary();
+    }
+}
+
 TEST(Metrics, ZeroMakespanReportsZeroRatesNotNan)
 {
     MetricsCollector metrics(2);

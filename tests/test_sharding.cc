@@ -443,11 +443,18 @@ TEST_F(ShardingFixture, PlannerEnumeratesTheWholeBudget)
         planner.plan(net, 4, batch, PlanObjective::Throughput);
     EXPECT_EQ(search.chipBudget, 4);
     EXPECT_FALSE(search.evaluated.empty());
-    for (const ShardPlan &plan : search.evaluated) {
-        EXPECT_LE(plan.chips(), 4);
-        const obs::AuditReport audit = obs::auditSharding(plan);
+    // A row carries no books to audit: audit the full plan of its
+    // triple, and the winner the search built.
+    for (const PlanRow &row : search.evaluated) {
+        EXPECT_LE(row.chips(), 4);
+        const obs::AuditReport audit = obs::auditSharding(
+            planner.evaluate(net, row.dataParallel, row.tensorShards,
+                             row.pipelineStages, batch));
         EXPECT_TRUE(audit.ok()) << audit.summary();
     }
+    const obs::AuditReport best_audit =
+        obs::auditSharding(search.best());
+    EXPECT_TRUE(best_audit.ok()) << best_audit.summary();
     // The single-chip factorization is always in the space, so the
     // winner can never be worse than it.
     const ShardPlan solo = planner.evaluate(net, 1, 1, 1, batch);
@@ -491,7 +498,7 @@ TEST_F(ShardingFixture, ParallelPlanIsByteIdenticalToSerial)
         std::ostringstream out;
         out.precision(17);
         out << search.bestIndex << '\n';
-        for (const ShardPlan &plan : search.evaluated) {
+        for (const PlanRow &plan : search.evaluated) {
             out << plan.dataParallel << ' ' << plan.tensorShards
                 << ' ' << plan.pipelineStages << ' '
                 << plan.intervalCycles << ' ' << plan.latencyCycles
@@ -521,30 +528,40 @@ TEST_F(ShardingFixture, ParallelPlanIsByteIdenticalToSerial)
     }
 }
 
-/** Every ShardPlan field, stage cuts and overlay vectors included. */
+/** Every PlanRow field, and what its accessors derive, bit for bit. */
 void
-expectSameShardPlan(const ShardPlan &a, const ShardPlan &b)
+expectSameRow(const PlanRow &a, const PlanRow &b)
 {
-    EXPECT_EQ(a.networkName, b.networkName);
-    EXPECT_EQ(a.configName, b.configName);
     EXPECT_EQ(a.dataParallel, b.dataParallel);
     EXPECT_EQ(a.tensorShards, b.tensorShards);
     EXPECT_EQ(a.pipelineStages, b.pipelineStages);
     EXPECT_EQ(a.batch, b.batch);
-    EXPECT_EQ(a.replicaShare, b.replicaShare);
     EXPECT_EQ(a.frequencyGhz, b.frequencyGhz);
-    EXPECT_EQ(a.link.bandwidthGBps, b.link.bandwidthGBps);
-    EXPECT_EQ(a.link.latencyCycles, b.link.latencyCycles);
-    EXPECT_EQ(a.stageCollectiveCycles, b.stageCollectiveCycles);
-    EXPECT_EQ(a.stageOccupancyCycles, b.stageOccupancyCycles);
     EXPECT_EQ(a.tensorCollectiveCycles, b.tensorCollectiveCycles);
-    EXPECT_EQ(a.tensorCollectiveBytes, b.tensorCollectiveBytes);
-    EXPECT_EQ(a.gatherBytes, b.gatherBytes);
     EXPECT_EQ(a.gatherCycles, b.gatherCycles);
     EXPECT_EQ(a.bottleneckCycles, b.bottleneckCycles);
     EXPECT_EQ(a.fillCycles, b.fillCycles);
     EXPECT_EQ(a.intervalCycles, b.intervalCycles);
     EXPECT_EQ(a.latencyCycles, b.latencyCycles);
+    EXPECT_EQ(a.chips(), b.chips());
+    EXPECT_EQ(a.throughput(), b.throughput());
+    EXPECT_EQ(a.latencySec(), b.latencySec());
+}
+
+/** Every ShardPlan field, stage cuts and overlay vectors included. */
+void
+expectSameShardPlan(const ShardPlan &a, const ShardPlan &b)
+{
+    expectSameRow(a, b);
+    EXPECT_EQ(a.networkName, b.networkName);
+    EXPECT_EQ(a.configName, b.configName);
+    EXPECT_EQ(a.replicaShare, b.replicaShare);
+    EXPECT_EQ(a.link.bandwidthGBps, b.link.bandwidthGBps);
+    EXPECT_EQ(a.link.latencyCycles, b.link.latencyCycles);
+    EXPECT_EQ(a.stageCollectiveCycles, b.stageCollectiveCycles);
+    EXPECT_EQ(a.stageOccupancyCycles, b.stageOccupancyCycles);
+    EXPECT_EQ(a.tensorCollectiveBytes, b.tensorCollectiveBytes);
+    EXPECT_EQ(a.gatherBytes, b.gatherBytes);
     EXPECT_EQ(a.soloCycles, b.soloCycles);
     EXPECT_EQ(a.macOpsPerBatch, b.macOpsPerBatch);
     EXPECT_EQ(a.peakMacPerSec, b.peakMacPerSec);
@@ -589,19 +606,24 @@ TEST_F(ShardingFixture, SearchCandidatesMatchTheirStandaloneEvaluate)
                 npusim::SimCache lone_cache;
                 const HybridPlanner lone(estimate, testLink(),
                                          &lone_cache);
-                for (const ShardPlan &plan : search.evaluated) {
+                for (std::size_t i = 0; i < search.evaluated.size();
+                     ++i) {
+                    const PlanRow &row = search.evaluated[i];
                     SCOPED_TRACE(network.name + " budget " +
                                  std::to_string(budget) + " jobs " +
                                  std::to_string(jobs) + " R" +
-                                 std::to_string(plan.dataParallel) +
+                                 std::to_string(row.dataParallel) +
                                  " T" +
-                                 std::to_string(plan.tensorShards) +
+                                 std::to_string(row.tensorShards) +
                                  " K" +
-                                 std::to_string(plan.pipelineStages));
-                    expectSameShardPlan(
-                        plan, lone.evaluate(network, plan.dataParallel,
-                                            plan.tensorShards,
-                                            plan.pipelineStages, full));
+                                 std::to_string(row.pipelineStages));
+                    const ShardPlan plan =
+                        lone.evaluate(network, row.dataParallel,
+                                      row.tensorShards,
+                                      row.pipelineStages, full);
+                    expectSameRow(row, plan);
+                    if ((int)i == search.bestIndex)
+                        expectSameShardPlan(search.best(), plan);
                 }
             }
         }
@@ -696,7 +718,9 @@ TEST_F(ShardingFixture, SearchCountsMatchTheSerialWalkUnderLruPressure)
             EXPECT_TRUE(probe(cache, planner) == serial_probe);
             ASSERT_EQ(search.evaluated.size(), walked.size());
             for (std::size_t i = 0; i < walked.size(); ++i)
-                expectSameShardPlan(search.evaluated[i], walked[i]);
+                expectSameRow(search.evaluated[i], walked[i]);
+            expectSameShardPlan(search.best(),
+                                walked[(std::size_t)search.bestIndex]);
         }
     }
 }
