@@ -12,6 +12,12 @@ and every Markdown file under docs/:
      `src/perf/profile.hh` and the like. Prose refers to files by
      path constantly; a rename that misses one of these is exactly
      the staleness this script exists to catch.
+  3. Program mentions — `bench/fig05_network`, `build/bench/<name>`,
+     `examples/quickstart` in backticks, and `./build/bench/<name>` or
+     `./build/examples/<name>` command lines anywhere. A binary has no
+     extension, so it resolves to the source it is built from:
+     bench/<name>.cc or examples/<name>.cpp (or an existing directory
+     such as bench/baselines).
 
 Exit status: 0 when every reference resolves, 1 otherwise (one line
 per broken reference, `file:line: target`). No dependencies beyond
@@ -33,6 +39,12 @@ MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)[^)]*\)")
 BACKTICK_REF = re.compile(
     r"`([A-Za-z0-9_./-]+\.(?:md|hh|cc|py|sh|json|yml|net|csv))`"
 )
+# Extensionless program names: backticked, or a ./build/ command line.
+PROGRAM_REF = re.compile(
+    r"`(?:\./)?(?:build/)?((?:bench|examples)/[A-Za-z0-9_]+)`"
+    r"|(?<![\w/.])\./build/((?:bench|examples)/[A-Za-z0-9_]+)\b"
+)
+PROGRAM_SOURCE = {"bench": ".cc", "examples": ".cpp"}
 # Tokens that look like files but are placeholders or generated
 # artifacts, never committed paths.
 GENERATED = re.compile(
@@ -73,6 +85,13 @@ def resolves(target: str, base: Path) -> bool:
     return False
 
 
+def program_resolves(target: str) -> bool:
+    if (REPO_ROOT / target).exists():
+        return True
+    kind, name = target.split("/")
+    return (REPO_ROOT / kind / (name + PROGRAM_SOURCE[kind])).exists()
+
+
 def check_file(path: Path) -> list[str]:
     errors = []
     for lineno, line in enumerate(
@@ -92,6 +111,12 @@ def check_file(path: Path) -> list[str]:
             if not resolves(target, path):
                 errors.append(f"{path.relative_to(REPO_ROOT)}:"
                               f"{lineno}: stale file reference"
+                              f" ({target})")
+        for match in PROGRAM_REF.finditer(line):
+            target = match.group(1) or match.group(2)
+            if not program_resolves(target):
+                errors.append(f"{path.relative_to(REPO_ROOT)}:"
+                              f"{lineno}: stale program reference"
                               f" ({target})")
     return errors
 

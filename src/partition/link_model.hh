@@ -9,7 +9,7 @@
  * paper models off-chip DRAM traffic: the default bandwidth is the
  * paper's 300 GB/s off-chip comparator, overridable per study (a
  * superconducting pulse link and an electrical SerDes bridge sit at
- * very different points, and bench/pipeline_scaling sweeps this).
+ * very different points; `supernpu partition --link-gbps` sets it).
  *
  * Transfer sizes come straight from dnn::Layer output shapes
  * (1 byte/activation, matching the simulator's DRAM accounting),

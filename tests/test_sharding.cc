@@ -725,6 +725,35 @@ TEST_F(ShardingFixture, SearchCountsMatchTheSerialWalkUnderLruPressure)
     }
 }
 
+TEST(ShardingResNet50, BestThroughputNeverDropsAsTheBudgetGrows)
+{
+    // A bigger budget's search space holds every smaller budget's
+    // factorization, so the winner's throughput can never drop as
+    // chips are added (78 226 -> 390 370 inf/s from 1 to 8 chips).
+    sfq::DeviceConfig dev;
+    sfq::CellLibrary lib(dev);
+    const estimator::NpuConfig config =
+        estimator::NpuConfig::superNpu();
+    const estimator::NpuEstimate estimate =
+        estimator::NpuEstimator(lib).estimate(config);
+    const dnn::Network net = dnn::makeResNet50();
+    const int batch = npusim::maxBatch(config, estimate, net);
+
+    npusim::SimCache cache;
+    const HybridPlanner planner(estimate, {}, &cache);
+    double last = 0.0;
+    for (int budget : {1, 2, 4, 8}) {
+        SCOPED_TRACE("budget " + std::to_string(budget));
+        const ShardPlan best =
+            planner.plan(net, budget, batch, PlanObjective::Throughput)
+                .best();
+        const obs::AuditReport audit = obs::auditSharding(best);
+        EXPECT_TRUE(audit.ok()) << audit.summary();
+        EXPECT_GE(best.throughput(), last);
+        last = best.throughput();
+    }
+}
+
 // --- serving replica groups ------------------------------------------
 
 TEST_F(ShardingFixture, ServingReplicaGroupsShareTheLoad)
