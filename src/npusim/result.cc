@@ -26,7 +26,10 @@ SimResult::layers() const
 {
     if (_layerCount == 0)
         return {};
-    const std::vector<LayerResult> &tail = _wide ? _wide->_owned : _owned;
+    if (isRenamed())
+        return _source->layers();
+    const std::vector<LayerResult> &tail =
+        _source ? _source->_owned : _owned;
     return LayerView(_owned.data(), tail.data() + _tailFirst, _layerCount);
 }
 
@@ -34,7 +37,7 @@ void
 SimResult::setLayers(std::vector<LayerResult> layers)
 {
     _owned = std::move(layers);
-    _wide.reset();
+    _source.reset();
     _tailFirst = 1;
     _layerCount = _owned.size();
 }
@@ -44,7 +47,9 @@ SimResult::shareTail(LayerResult head,
                      std::shared_ptr<const SimResult> wide,
                      std::size_t first, std::size_t last)
 {
-    SUPERNPU_ASSERT(wide && !wide->_wide,
+    if (wide && wide->isRenamed())
+        wide = wide->_source;
+    SUPERNPU_ASSERT(wide && !wide->_source,
                     "a stage shares the tail of a run that owns all its "
                     "layers, not of another stage");
     SUPERNPU_ASSERT(first <= last && last < wide->_layerCount,
@@ -52,9 +57,24 @@ SimResult::shareTail(LayerResult head,
                     wide->_layerCount);
     _owned.clear();
     _owned.push_back(std::move(head));
-    _wide = std::move(wide);
+    _source = std::move(wide);
     _tailFirst = first + 1;
     _layerCount = last - first + 1;
+}
+
+SimResult
+SimResult::renamed(std::shared_ptr<const SimResult> source,
+                   std::string name)
+{
+    SUPERNPU_ASSERT(source, "nothing to rename");
+    if (source->isRenamed())
+        source = source->_source;
+    SimResult result;
+    static_cast<SimSummary &>(result) = *source;
+    result.networkName = std::move(name);
+    result._layerCount = source->_layerCount;
+    result._source = std::move(source);
+    return result;
 }
 
 double

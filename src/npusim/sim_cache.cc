@@ -14,10 +14,16 @@ namespace npusim {
 std::uint64_t
 hashNetwork(const dnn::Network &network)
 {
+    return hashNetwork(network.name, network.layers);
+}
+
+std::uint64_t
+hashNetwork(const std::string &name, const std::vector<dnn::Layer> &layers)
+{
     Fnv1a hash;
-    hash.text(network.name);
-    hash.word((std::uint64_t)network.layers.size());
-    for (const auto &layer : network.layers) {
+    hash.text(name);
+    hash.word((std::uint64_t)layers.size());
+    for (const auto &layer : layers) {
         hash.text(layer.name);
         hash.word((std::uint64_t)layer.kind);
         hash.word((std::uint64_t)layer.inChannels);

@@ -22,6 +22,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/memo.hh"
 #include "dnn/layer.hh"
@@ -38,6 +40,13 @@ namespace npusim {
  * results changes the hash.
  */
 std::uint64_t hashNetwork(const dnn::Network &network);
+
+/**
+ * hashNetwork of a network named `name` with layers `layers`, for a
+ * caller that holds an equal-geometry network under another name.
+ */
+std::uint64_t hashNetwork(const std::string &name,
+                          const std::vector<dnn::Layer> &layers);
 
 /** Structural hash of an NPU configuration (every field). */
 std::uint64_t hashConfig(const estimator::NpuConfig &config);

@@ -81,6 +81,18 @@ Partitioner::buildTimings(
     return t;
 }
 
+std::uint64_t
+Partitioner::stageHash(std::uint64_t network_hash, int first, int last,
+                       int layer_count)
+{
+    if (first == 0 && last == layer_count - 1)
+        return network_hash;
+    return Fnv1a(network_hash)
+        .word((std::uint64_t)first)
+        .word((std::uint64_t)last)
+        .value();
+}
+
 std::vector<Partitioner::StageCut>
 Partitioner::cutStages(std::uint64_t network_hash,
                        const LayerTimings &timings, int first_k,
@@ -140,20 +152,12 @@ Partitioner::cutStages(std::uint64_t network_hash,
                             "partition DP reconstruction broke");
         }
 
-        // A stage's key names its parent and its range, in O(1): its
-        // simulation is runRange over the parent's, so nothing else
-        // can change it. K=1 keeps the whole network's hash — and
-        // with it the single-chip path's very cache entry.
-        result.hash.resize(k, network_hash);
+        result.hash.resize(k);
         int first = 0;
         for (int s = 0; s < k; ++s) {
-            const int last = result.last[s];
-            if (first != 0 || last != n - 1)
-                result.hash[s] = Fnv1a(network_hash)
-                                     .word((std::uint64_t)first)
-                                     .word((std::uint64_t)last)
-                                     .value();
-            first = last + 1;
+            result.hash[s] =
+                stageHash(network_hash, first, result.last[s], n);
+            first = result.last[s] + 1;
         }
     }
     return cuts;

@@ -170,10 +170,21 @@ class Partitioner
         std::shared_ptr<const npusim::SimResult> full, int batch) const;
 
     /**
+     * The SimKey::networkHash of layers [first, last] of the
+     * `layer_count`-layer network hashed `network_hash`: an O(1) mix
+     * of the three, as its simulation is runRange over the whole
+     * network's, so nothing else can change it. The whole range
+     * keeps `network_hash` — and with it the single-chip path's very
+     * cache entry. The only place stage keys are made.
+     */
+    static std::uint64_t stageHash(std::uint64_t network_hash, int first,
+                                   int last, int layer_count);
+
+    /**
      * The best K-way split of the network hashed `network_hash`
-     * for every K in [first_k, last_k], in order. Extends the
-     * entry's shared DP rows up to last_k first, under one CutTable
-     * lock. The only place stage keys are made.
+     * for every K in [first_k, last_k], in order, with its stageHash
+     * keys. Extends the entry's shared DP rows up to last_k first,
+     * under one CutTable lock.
      */
     static std::vector<StageCut>
     cutStages(std::uint64_t network_hash, const LayerTimings &timings,

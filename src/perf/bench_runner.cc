@@ -336,8 +336,8 @@ caseShardScaling(const CaseCtx &ctx)
 // --- case: planner_search -------------------------------------------
 // The hybrid DP×TP×PP factorization search on a cold sim cache,
 // fanned across --jobs pool threads: MobileNet within 8 chips in the
-// smoke suite, ResNet50 within 1024 chips (17 931 candidates, over
-// 100 ms a repetition) in the full suite — the case the perf job
+// smoke suite, ResNet50 within 1024 chips (17 931 candidates, about
+// 0.1 s a repetition) in the full suite — the case the perf job
 // times at jobs 1 and 4 to gate the parallel speedup. Every
 // candidate's row and the layer-timing-cache tallies are pinned as
 // metrics; all of them must be identical at any job count.

@@ -225,11 +225,41 @@ struct Candidate
     int point = 0; ///< index of its (T, replica share) point
 };
 
-/** A stage sub-range [first, last] of one point and its key hash. */
-struct StageRange
+/**
+ * What one (shard geometry, replica share) class of a search resolves
+ * once for every (T, share) point in it. T whose shardWidths are
+ * equal shard the network into equal layers under different names,
+ * so one simulation, one LayerTimings and one cut DP serve them all.
+ * Its first point is the geometry's first T, whose network (and
+ * name) the class simulates.
+ */
+struct SearchClass
 {
-    std::uint64_t hash = 0;
-    int first = 0, last = 0;
+    int geometry = 0; ///< index of its shard geometry
+    int share = 1;
+    std::vector<int> members; ///< its points, in enumeration order
+    int maxStages = 1; ///< largest K any member's candidate asks for
+    std::shared_ptr<const partition::LayerTimings> timings;
+    /** cuts[K-1]: the best K-way split. */
+    std::vector<partition::Partitioner::StageCut> cuts;
+    /**
+     * Every proper sub-range [first, last] any K cuts, once each, in
+     * the order K = 2, 3, ... first names them.
+     */
+    std::vector<std::pair<int, int>> ranges;
+    /**
+     * For K ≥ 2, stage s of cut K is ranges[rangeOf[firstStage(K) +
+     * s]]. (K = 1 is the whole network: the point's wide run.)
+     */
+    std::vector<std::uint32_t> rangeOf;
+    /** rangesUpTo[K]: the ranges cuts 2..K name, a prefix of ranges. */
+    std::vector<std::uint32_t> rangesUpTo;
+
+    /** Where cut K's stages start in rangeOf. */
+    static std::size_t firstStage(int k)
+    {
+        return (std::size_t)k * (k - 1) / 2 - 1;
+    }
 };
 
 /**
@@ -239,30 +269,53 @@ struct StageRange
 struct SearchPoint
 {
     int t = 1, share = 1;
+    int cls = 0;        ///< its (geometry, share) class
     int soloPoint = 0;  ///< the (1, share) point: the unsharded run
     std::size_t firstCandidate = 0; ///< the first candidate reading it
     int maxStages = 1;  ///< largest K any candidate asks for
     /** The LayerTimings was resident when the search began. */
     bool timingsResident = false;
-    std::shared_ptr<const partition::LayerTimings> timings;
-    /** cuts[K-1]: the best K-way split. */
-    std::vector<partition::Partitioner::StageCut> cuts;
     TensorShardResult tensor;
-    /** Every proper sub-range any K cuts, once each. */
-    std::vector<StageRange> ranges;
-    /**
-     * For K ≥ 2, stage s of cut K is ranges[rangeOf[firstStage(K) +
-     * s]]. (K = 1 is the whole network: the point's wide run.)
-     */
-    std::vector<std::uint32_t> rangeOf;
-    std::uint32_t firstRangeId = 0; ///< dense id of ranges[0]
-
-    /** Where cut K's stages start in rangeOf. */
-    static std::size_t firstStage(int k)
-    {
-        return (std::size_t)k * (k - 1) / 2 - 1;
-    }
+    /** Its stage keys: its class's first rangeCount ranges. */
+    std::uint32_t rangeCount = 0;
+    std::uint32_t firstRangeId = 0; ///< dense id of its range 0
 };
+
+/**
+ * One simulation of a class, resolved for every member that needs it.
+ * slot(p) is member p's by-id result (empty where its key was not
+ * resident), or null where p does not need it. The source is the
+ * first resident member's result, else run(), a simulation of the
+ * geometry's network under the first member's name. An empty slot
+ * gets the source itself at the first member when run() made it, and
+ * the source renamed to name(p) everywhere else.
+ */
+template <typename Slot, typename Name, typename Run>
+void
+resolveClass(const std::vector<int> &members, Slot &&slot, Name &&name,
+             Run &&run)
+{
+    std::shared_ptr<const npusim::SimResult> source;
+    for (const int p : members) {
+        const std::shared_ptr<const npusim::SimResult> *own = slot(p);
+        if (own && *own) {
+            source = *own;
+            break;
+        }
+    }
+    const bool fresh = !source;
+    if (fresh)
+        source = std::make_shared<const npusim::SimResult>(run());
+    for (const int p : members) {
+        std::shared_ptr<const npusim::SimResult> *own = slot(p);
+        if (!own || *own)
+            continue;
+        *own = fresh && p == members.front()
+                   ? source
+                   : std::make_shared<const npusim::SimResult>(
+                         npusim::SimResult::renamed(source, name(p)));
+    }
+}
 
 } // namespace
 
@@ -279,53 +332,88 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
     search.objective = objective;
     search.chipBudget = chip_budget;
 
+    // Each T's shard geometry: T with equal shardWidths shard the
+    // network into equal layers, so the geometry's first T stands
+    // for all of them.
+    network.check();
+    std::vector<int> geometry_of(chip_budget);
+    std::vector<int> first_t;
+    {
+        std::map<std::vector<int>, int> geometry_ids;
+        for (int t = 1; t <= chip_budget; ++t) {
+            const auto [it, fresh] = geometry_ids.try_emplace(
+                shardWidths(network, t), (int)first_t.size());
+            if (fresh)
+                first_t.push_back(t);
+            geometry_of[t - 1] = it->second;
+        }
+    }
+
     // Degrees a clamp would fold onto an already-enumerated triple
     // are skipped up front: R beyond the batch and K beyond the
     // layer count only duplicate rows (and spam clamp warns). Each
-    // (R, T) maps onto its (T, replica share) point; R-major order
-    // creates every (1, share) point before any T > 1 reads it, and
-    // makes point 0 the (1, batch) point: the full-batch solo run.
+    // (R, T) maps onto its (T, replica share) point, and each point
+    // onto its (geometry, share) class; R-major order creates every
+    // (1, share) point before any T > 1 reads it, and makes point 0
+    // the (1, batch) point: the full-batch solo run.
     const int max_r = std::min(chip_budget, batch);
-    const int max_k = (int)network.layers.size();
+    const int n = (int)network.layers.size();
     std::vector<Candidate> candidates;
     std::vector<SearchPoint> points;
-    std::map<std::pair<int, int>, int> point_of;
+    std::vector<SearchClass> classes;
+    std::map<std::pair<int, int>, int> point_of, class_of;
     for (int r = 1; r <= max_r; ++r) {
         const int share = (batch + r - 1) / r;
         for (int t = 1; r * t <= chip_budget; ++t) {
             const auto [it, fresh] =
                 point_of.try_emplace({t, share}, (int)points.size());
             if (fresh) {
+                const int g = geometry_of[t - 1];
+                const auto [c, new_class] = class_of.try_emplace(
+                    {g, share}, (int)classes.size());
+                if (new_class) {
+                    // A geometry's T form a run, and a share's points
+                    // are made in increasing T from 1, so the first T
+                    // made in a class is its geometry's first.
+                    SUPERNPU_ASSERT(t == first_t[g], "class of T=", t,
+                                    " does not start at its geometry");
+                    classes.emplace_back();
+                    classes.back().geometry = g;
+                    classes.back().share = share;
+                }
+                classes[c->second].members.push_back(it->second);
                 SearchPoint point;
                 point.t = t;
                 point.share = share;
+                point.cls = c->second;
                 point.soloPoint = point_of.at({1, share});
                 point.firstCandidate = candidates.size();
                 points.push_back(std::move(point));
             }
-            const int k_limit = std::min(chip_budget / (r * t), max_k);
+            const int k_limit = std::min(chip_budget / (r * t), n);
             SearchPoint &point = points[it->second];
             point.maxStages = std::max(point.maxStages, k_limit);
             for (int k = 1; k <= k_limit; ++k)
                 candidates.push_back(Candidate{r, t, k, it->second});
         }
     }
+    for (const SearchPoint &p : points) {
+        SearchClass &cls = classes[p.cls];
+        cls.maxStages = std::max(cls.maxStages, p.maxStages);
+    }
 
-    // The input network is validated once, and each T-way shard
-    // network is built (validated by shardNetwork) and hashed once,
-    // fanned across the pool. T = 1 is the input network itself.
-    network.check();
+    // Each geometry's network is built (validated by shardNetwork)
+    // once, fanned across the pool; every T hashes its own name over
+    // its geometry's layers. T = 1 is the input network itself.
     ThreadPool pool(jobs < 0 ? 1 : jobs);
-    struct HashedNetwork
-    {
-        dnn::Network network;
-        std::uint64_t hash = 0;
-    };
-    const std::vector<HashedNetwork> shards =
+    const std::vector<dnn::Network> shards =
+        pool.parallelMap(first_t.size(), [&](std::size_t g) {
+            return shardNetwork(network, first_t[g]);
+        });
+    const std::vector<std::uint64_t> hashes =
         pool.parallelMap(chip_budget, [&](std::size_t i) {
-            dnn::Network shard = shardNetwork(network, (int)i + 1);
-            const std::uint64_t hash = npusim::hashNetwork(shard);
-            return HashedNetwork{std::move(shard), hash};
+            return npusim::hashNetwork(shardName(network, (int)i + 1),
+                                       shards[geometry_of[i]].layers);
         });
 
     npusim::SimCache &cache = *_sharder._cache;
@@ -345,82 +433,105 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
     std::vector<std::size_t> offset(candidates.size() + 1, 0);
     std::vector<std::uint32_t> sim_ids;
     std::vector<std::uint32_t> timing_ids(candidates.size());
-    /** A non-resident stage id and the range it simulates. */
+    /** A class range some member's stage key is not resident for. */
     struct Miss
     {
-        std::uint32_t id;
-        const SearchPoint *point;
-        const StageRange *range;
+        int cls;
+        std::uint32_t range;
     };
     std::vector<Miss> misses;
     {
         perf::Scope span("planner.derive");
-        // Every point's wide simulation, before any point reads
+        // Every class's wide simulation, before any point reads
         // another's as its unsharded solo run.
         for (std::size_t i = 0; i < points.size(); ++i)
-            keys[i] = simKey(shards[points[i].t - 1].hash,
-                             points[i].share);
+            keys[i] = simKey(hashes[points[i].t - 1], points[i].share);
         resolved = cache.peek(keys.begin(), keys.end());
-        pool.parallelFor(points.size(), [&](std::size_t i) {
-            if (!resolved[i])
-                resolved[i] = std::make_shared<const npusim::SimResult>(
-                    _sharder._sim.run(shards[points[i].t - 1].network,
-                                      points[i].share));
+        pool.parallelFor(classes.size(), [&](std::size_t c) {
+            const SearchClass &cls = classes[c];
+            resolveClass(
+                cls.members, [&](int p) { return &resolved[p]; },
+                [&](int p) { return shardName(network, points[p].t); },
+                [&] {
+                    return _sharder._sim.run(shards[cls.geometry],
+                                             cls.share);
+                });
         });
-        // Everything else a point's candidates share. The CutTable
-        // lock is taken once per point; afterwards every read of the
-        // cuts is lock-free.
+        // Everything else a class's points share: the LayerTimings
+        // (a resident member's, else one built now), the cut DP grown
+        // to the largest K any member asks for, and the sub-ranges
+        // its cuts name. The CutTable lock is taken once per class;
+        // afterwards every read of the cuts is lock-free.
         for (std::size_t i = 0; i < points.size(); ++i)
-            timing_keys[i] = {shards[points[i].t - 1].hash,
-                              points[i].share};
+            timing_keys[i] = {hashes[points[i].t - 1], points[i].share};
         const std::vector<std::shared_ptr<const partition::LayerTimings>>
             resident_timings =
                 timing_cache.peek(timing_keys.begin(), timing_keys.end());
-        pool.parallelFor(points.size(), [&](std::size_t i) {
-            SearchPoint &p = points[i];
-            const HashedNetwork &shard = shards[p.t - 1];
-            p.timings = resident_timings[i];
-            p.timingsResident = p.timings != nullptr;
-            if (!p.timingsResident)
-                p.timings =
+        pool.parallelFor(classes.size(), [&](std::size_t c) {
+            SearchClass &cls = classes[c];
+            for (const int p : cls.members) {
+                points[p].timingsResident =
+                    resident_timings[p] != nullptr;
+                if (!cls.timings)
+                    cls.timings = resident_timings[p];
+            }
+            const int rep = cls.members.front();
+            if (!cls.timings)
+                cls.timings =
                     std::make_shared<const partition::LayerTimings>(
-                        _partitioner.buildTimings(shard.network,
-                                                  resolved[i], p.share));
-            p.cuts = partition::Partitioner::cutStages(
-                shard.hash, *p.timings, 1, p.maxStages);
-            p.tensor = _sharder.assemble(network, p.t, p.share,
-                                         resolved[i],
-                                         resolved[p.soloPoint]);
+                        _partitioner.buildTimings(shards[cls.geometry],
+                                                  resolved[rep],
+                                                  cls.share));
+            cls.cuts = partition::Partitioner::cutStages(
+                hashes[points[rep].t - 1], *cls.timings, 1,
+                cls.maxStages);
             // Number the proper sub-ranges the cuts name, each once.
-            if (p.maxStages == 1)
+            cls.rangesUpTo.assign(cls.maxStages + 1, 0);
+            if (cls.maxStages == 1)
                 return;
-            const int n = p.timings->layerCount();
             constexpr std::uint32_t kUnseen = ~std::uint32_t(0);
             std::vector<std::uint32_t> range_at(n * n, kUnseen);
-            p.rangeOf.reserve(SearchPoint::firstStage(p.maxStages + 1));
-            for (int k = 2; k <= p.maxStages; ++k) {
-                const partition::Partitioner::StageCut &cut = p.cuts[k - 1];
+            cls.rangeOf.reserve(
+                SearchClass::firstStage(cls.maxStages + 1));
+            for (int k = 2; k <= cls.maxStages; ++k) {
+                const partition::Partitioner::StageCut &cut =
+                    cls.cuts[k - 1];
                 int first = 0;
                 for (int s = 0; s < k; ++s) {
                     const int last = cut.last[s];
                     std::uint32_t &range = range_at[first * n + last];
                     if (range == kUnseen) {
-                        range = (std::uint32_t)p.ranges.size();
-                        p.ranges.push_back(
-                            StageRange{cut.hash[s], first, last});
+                        range = (std::uint32_t)cls.ranges.size();
+                        cls.ranges.emplace_back(first, last);
                     }
-                    p.rangeOf.push_back(range);
+                    cls.rangeOf.push_back(range);
                     first = last + 1;
                 }
+                cls.rangesUpTo[k] = (std::uint32_t)cls.ranges.size();
             }
         });
+        // Each point's own books: the TensorShardResult of its T, and
+        // how many of its class's ranges its Ks cut.
+        pool.parallelFor(points.size(), [&](std::size_t i) {
+            SearchPoint &p = points[i];
+            p.tensor = _sharder.assemble(network, p.t, p.share,
+                                         resolved[i],
+                                         resolved[p.soloPoint]);
+            p.rangeCount = classes[p.cls].rangesUpTo[p.maxStages];
+        });
 
-        // Stage ids follow the wide ids, point by point; one locked
-        // peek says which stage keys are resident.
+        // Stage ids follow the wide ids, point by point, each keyed
+        // by the point's own network hash; one locked peek says which
+        // stage keys are resident.
         for (SearchPoint &p : points) {
+            const SearchClass &cls = classes[p.cls];
             p.firstRangeId = (std::uint32_t)keys.size();
-            for (const StageRange &range : p.ranges)
-                keys.push_back(simKey(range.hash, p.share));
+            for (std::uint32_t r = 0; r < p.rangeCount; ++r)
+                keys.push_back(simKey(
+                    partition::Partitioner::stageHash(
+                        hashes[p.t - 1], cls.ranges[r].first,
+                        cls.ranges[r].second, n),
+                    p.share));
         }
         SUPERNPU_ASSERT(keys.size() <= ~std::uint32_t(0),
                         "search has more keys than ids");
@@ -429,11 +540,17 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
         resolved.reserve(keys.size());
         std::move(stages.begin(), stages.end(),
                   std::back_inserter(resolved));
-        for (const SearchPoint &p : points) {
-            for (std::size_t r = 0; r < p.ranges.size(); ++r) {
-                const std::uint32_t id = p.firstRangeId + (std::uint32_t)r;
-                if (!resolved[id])
-                    misses.push_back(Miss{id, &p, &p.ranges[r]});
+        for (std::size_t c = 0; c < classes.size(); ++c) {
+            const SearchClass &cls = classes[c];
+            for (std::uint32_t r = 0; r < cls.ranges.size(); ++r) {
+                for (const int m : cls.members) {
+                    const SearchPoint &p = points[m];
+                    if (r < p.rangeCount &&
+                        !resolved[p.firstRangeId + r]) {
+                        misses.push_back(Miss{(int)c, r});
+                        break;
+                    }
+                }
             }
         }
 
@@ -468,7 +585,7 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
                 *id++ = wide;
             } else {
                 const std::uint32_t *range =
-                    &p.rangeOf[SearchPoint::firstStage(c.k)];
+                    &classes[p.cls].rangeOf[SearchClass::firstStage(c.k)];
                 for (int s = 0; s < c.k; ++s)
                     *id++ = p.firstRangeId + range[s];
             }
@@ -477,15 +594,31 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
     }
 
     {
-        // No lock: each miss writes only its own resolved slot.
+        // One runRange per class range, composed from the class's
+        // wide run; no lock, as each miss writes only its class's
+        // slots of that range.
         perf::Scope span("planner.simulate");
         pool.parallelFor(misses.size(), [&](std::size_t i) {
-            const Miss &miss = misses[i];
-            resolved[miss.id] = std::make_shared<const npusim::SimResult>(
-                _sharder._sim.runRange(
-                    shards[miss.point->t - 1].network,
-                    miss.range->first, miss.range->last,
-                    miss.point->share, miss.point->timings->sim));
+            const SearchClass &cls = classes[misses[i].cls];
+            const std::uint32_t r = misses[i].range;
+            const auto [first, last] = cls.ranges[r];
+            resolveClass(
+                cls.members,
+                [&](int m) {
+                    const SearchPoint &p = points[m];
+                    return r < p.rangeCount
+                               ? &resolved[p.firstRangeId + r]
+                               : nullptr;
+                },
+                [&](int m) {
+                    return npusim::stageName(
+                        shardName(network, points[m].t), first, last, n);
+                },
+                [&] {
+                    return _sharder._sim.runRange(
+                        shards[cls.geometry], first, last, cls.share,
+                        cls.timings->sim);
+                });
         });
     }
 
@@ -495,7 +628,7 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
                      [&](std::uint32_t id) { return resolved[id]; });
         timing_cache.replay(timing_ids, timing_keys,
                             [&](std::uint32_t id) {
-                                return points[id].timings;
+                                return classes[points[id].cls].timings;
                             });
     }
 
@@ -515,9 +648,10 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
             perf::Scope span("planner.evaluate");
             const Candidate &c = candidates[i];
             const SearchPoint &p = points[c.point];
-            const std::vector<int> &last = p.cuts[c.k - 1].last;
+            const SearchClass &cls = classes[p.cls];
+            const std::vector<int> &last = cls.cuts[c.k - 1].last;
             const std::vector<std::uint64_t> &link_cycles =
-                p.timings->linkCycles;
+                cls.timings->linkCycles;
             const std::uint32_t *ids = stage_ids(i);
             return foldRow(
                 c.r, c.t, c.k, batch, p.tensor, link, gather_bytes,
@@ -550,13 +684,14 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
     // The winner's full plan, by the body evaluate() runs.
     const Candidate &c = candidates[search.bestIndex];
     const SearchPoint &p = points[c.point];
+    const SearchClass &cls = classes[p.cls];
     const std::uint32_t *ids = stage_ids(search.bestIndex);
     search.winner = evaluate(
         network, c.r, c.t, batch,
         Resolved{p.tensor,
                  _partitioner.assemble(
-                     shards[c.t - 1].network.name, *p.timings,
-                     p.cuts[c.k - 1], p.share,
+                     shardName(network, c.t), *cls.timings,
+                     cls.cuts[c.k - 1], p.share,
                      [&](int s) { return resolved[ids[s]]; }),
                  resolved[kSoloId]});
     return search;

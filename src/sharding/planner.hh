@@ -33,26 +33,44 @@
  * evaluate() calls over that enumeration: every candidate's row, the
  * winner's full plan, and the SimCache and LayerTimingCache hit,
  * miss and eviction totals, at any job count and any cache capacity.
+ *
+ * Degrees T with equal shardWidths shard the network into equal
+ * layers under different names, and the simulator prices a layer from
+ * its shape alone. So the search groups its (T, replica share)
+ * points into (shard geometry, share) classes by their exact widths,
+ * and does the expensive work once per class: one shard network (the
+ * geometry's first T; every other T only hashes its name over those
+ * layers), one wide simulation, one LayerTimings, one cut DP and one
+ * runRange per stage range any member needs. Each point keeps its
+ * own SimKeys and cache entries: where one was not resident, it gets
+ * the class's result under its own name (SimResult::renamed: its own
+ * networkName, the same totals, the layers read in place), and its
+ * LayerTimingCache entry is the class's LayerTimings object.
+ *
  * It gets there in phases that share no per-candidate lock, each
  * fanned across a common/parallel ThreadPool where it can be:
  *
- *  1. derive (parallel per (T, replica share) point): the wide
- *     simulation (resident, or run now), the LayerTimings, the cut
- *     DP grown to the largest K any candidate asks for, every K's
- *     cuts and O(1) stage keys, and the TensorShardResult — once
- *     per point instead of once per candidate. Every distinct
- *     SimCache key gets a dense id: point i's wide key is id i, and
- *     each point's stage sub-ranges follow, point by point;
- *     residency is one locked peek over the wide keys and one over
- *     the stage keys;
+ *  1. derive (parallel per class): the wide simulation (a member's
+ *     resident result, or run now), the LayerTimings (a member's
+ *     resident one, or built now), the cut DP grown to the largest K
+ *     any member asks for, and the stage sub-ranges every K's cuts
+ *     name, in the order K = 2, 3, ... first names them, so a
+ *     point's ranges are a prefix of its class's. Then per point (in
+ *     parallel) its TensorShardResult. Every distinct SimCache key
+ *     gets a dense id: point i's wide key is id i, and each point's
+ *     stage sub-ranges follow, point by point, keyed by O(1) stage
+ *     hashes from the point's own network hash; residency is one
+ *     locked peek over the wide keys and one over the stage keys;
  *  2. derive (parallel per candidate, at offsets from a prefix sum
  *     of the lookup counts): the exact SimCache lookup sequence the
  *     serial walk issues, as ids — including the repeated wide
  *     lookup inside a LayerTimings miss — and the LayerTimingCache
  *     sequence as point ids;
- *  3. simulate (parallel, no lock): every stage id whose key is not
- *     resident, by runRange — one cold head layer plus the point's
- *     wide run's later layers — into its slot of the by-id results;
+ *  3. simulate (parallel per class range, no lock): every class range
+ *     some member's stage key is not resident for, resolved once — a
+ *     member's resident result, or runRange: one cold head layer plus
+ *     the class's wide run's later layers — into the members' slots
+ *     of the by-id results;
  *  4. replay (serial): both id sequences through their memos'
  *     Memo::replay, which counts and evicts exactly as the serial
  *     walk's getOrCompute calls would;

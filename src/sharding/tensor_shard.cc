@@ -40,6 +40,27 @@ TensorShardResult::effectiveMacPerSec() const
     return (double)macOpsPerBatch / seconds();
 }
 
+std::string
+shardName(const dnn::Network &network, int shards)
+{
+    return shards == 1 ? network.name
+                       : network.name + "/tp" + std::to_string(shards);
+}
+
+std::vector<int>
+shardWidths(const dnn::Network &network, int shards)
+{
+    SUPERNPU_ASSERT(shards >= 1, "shard count must be positive");
+    // Widest ceil share of the filters; at least one filter per chip
+    // even when T exceeds the layer's channel count (the surplus
+    // chips idle on that layer).
+    std::vector<int> widths;
+    widths.reserve(network.layers.size());
+    for (const dnn::Layer &layer : network.layers)
+        widths.push_back((layer.outChannels + shards - 1) / shards);
+    return widths;
+}
+
 dnn::Network
 shardNetwork(const dnn::Network &network, int shards)
 {
@@ -51,23 +72,18 @@ shardNetwork(const dnn::Network &network, int shards)
         return network;
     }
     dnn::Network shard;
-    shard.name =
-        network.name + "/tp" + std::to_string(shards);
-    shard.layers.reserve(network.layers.size());
-    const int t = shards;
-    for (const dnn::Layer &layer : network.layers) {
-        dnn::Layer s = layer;
-        // Widest ceil share of the filters; at least one filter per
-        // chip even when T exceeds the layer's channel count (the
-        // surplus chips idle on that layer).
-        s.outChannels = (layer.outChannels + t - 1) / t;
-        if (layer.kind == dnn::LayerKind::DepthwiseConv) {
+    shard.name = shardName(network, shards);
+    shard.layers = network.layers;
+    const std::vector<int> widths = shardWidths(network, shards);
+    for (std::size_t l = 0; l < widths.size(); ++l) {
+        dnn::Layer &s = shard.layers[l];
+        s.outChannels = widths[l];
+        if (s.kind == dnn::LayerKind::DepthwiseConv) {
             // Depthwise filters are per-channel: splitting the
             // filters splits the input channels with them, and the
             // mapper requires in == out.
             s.inChannels = s.outChannels;
         }
-        shard.layers.push_back(std::move(s));
     }
     shard.check();
     return shard;

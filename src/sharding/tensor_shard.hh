@@ -112,6 +112,16 @@ struct TensorShardResult
  */
 dnn::Network shardNetwork(const dnn::Network &network, int shards);
 
+/** The name of shardNetwork(network, shards): `name/tpT`; T=1 keeps it. */
+std::string shardName(const dnn::Network &network, int shards);
+
+/**
+ * Every layer's outChannels in shardNetwork(network, shards). Degrees
+ * with equal widths give equal layers: their shard networks differ
+ * only in name.
+ */
+std::vector<int> shardWidths(const dnn::Network &network, int shards);
+
 /** Re-simulating tensor-parallel cost model for one design point. */
 class TensorSharder
 {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -28,6 +29,8 @@
 #include "obs/audit.hh"
 #include "obs/ledger.hh"
 #include "partition/link_model.hh"
+#include "partition/partitioner.hh"
+#include "perf/profile.hh"
 #include "serving/simulator.hh"
 #include "sharding/collective.hh"
 #include "sharding/planner.hh"
@@ -173,6 +176,11 @@ TEST(ShardNetwork, SplitsOfmapChannelsByTheCeilShare)
     // 7 over 4: widest share 2 — narrow layers leave chips idle but
     // still shrink.
     EXPECT_EQ(four.layers[1].outChannels, 2);
+    // What the planner groups degrees by, without the network.
+    EXPECT_EQ(shardName(net, 4), four.name);
+    EXPECT_EQ(shardWidths(net, 4), (std::vector<int>{8, 2}));
+    EXPECT_EQ(shardName(net, 1), net.name);
+    EXPECT_EQ(shardWidths(net, 1), (std::vector<int>{30, 7}));
 }
 
 TEST(ShardNetwork, DepthwiseShardsBothChannelDims)
@@ -723,6 +731,128 @@ TEST_F(ShardingFixture, SearchCountsMatchTheSerialWalkUnderLruPressure)
                                 walked[(std::size_t)search.bestIndex]);
         }
     }
+}
+
+TEST_F(ShardingFixture, MergedGeometriesMatchTheSerialWalk)
+{
+    // Narrow layers make many degrees shard into equal layers: T = 4
+    // and 5, T = 6 and 7, and every T from 8 on. The search simulates
+    // each (geometry, share) class once and hands the other points
+    // renamed results; the serial walk of standalone evaluate() calls
+    // builds every shard network itself. Both must land on the same
+    // rows, winner, cache tallies and cache contents.
+    const dnn::Network narrow =
+        dnn::parseNetwork("network Narrow\n"
+                          "conv   c1 3 16 6 3 1 1\n"
+                          "conv   c2 6 16 8 3 1 1\n"
+                          "dwconv d3 8 16 - 3 1 1\n"
+                          "conv   c4 8 16 4 3 1 1\n"
+                          "conv   c5 4 16 8 3 1 1\n");
+    constexpr int kBudget = 16, kBatch = 12;
+    const int n = (int)narrow.layers.size();
+    EXPECT_EQ(shardWidths(narrow, 4), shardWidths(narrow, 5));
+    EXPECT_EQ(shardWidths(narrow, 8), shardWidths(narrow, kBudget));
+    EXPECT_NE(shardWidths(narrow, 5), shardWidths(narrow, 6));
+
+    // Every SimKey the search can look up: each T's wide run and its
+    // sub-ranges, at every replica share.
+    const std::uint64_t config_hash = npusim::hashEstimate(estimate);
+    std::vector<npusim::SimKey> universe;
+    std::set<std::pair<int, int>> points;
+    for (int r = 1; r <= kBatch; ++r) {
+        const int share = (kBatch + r - 1) / r;
+        for (int t = 1; r * t <= kBudget; ++t) {
+            if (!points.emplace(t, share).second)
+                continue;
+            const std::uint64_t hash =
+                npusim::hashNetwork(shardNetwork(narrow, t));
+            for (int first = 0; first < n; ++first)
+                for (int last = first; last < n; ++last)
+                    universe.push_back(
+                        {partition::Partitioner::stageHash(hash, first,
+                                                           last, n),
+                         config_hash, share});
+        }
+    }
+
+    // The serial walk's pick: first strictly better throughput.
+    const auto best_of = [](const std::vector<ShardPlan> &plans) {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < plans.size(); ++i)
+            if (plans[i].throughput() > plans[best].throughput())
+                best = i;
+        return best;
+    };
+    // Each universe key's residency and, when resident, what the
+    // ledgers read of its result.
+    const auto contents = [&](const npusim::SimCache &cache) {
+        std::vector<std::tuple<bool, std::string, std::uint64_t,
+                               std::size_t>>
+            seen;
+        std::size_t resident = 0;
+        for (const npusim::SimKey &key : universe) {
+            const auto result = cache.peek(key);
+            resident += result != nullptr;
+            seen.emplace_back(result != nullptr,
+                              result ? result->networkName : "",
+                              result ? result->totalCycles : 0,
+                              result ? result->layers().size() : 0);
+        }
+        EXPECT_EQ(resident, cache.size());
+        return seen;
+    };
+
+    const bool was_profiling = perf::enabled();
+    perf::setEnabled(true);
+    perf::Counter &runs = perf::counter("npusim.runs");
+    for (std::size_t capacity : {0, 4}) {
+        npusim::SimCache serial_cache(capacity);
+        const HybridPlanner serial(estimate, testLink(), &serial_cache);
+        std::vector<ShardPlan> walked;
+        // R stops at the batch, as plan() skips clamped replicas.
+        for (int r = 1; r <= kBatch; ++r)
+            for (int t = 1; r * t <= kBudget; ++t)
+                for (int k = 1; r * t * k <= kBudget && k <= n; ++k)
+                    walked.push_back(
+                        serial.evaluate(narrow, r, t, k, kBatch));
+        const npusim::SimCacheStats serial_sim = serial_cache.stats();
+        const partition::LayerTimingCacheStats serial_timing =
+            serial.timingCacheStats();
+        if (capacity != 0) {
+            ASSERT_GT(serial_sim.evictions, 0u);
+        }
+        const auto serial_contents = contents(serial_cache);
+
+        for (int jobs : {1, 4}) {
+            SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                         " jobs " + std::to_string(jobs));
+            npusim::SimCache cache(capacity);
+            const HybridPlanner planner(estimate, testLink(), &cache);
+            const std::uint64_t runs_before = runs.value();
+            const PlanSearch search = planner.plan(
+                narrow, kBudget, kBatch, PlanObjective::Throughput, jobs);
+            // 7 geometries: one wide run per class, not per point.
+            EXPECT_LT(runs.value() - runs_before, points.size());
+
+            ASSERT_EQ(search.evaluated.size(), walked.size());
+            for (std::size_t i = 0; i < walked.size(); ++i)
+                expectSameRow(search.evaluated[i], walked[i]);
+            ASSERT_EQ((std::size_t)search.bestIndex, best_of(walked));
+            expectSameShardPlan(search.best(), walked[best_of(walked)]);
+
+            const npusim::SimCacheStats sim = cache.stats();
+            EXPECT_EQ(sim.hits, serial_sim.hits);
+            EXPECT_EQ(sim.misses, serial_sim.misses);
+            EXPECT_EQ(sim.evictions, serial_sim.evictions);
+            const partition::LayerTimingCacheStats timing =
+                planner.timingCacheStats();
+            EXPECT_EQ(timing.hits, serial_timing.hits);
+            EXPECT_EQ(timing.misses, serial_timing.misses);
+            EXPECT_EQ(timing.evictions, serial_timing.evictions);
+            EXPECT_TRUE(contents(cache) == serial_contents);
+        }
+    }
+    perf::setEnabled(was_profiling);
 }
 
 TEST(ShardingResNet50, BestThroughputNeverDropsAsTheBudgetGrows)
