@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 
 #include "logging.hh"
@@ -28,6 +29,13 @@ warnNonFiniteOnce(const char *where)
         warn(where, ": non-finite sample excluded from statistics "
              "(further occurrences counted silently)");
     }
+}
+
+/** Bit pattern of a double; ordered like the value when positive. */
+std::uint64_t
+bitsOf(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
 }
 
 } // namespace
@@ -111,30 +119,99 @@ Histogram::Histogram(double lo, double hi, int bins_per_decade)
     : _lo(lo), _hi(hi), _logLo(std::log10(lo)),
       _binsPerDecade((double)bins_per_decade)
 {
-    SUPERNPU_ASSERT(lo > 0.0 && hi > lo && bins_per_decade > 0,
+    SUPERNPU_ASSERT(lo > 0.0 && hi > lo && std::isfinite(hi) &&
+                        bins_per_decade > 0,
                     "bad histogram shape");
     const std::size_t regular = (std::size_t)std::ceil(
         (std::log10(hi) - _logLo) * _binsPerDecade);
     _bins.assign(regular + 2, 0); // + underflow and overflow
+
+    // Regular bin r starts at the least double the formula puts in
+    // it. 10^(logLo + r/bpd) lands within a few ulps of that edge;
+    // step down out of the bin, then up to its first double.
+    constexpr int kMaxSteps = 64;
+    _edges.assign(regular, lo);
+    SUPERNPU_ASSERT(formulaBin(lo) == 0, "histogram lo outside bin 0");
+    for (std::size_t r = 1; r < regular; ++r) {
+        double edge = std::pow(10.0, _logLo + (double)r / _binsPerDecade);
+        int steps = 0;
+        while (formulaBin(edge) >= r) {
+            edge = std::nextafter(edge, 0.0);
+            SUPERNPU_ASSERT(++steps <= kMaxSteps, "histogram edge search");
+        }
+        while (formulaBin(edge) < r) {
+            edge = std::nextafter(edge, hi);
+            SUPERNPU_ASSERT(++steps <= kMaxSteps, "histogram edge search");
+        }
+        const double below = std::nextafter(edge, 0.0);
+        SUPERNPU_ASSERT(formulaBin(edge) == r &&
+                            formulaBin(below) == r - 1 &&
+                            edge > _edges[r - 1] && edge < hi,
+                        "histogram bin ", r, " has no exact edge");
+        _edges[r] = edge;
+    }
+
+    // Buckets of top bits no wider than the closest pair of edges
+    // hold at most one edge each, so a lookup starts at its bucket's
+    // first bin and advances at most once.
+    std::uint64_t min_gap = bitsOf(hi) - bitsOf(lo);
+    for (std::size_t r = 1; r < regular; ++r) {
+        min_gap = std::min(min_gap,
+                           bitsOf(_edges[r]) - bitsOf(_edges[r - 1]));
+    }
+    _bucketShift = 63 - std::countl_zero(min_gap);
+    _bucketBase = bitsOf(lo) >> _bucketShift;
+    const std::uint64_t last =
+        bitsOf(std::nextafter(hi, 0.0)) >> _bucketShift;
+    _bucketBin.resize((std::size_t)(last - _bucketBase + 1));
+    std::size_t bin = 0;
+    for (std::size_t b = 0; b < _bucketBin.size(); ++b) {
+        const double first = std::max(
+            lo, std::bit_cast<double>((_bucketBase + b) << _bucketShift));
+        while (bin + 1 < regular && first >= _edges[bin + 1])
+            ++bin;
+        _bucketBin[b] = (std::uint32_t)bin;
+    }
+}
+
+std::size_t
+Histogram::formulaBin(double x) const
+{
+    return (std::size_t)((std::log10(x) - _logLo) * _binsPerDecade);
+}
+
+std::size_t
+Histogram::binIndex(double sample) const
+{
+    if (!(sample >= _lo)) // includes non-positive samples and NaN
+        return 0;
+    if (sample >= _hi)
+        return _bins.size() - 1;
+    std::size_t bin =
+        _bucketBin[(bitsOf(sample) >> _bucketShift) - _bucketBase];
+    while (bin + 1 < _edges.size() && sample >= _edges[bin + 1])
+        ++bin;
+    return 1 + bin;
 }
 
 void
 Histogram::add(double sample)
 {
-    _stats.add(sample); // rejects and tallies non-finite samples
-    if (!std::isfinite(sample))
+    if (!std::isfinite(sample)) {
+        ++_nonFiniteCount;
+        warnNonFiniteOnce("Histogram::add");
         return;
-    std::size_t index;
-    if (!(sample >= _lo)) { // includes non-positive samples
-        index = 0;
-    } else if (sample >= _hi) {
-        index = _bins.size() - 1;
-    } else {
-        index = 1 + (std::size_t)((std::log10(sample) - _logLo) *
-                                  _binsPerDecade);
-        index = std::min(index, _bins.size() - 2);
     }
-    ++_bins[index];
+    if (_count == 0) {
+        _min = sample;
+        _max = sample;
+    } else {
+        _min = std::min(_min, sample);
+        _max = std::max(_max, sample);
+    }
+    ++_count;
+    _sum += sample;
+    ++_bins[binIndex(sample)];
 }
 
 double

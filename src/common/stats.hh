@@ -83,6 +83,14 @@ double percentile(std::vector<double> samples, double p);
  * samples are excluded entirely — a NaN would land in the underflow
  * bin via `!(sample >= lo)` and silently drag every low quantile
  * toward min() — and are tallied in nonFiniteCount() instead.
+ *
+ * A sample x in [lo, hi) belongs to regular bin
+ * `min((size_t)((log10(x) - log10(lo)) * binsPerDecade), last)`.
+ * add() evaluates that formula without a log10: the constructor
+ * finds each bin's exact lower edge (the least double the formula
+ * puts in the bin) and a table indexed by the sample's top bits
+ * that names the bin of each bucket's first double; a lookup then
+ * walks at most one edge forward.
  */
 class Histogram
 {
@@ -98,16 +106,16 @@ class Histogram
     /** Add one sample. */
     void add(double sample);
 
-    /** Number of samples added. */
-    std::size_t count() const { return _stats.count(); }
+    /** Number of finite samples added. */
+    std::size_t count() const { return _count; }
     /** Smallest sample; 0 when empty. */
-    double min() const { return _stats.min(); }
+    double min() const { return _count ? _min : 0.0; }
     /** Largest sample; 0 when empty. */
-    double max() const { return _stats.max(); }
+    double max() const { return _count ? _max : 0.0; }
     /** Arithmetic mean; 0 when empty. */
-    double mean() const { return _stats.mean(); }
-    /** Sum of all samples. */
-    double sum() const { return _stats.sum(); }
+    double mean() const { return _count ? _sum / (double)_count : 0.0; }
+    /** Sum of all finite samples. */
+    double sum() const { return _sum; }
 
     /**
      * Estimated value at percentile `p` in [0, 100]; 0 when empty.
@@ -117,18 +125,37 @@ class Histogram
     double percentile(double p) const;
 
     /** NaN / infinite samples rejected by add(). */
-    std::size_t nonFiniteCount() const { return _stats.nonFiniteCount(); }
+    std::size_t nonFiniteCount() const { return _nonFiniteCount; }
 
-    /** The exact moment statistics of everything added. */
-    const RunningStats &stats() const { return _stats; }
+    /**
+     * Bin a sample would land in: 0 is the underflow bin (below
+     * `lo`, non-positive or NaN), the last the overflow bin (at or
+     * above `hi`, +inf), 1 + the formula's regular bin between.
+     */
+    std::size_t binIndex(double sample) const;
 
   private:
+    /** The binning formula's regular bin of x in [lo, hi). */
+    std::size_t formulaBin(double x) const;
+
     double _lo;
     double _hi;
     double _logLo;
     double _binsPerDecade;
     std::vector<std::uint64_t> _bins; ///< [underflow, ..., overflow]
-    RunningStats _stats;
+
+    /** Least double in each regular bin; _edges[0] == lo. */
+    std::vector<double> _edges;
+    /** Per bucket of top bits, the regular bin of its first double. */
+    std::vector<std::uint32_t> _bucketBin;
+    int _bucketShift = 0;           ///< bucket = bits >> shift
+    std::uint64_t _bucketBase = 0;  ///< bucket of lo
+
+    std::size_t _count = 0;
+    std::size_t _nonFiniteCount = 0;
+    double _sum = 0.0;
+    double _min = 0.0;
+    double _max = 0.0;
 };
 
 } // namespace supernpu

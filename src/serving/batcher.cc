@@ -5,6 +5,7 @@
 
 #include "batcher.hh"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.hh"
@@ -33,6 +34,13 @@ BatchingConfig::check() const
         fatal("batch timeout cannot be negative");
 }
 
+namespace {
+
+/** Consumed requests a queue keeps before it may compact. */
+constexpr std::size_t kCompactAfter = 1024;
+
+} // namespace
+
 BatchQueue::BatchQueue(const BatchingConfig &config) : _cfg(config)
 {
     _cfg.check();
@@ -41,7 +49,7 @@ BatchQueue::BatchQueue(const BatchingConfig &config) : _cfg(config)
 void
 BatchQueue::push(const Request &request)
 {
-    SUPERNPU_ASSERT(_queue.empty() ||
+    SUPERNPU_ASSERT(empty() ||
                         request.enqueueSec >= _queue.back().enqueueSec,
                     "requests must enqueue in time order");
     _queue.push_back(request);
@@ -50,9 +58,9 @@ BatchQueue::push(const Request &request)
 bool
 BatchQueue::launchable(double now_sec) const
 {
-    if (_queue.size() >= (std::size_t)_cfg.maxBatch)
+    if (depth() >= (std::size_t)_cfg.maxBatch)
         return true;
-    if (_cfg.policy != BatchPolicy::DynamicTimeout || _queue.empty())
+    if (_cfg.policy != BatchPolicy::DynamicTimeout || empty())
         return false;
     return now_sec >= nextDeadlineSec();
 }
@@ -60,9 +68,9 @@ BatchQueue::launchable(double now_sec) const
 double
 BatchQueue::nextDeadlineSec() const
 {
-    if (_cfg.policy != BatchPolicy::DynamicTimeout || _queue.empty())
+    if (_cfg.policy != BatchPolicy::DynamicTimeout || empty())
         return std::numeric_limits<double>::infinity();
-    return _queue.front().enqueueSec + _cfg.timeoutSec;
+    return _queue[_head].enqueueSec + _cfg.timeoutSec;
 }
 
 std::vector<Request>
@@ -77,9 +85,20 @@ void
 BatchQueue::popInto(std::vector<Request> &out)
 {
     const std::size_t take =
-        std::min(_queue.size(), (std::size_t)_cfg.maxBatch);
-    out.assign(_queue.begin(), _queue.begin() + take);
-    _queue.erase(_queue.begin(), _queue.begin() + take);
+        std::min(depth(), (std::size_t)_cfg.maxBatch);
+    const auto first = _queue.begin() + (std::ptrdiff_t)_head;
+    out.assign(first, first + (std::ptrdiff_t)take);
+    _head += take;
+    // Drop the consumed prefix when nothing is left behind it, or
+    // once it is both large and at least as long as the live tail,
+    // so compaction moves each request O(1) times amortized.
+    if (_head == _queue.size()) {
+        _queue.clear();
+        _head = 0;
+    } else if (_head >= kCompactAfter && _head >= depth()) {
+        _queue.erase(_queue.begin(), _queue.begin() + (std::ptrdiff_t)_head);
+        _head = 0;
+    }
 }
 
 } // namespace serving

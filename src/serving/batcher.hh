@@ -23,7 +23,6 @@
 #define SUPERNPU_SERVING_BATCHER_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 namespace supernpu {
@@ -70,7 +69,12 @@ struct BatchingConfig
     void check() const;
 };
 
-/** FIFO of pending requests with batch-launch decisions. */
+/**
+ * FIFO of pending requests with batch-launch decisions. The requests
+ * live in one vector read from a head index: a pop advances the
+ * head, and the consumed prefix is dropped once the queue empties or
+ * the prefix outgrows what is still queued.
+ */
 class BatchQueue
 {
   public:
@@ -79,8 +83,8 @@ class BatchQueue
     /** Enqueue one request (its arrivalSec is its enqueue time). */
     void push(const Request &request);
 
-    bool empty() const { return _queue.empty(); }
-    std::size_t depth() const { return _queue.size(); }
+    bool empty() const { return _head == _queue.size(); }
+    std::size_t depth() const { return _queue.size() - _head; }
 
     /** A batch may launch now under the configured policy. */
     bool launchable(double now_sec) const;
@@ -115,7 +119,8 @@ class BatchQueue
 
   private:
     BatchingConfig _cfg;
-    std::deque<Request> _queue;
+    std::vector<Request> _queue; ///< queued requests from _head on
+    std::size_t _head = 0;
 };
 
 } // namespace serving

@@ -22,61 +22,46 @@ dispatchPolicyName(DispatchPolicy policy)
     panic("bad dispatch policy");
 }
 
-Dispatcher::Dispatcher(DispatchPolicy policy, int chips)
-    : _policy(policy), _chips(chips)
+Dispatcher::Dispatcher(DispatchPolicy policy, int targets)
+    : _policy(policy), _targets(targets)
 {
-    if (chips < 1)
-        fatal("dispatcher needs at least one chip");
+    if (targets < 1)
+        fatal("dispatcher needs at least one target");
+    _outstanding.assign((std::size_t)targets, 0);
+    _healthy.assign((std::size_t)targets, 1);
+}
+
+void
+Dispatcher::quarantine(int target)
+{
+    SUPERNPU_ASSERT(target >= 0 && target < _targets,
+                    "bad dispatch target");
+    if (_healthy[(std::size_t)target]) {
+        _healthy[(std::size_t)target] = 0;
+        ++_quarantined;
+    }
 }
 
 int
-Dispatcher::pick(const std::vector<int> &outstanding)
+Dispatcher::pickHealthy()
 {
-    SUPERNPU_ASSERT((int)outstanding.size() == _chips,
-                    "outstanding counts do not match chip count");
+    SUPERNPU_ASSERT(_quarantined < _targets, "no healthy dispatch target");
     if (_policy == DispatchPolicy::RoundRobin) {
-        const int chip = _next;
-        _next = (_next + 1) % _chips;
-        return chip;
-    }
-    int best = 0;
-    for (int chip = 1; chip < _chips; ++chip) {
-        if (outstanding[chip] < outstanding[best])
-            best = chip;
-    }
-    return best;
-}
-
-int
-Dispatcher::pick(const std::vector<int> &outstanding,
-                 const std::vector<char> &healthy)
-{
-    SUPERNPU_ASSERT((int)healthy.size() == _chips,
-                    "health mask does not match chip count");
-    bool any_healthy = false;
-    for (char h : healthy)
-        any_healthy = any_healthy || h != 0;
-    if (!any_healthy)
-        return pick(outstanding);
-
-    if (_policy == DispatchPolicy::RoundRobin) {
-        for (int step = 0; step < _chips; ++step) {
-            const int chip = (_next + step) % _chips;
-            if (healthy[chip]) {
-                _next = (chip + 1) % _chips;
-                return chip;
+        for (int step = 0;; ++step) {
+            const int target = (_next + step) % _targets;
+            if (_healthy[(std::size_t)target]) {
+                _next = (target + 1) % _targets;
+                return target;
             }
         }
-        panic("unreachable: no healthy chip after mask check");
     }
-    SUPERNPU_ASSERT((int)outstanding.size() == _chips,
-                    "outstanding counts do not match chip count");
     int best = -1;
-    for (int chip = 0; chip < _chips; ++chip) {
-        if (!healthy[chip])
+    for (int target = 0; target < _targets; ++target) {
+        if (!_healthy[(std::size_t)target])
             continue;
-        if (best < 0 || outstanding[chip] < outstanding[best])
-            best = chip;
+        if (best < 0 || _outstanding[(std::size_t)target] <
+                            _outstanding[(std::size_t)best])
+            best = target;
     }
     return best;
 }

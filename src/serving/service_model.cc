@@ -54,8 +54,15 @@ GroupTimingModel::GroupTimingModel(const BatchServiceModel &service,
 const GroupTimingModel::Timing &
 GroupTimingModel::timing(int size) const
 {
-    if (_pipe)
-        return _pipe->timing(size);
+    if (_pipe) {
+        SUPERNPU_ASSERT(size >= 1, "bad batch");
+        if ((std::size_t)size >= _pipeBySize.size())
+            _pipeBySize.resize((std::size_t)size + 1, nullptr);
+        const Timing *&timing = _pipeBySize[(std::size_t)size];
+        if (timing == nullptr)
+            timing = &_pipe->timing(size);
+        return *timing;
+    }
     // The batch splits into near-equal shares; the widest share's
     // service plus the ring all-gather of the results bounds the
     // group.

@@ -23,6 +23,7 @@
 #define SUPERNPU_SERVING_SERVICE_MODEL_HH
 
 #include <memory>
+#include <vector>
 
 #include "dnn/layer.hh"
 #include "npusim/sim.hh"
@@ -86,7 +87,9 @@ class BatchServiceModel
  *    ring all-gather of the results when R > 1; interval, latency
  *    and busy coincide. Every call resolves the service time afresh,
  *    so each launch costs exactly one SimCache lookup.
- *  - K > 1 (R == 1): the memoized partition::PipelineServiceModel.
+ *  - K > 1 (R == 1): the memoized partition::PipelineServiceModel,
+ *    whose unbounded memo keeps each size's Timing alive; the model
+ *    looks each size up there once and keeps the pointer.
  */
 class GroupTimingModel
 {
@@ -98,8 +101,9 @@ class GroupTimingModel
 
     /**
      * Timing of one batch of the given size, seconds from launch.
-     * The reference stays valid until the next call; one caller at a
-     * time.
+     * One caller at a time. K == 1: the reference stays valid until
+     * the next call. K > 1: it stays valid, and is the same object
+     * for the same size, for the model's lifetime.
      */
     const Timing &timing(int size) const;
 
@@ -112,6 +116,8 @@ class GroupTimingModel
     int _replicas;
     partition::LinkConfig _link;
     std::unique_ptr<partition::PipelineServiceModel> _pipe; ///< K > 1
+    /** K > 1: the pipe's Timing per batch size, null until asked. */
+    mutable std::vector<const Timing *> _pipeBySize;
     mutable Timing _single; ///< K == 1, refilled per call
 };
 

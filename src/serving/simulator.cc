@@ -15,7 +15,14 @@
  * Timeout events are advisory: a fired timeout only launches a batch
  * if the chip is idle and the queue's own `launchable` test agrees.
  * Stale timeouts (the queue already launched, or grew to a full
- * batch) are no-ops, so the loop never needs to cancel events.
+ * batch) are no-ops, so the loop never needs to cancel events. A
+ * target arms at most one Timeout per deadline: it remembers the
+ * deadline of its newest armed Timeout (deadlines never decrease on
+ * one target) and pushes no second one at that instant. Such a
+ * duplicate would pop at the same instant as the original, so its
+ * clock advance would be a no-op, and every handler that changes a
+ * target's queue or busy flag already ends in try_launch, so its
+ * launch attempt would repeat one already made.
  *
  * Every dispatch target is one group of G = R·K chips timed by a
  * GroupTimingModel, and every event kind has one body driven by that
@@ -315,6 +322,8 @@ struct Target
     bool busy = false;            ///< lane 0 holds a batch
     double freeSec = 0.0;         ///< when lane 0 frees
     std::uint64_t pendingFreeSeq = kNoSeq; ///< valid StageFree event
+    /** Deadline of the newest armed Timeout; -inf before the first. */
+    double armedTimeoutSec = -std::numeric_limits<double>::infinity();
     double lastDoneSec = 0.0;     ///< FIFO floor for completions
     /**
      * Per lane: when a glitch stall that struck the lane outside
@@ -393,7 +402,6 @@ ServingSimulator::run()
     std::uint64_t events_processed = 0; ///< calendar pops
     double clock = 0.0;
 
-    int quarantined_count = 0;
     std::uint64_t waves = 0; ///< corruption waves so far
     std::uint64_t faults_seen = 0;
     std::uint64_t batches_killed = 0;
@@ -481,29 +489,22 @@ ServingSimulator::run()
         }
     };
 
-    // Dispatch target for a new or re-enqueued request. Only once a
-    // target is actually quarantined does the dispatcher see the
-    // health mask (0: quarantined), so a fault-free run drives it
-    // exactly as before. JSQ reads each target's outstanding count
-    // (queued + in flight, Target::outstanding()), kept where it
+    // Dispatch target for a new or re-enqueued request. JSQ reads
+    // each target's outstanding count (queued + in flight,
+    // Target::outstanding()), kept in the dispatcher where it
     // changes: a queue push, a completion, a kill and a quarantine
     // flush. A launch moves requests from the queue into flight and
     // leaves it alone.
-    std::vector<int> outstanding((std::size_t)n_targets, 0);
-    std::vector<char> healthy((std::size_t)n_targets, 1);
     const auto pick_target = [&]() {
-        if (quarantined_count == 0)
-            return dispatcher.pick(outstanding);
-        // With no healthy target left, Dispatcher::pick would fall
-        // back to dispatching onto a quarantined one and the run
-        // would silently "serve" from known-bad hardware.
-        if (quarantined_count >= n_targets) {
+        // With every target quarantined the run cannot go on
+        // without silently serving from known-bad hardware.
+        if (dispatcher.healthyTargets() == 0) {
             fatal("all ", n_targets, " dispatch target(s) of ", G,
                   " chip(s) quarantined: no healthy dispatch target "
                   "remains (permanent faults exceeded the cluster's "
                   "redundancy)");
         }
-        return dispatcher.pick(outstanding, healthy);
+        return dispatcher.pick();
     };
 
     // Put a batch in service: it holds lane 0 for the (derated)
@@ -547,14 +548,19 @@ ServingSimulator::run()
     };
 
     // Launch a batch on an idle target when its queue allows;
-    // otherwise arm the queue's next timeout deadline.
+    // otherwise arm the queue's next timeout deadline, unless a
+    // Timeout at that deadline is already pending (an armed deadline
+    // at or before the clock has popped, and cannot equal one past
+    // it).
     const auto try_launch = [&](int index) {
         Target &target = targets[index];
         if (target.busy || !target.queue.launchable(clock)) {
             const double deadline = target.queue.nextDeadlineSec();
             if (!target.busy && deadline > clock &&
-                deadline < std::numeric_limits<double>::infinity()) {
+                deadline < std::numeric_limits<double>::infinity() &&
+                deadline != target.armedTimeoutSec) {
                 calendar.push(deadline, EventKind::Timeout, index);
+                target.armedTimeoutSec = deadline;
             }
             return;
         }
@@ -569,7 +575,7 @@ ServingSimulator::run()
         const int index = pick_target();
         targets[index].queue.push(request);
         ++queued_depth;
-        ++outstanding[(std::size_t)index];
+        dispatcher.add(index, 1);
         try_launch(index);
     };
 
@@ -649,8 +655,7 @@ ServingSimulator::run()
             for (const Request &request : batch->requests)
                 complete_request(request, failed);
             target.inFlightRequests -= (int)batch->requests.size();
-            outstanding[(std::size_t)event.chip] -=
-                (int)batch->requests.size();
+            dispatcher.add(event.chip, -(int)batch->requests.size());
             recycle_batch(std::move(*batch));
             target.inFlight.pop_front();
             // Without a pending StageFree, the batch held lane 0
@@ -701,14 +706,14 @@ ServingSimulator::run()
                 // the derated chip throttles the whole group, so the
                 // loss covers all G chips.
                 target.permDerate *= fault.magnitude;
-                if (healthy[(std::size_t)index]) {
+                if (dispatcher.healthy(index)) {
                     for (int c = index * G; c < (index + 1) * G; ++c) {
                         metrics.setPermanentLoss(
                             c, clock, 1.0 - 1.0 / target.permDerate);
                     }
                 }
                 if (res.recovery == RecoveryPolicy::DegradedDispatch &&
-                    healthy[(std::size_t)index]) {
+                    dispatcher.healthy(index)) {
                     calendar.push(clock + res.detectLatencySec,
                                   EventKind::Quarantine, index);
                 }
@@ -837,8 +842,7 @@ ServingSimulator::run()
                 // Kill the batch; requests back off and re-enter,
                 // or give up past their retry/deadline budget.
                 target.inFlightRequests -= (int)batch->requests.size();
-                outstanding[(std::size_t)index] -=
-                    (int)batch->requests.size();
+                dispatcher.add(index, -(int)batch->requests.size());
                 kill_requests(batch->requests);
                 recycle_batch(std::move(*batch));
                 batch = target.inFlight.erase(batch);
@@ -871,10 +875,9 @@ ServingSimulator::run()
           }
           case EventKind::Quarantine: {
             Target &target = targets[event.chip];
-            if (!healthy[(std::size_t)event.chip])
+            if (!dispatcher.healthy(event.chip))
                 break;
-            healthy[(std::size_t)event.chip] = 0;
-            ++quarantined_count;
+            dispatcher.quarantine(event.chip);
             // A quarantined group takes all G of its chips out.
             for (int c = event.chip * G; c < (event.chip + 1) * G;
                  ++c) {
@@ -887,7 +890,7 @@ ServingSimulator::run()
                 queued_depth -= chunk.size();
                 moved.insert(moved.end(), chunk.begin(), chunk.end());
             }
-            outstanding[(std::size_t)event.chip] -= (int)moved.size();
+            dispatcher.add(event.chip, -(int)moved.size());
             for (Request request : moved) {
                 request.enqueueSec = clock;
                 dispatch(request);
@@ -926,8 +929,7 @@ ServingSimulator::run()
         SUPERNPU_ASSERT(target.inFlightRequests == 0 &&
                             target.inFlight.empty(),
                         "serving run ended with batches in flight");
-        SUPERNPU_ASSERT(outstanding[(std::size_t)i] ==
-                            target.outstanding(),
+        SUPERNPU_ASSERT(dispatcher.outstanding(i) == target.outstanding(),
                         "kept JSQ count drifted from its target");
     }
 

@@ -258,6 +258,99 @@ TEST(Histogram, PercentileMonotoneInP)
     }
 }
 
+/**
+ * The binning formula Histogram documents, evaluated here with
+ * log10 exactly as the sketch once computed it per sample.
+ */
+std::size_t
+formulaBin(double x, double lo, double hi, int bins_per_decade)
+{
+    const double log_lo = std::log10(lo);
+    const double bpd = (double)bins_per_decade;
+    const std::size_t regular =
+        (std::size_t)std::ceil((std::log10(hi) - log_lo) * bpd);
+    if (!(x >= lo))
+        return 0;
+    if (x >= hi)
+        return regular + 1;
+    return 1 + std::min((std::size_t)((std::log10(x) - log_lo) * bpd),
+                        regular - 1);
+}
+
+/**
+ * The log10-free lookup puts every sample in the bin the formula
+ * names: at each bin edge and 4 ulps either side, on seeded
+ * log-uniform samples, and on the range ends and special values.
+ */
+TEST(Histogram, EdgeTableMatchesLog10Formula)
+{
+    struct Shape
+    {
+        double lo, hi;
+        int binsPerDecade;
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const Shape shape : {Shape{1e-8, 1e3, 53}, Shape{1e-9, 1e4, 53},
+                              Shape{1e-6, 1e2, 10}, Shape{1e-6, 1e1, 53}}) {
+        const Histogram hist(shape.lo, shape.hi, shape.binsPerDecade);
+        const auto expect = [&](double x) {
+            return formulaBin(x, shape.lo, shape.hi, shape.binsPerDecade);
+        };
+        int mismatches = 0; // reported up to a handful per shape
+        const auto check = [&](double x) {
+            if (hist.binIndex(x) != expect(x) && ++mismatches <= 5) {
+                ADD_FAILURE() << "x=" << x << " lands in bin "
+                              << hist.binIndex(x) << ", formula "
+                              << expect(x) << "; shape (" << shape.lo
+                              << ", " << shape.hi << ", "
+                              << shape.binsPerDecade << ")";
+            }
+        };
+        const std::size_t overflow = expect(shape.hi);
+        ASSERT_EQ(hist.binIndex(shape.hi), overflow);
+
+        // Every edge: the least double the formula puts in bin b,
+        // found from the nominal 10^(log10(lo) + (b-1)/bpd) by
+        // stepping out of the bin and back to its first double.
+        const double log_lo = std::log10(shape.lo);
+        for (std::size_t b = 2; b < overflow; ++b) {
+            double edge = std::pow(
+                10.0, log_lo + (double)(b - 1) / (double)shape.binsPerDecade);
+            while (expect(edge) >= b)
+                edge = std::nextafter(edge, 0.0);
+            while (expect(edge) < b)
+                edge = std::nextafter(edge, inf);
+            ASSERT_EQ(expect(edge), b);
+            ASSERT_EQ(expect(std::nextafter(edge, 0.0)), b - 1);
+            double x = edge;
+            for (int i = 0; i < 4; ++i)
+                x = std::nextafter(x, 0.0);
+            for (int i = 0; i < 9; ++i) {
+                check(x);
+                x = std::nextafter(x, inf);
+            }
+        }
+
+        Rng rng(20261019);
+        for (int i = 0; i < 100000; ++i) {
+            check(std::pow(10.0, rng.uniform(log_lo - 1.0,
+                                             std::log10(shape.hi) + 1.0)));
+        }
+
+        const double denorm = std::numeric_limits<double>::denorm_min();
+        const double max = std::numeric_limits<double>::max();
+        for (double x : {shape.lo, std::nextafter(shape.lo, 0.0),
+                         std::nextafter(shape.lo, inf), shape.hi,
+                         std::nextafter(shape.hi, 0.0),
+                         std::nextafter(shape.hi, inf), 0.0, -0.0, -1.0,
+                         -shape.lo, denorm, 1e-310, -denorm, max, -max,
+                         inf, -inf,
+                         std::numeric_limits<double>::quiet_NaN()})
+            check(x);
+        EXPECT_EQ(mismatches, 0);
+    }
+}
+
 // --- non-finite exclusion --------------------------------------------
 
 TEST(Stats, NonFiniteSamplesAreExcludedFromEveryMoment)
