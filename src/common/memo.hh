@@ -28,19 +28,16 @@
  * past it. Values are handed out as shared_ptr<const Value>, so a
  * value stays valid while a caller holds it even after eviction.
  *
- * The batch path is for a caller that needs a parallel computation to
- * count exactly as its serial walk. peek(key) reads a resident value
- * without counting or touching the LRU order; peek(first, last) does
- * the same for a run of keys under one lock. replay(ids, keys,
- * value_of) walks a lookup sequence given as dense ids — each an
- * index into a table of keys — under one lock, hit for hit, miss for
- * miss and eviction for eviction as one getOrCompute(keys[id]) per
- * id on one thread would. The hybrid planner numbers the distinct
- * keys of its whole search, derives the lookup sequence as ids,
- * computes the missing values in parallel with no lock held, and
- * then replays the sequence once — so its hit, miss and eviction
- * totals (which the byte-compared shard ledgers embed) are the
- * serial walk's at any job count and any capacity.
+ * The batch path is for a caller that computes its values in
+ * parallel outside the memo. peek(key) reads a resident value without
+ * counting or touching the LRU order; peek(first, last) does the same
+ * for a run of keys under one lock. publish(keys, values) then hands
+ * the memo every distinct key the caller resolved, in order, under
+ * one lock: a resident key counts a hit and moves to the front, any
+ * other is stored as a miss. The hybrid planner resolves its whole
+ * search this way, so its tallies count each distinct key once — the
+ * work it did, not how often a serial walk would have asked — and,
+ * the pass being serial and ordered, repeat at any job count.
  */
 
 #ifndef SUPERNPU_COMMON_MEMO_HH
@@ -170,31 +167,25 @@ class Memo
     }
 
     /**
-     * Walk the lookup sequence `ids` in order under one lock, exactly
-     * as one getOrCompute(keys[id]) per id on one thread would: a
-     * resident key is a hit and moves to the front; any other key is
-     * a miss that stores value_of(id) (a shared_ptr<const Value>) and
-     * evicts past capacity. Every id must index `keys`; the keys need
-     * not be distinct, since residency is judged by key. value_of
-     * runs under the lock, so it must not re-enter the memo; it must
-     * return the value compute() would have produced for keys[id].
-     * Counters and perf counters are added in bulk.
+     * Hand the memo values[i] for keys[i], in order, under one lock:
+     * a resident key is a hit and moves to the front; any other key
+     * is a miss that stores its value and evicts past capacity. The
+     * two vectors must be the same length. Counters and perf counters
+     * are added in bulk.
      */
-    template <typename ValueOf>
-    void replay(const std::vector<std::uint32_t> &ids,
-                const std::vector<Key> &keys, ValueOf &&value_of)
+    void publish(const std::vector<Key> &keys,
+                 const std::vector<std::shared_ptr<const Value>> &values)
     {
         std::uint64_t hits = 0, misses = 0;
         std::lock_guard<std::mutex> lock(_mutex);
-        for (const std::uint32_t id : ids) {
-            const Key &key = keys[id];
-            const auto it = _index.find(key);
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            const auto it = _index.find(keys[i]);
             if (it != _index.end()) {
                 ++hits;
                 _lru.splice(_lru.begin(), _lru, it->second);
             } else {
                 ++misses;
-                insertLocked(key, value_of(id));
+                insertLocked(keys[i], values[i]);
             }
         }
         _stats.hits += hits;
@@ -240,7 +231,7 @@ class Memo
 
     /**
      * Store `value` as the most recent entry for `key` and evict
-     * past capacity. A replay may have stored the key while this
+     * past capacity. A publish may have stored the key while this
      * thread's flight computed it; the resident entry then just
      * moves to the front.
      */

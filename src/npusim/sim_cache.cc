@@ -79,8 +79,8 @@ SimKeyHash::operator()(const SimKey &key) const
     // A bucket index, never persisted. The three hash fields are
     // digests already, so one odd multiply per field and a
     // murmur-style finalizer spread them at a fraction of the cost
-    // of byte-serial FNV: a planner search's serial replay hashes
-    // every one of its ~250k lookups.
+    // of byte-serial FNV: a planner search peeks and publishes each
+    // of its ~28k distinct keys, and a sweep hashes every lookup.
     std::uint64_t h = key.networkHash ^
                       key.configHash * 0x9e3779b97f4a7c15ull ^
                       (std::uint64_t)key.batch * 0xc2b2ae3d27d4eb4full ^

@@ -11,10 +11,10 @@
  * under a key of (workload hash, config hash, batch, fault hash).
  *
  * The store is a common/memo.hh Memo, LRU-bounded at `maxEntries`;
- * its header states the single-flight contract, and the peek/replay
- * batch path that keeps the planner's byte-compared ledgers equal to
- * its serial walk. This file owns only what is specific to
- * simulations: the key and its hashes.
+ * its header states the single-flight contract, and the peek/publish
+ * batch path through which the planner resolves a whole search and
+ * counts each distinct key once. This file owns only what is
+ * specific to simulations: the key and its hashes.
  */
 
 #ifndef SUPERNPU_NPUSIM_SIM_CACHE_HH

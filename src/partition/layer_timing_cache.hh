@@ -22,11 +22,12 @@
  * Partitioner and holds one small vector set, and keeps one
  * whole-network SimResult alive (as does every stage result that
  * shares its layers), per (network, batch) a search touches. The
- * hybrid planner's search stores one LayerTimings under the key of
- * every shard degree with the same layers, peeks it and replays its
- * lookups in serial order (Memo::replay), so the totals the
- * byte-compared shard ledgers embed match the serial walk at any job
- * count.
+ * hybrid planner's search peeks the keys of its (shard degree,
+ * replica share) points and then publishes one LayerTimings under
+ * every one of them (Memo::publish) — the same object for degrees
+ * with the same layers — so each point counts once, a hit where it
+ * was resident, and the totals the byte-compared shard ledgers embed
+ * repeat at any job count.
  */
 
 #ifndef SUPERNPU_PARTITION_LAYER_TIMING_CACHE_HH

@@ -113,7 +113,9 @@ MetricsCollector::recordGroupBatch(int first_chip, int size,
     SUPERNPU_ASSERT(first_chip >= 0 &&
                         first_chip + chips <= (int)_busySec.size(),
                     "dispatch group outside the chip range");
-    _batchSizes.add((double)size);
+    ++_batches;
+    _batchSizeSum += (std::uint64_t)size;
+    _maxBatch = std::max(_maxBatch, size);
     // The launch counts once, attributed to the group's first chip,
     // so Σ perChipBatches == batchesLaunched still holds
     // (obs/audit.hh checks it); the busy time lands on every chip.
@@ -183,9 +185,10 @@ MetricsCollector::finish(double makespan_sec) const
         report.meanQueueDepth = 0.0;
         report.availability = 0.0;
     }
-    report.batchesLaunched = _batchSizes.count();
-    report.meanBatch = _batchSizes.mean();
-    report.maxBatchLaunched = (int)_batchSizes.max();
+    report.batchesLaunched = _batches;
+    report.meanBatch =
+        _batches ? (double)_batchSizeSum / (double)_batches : 0.0;
+    report.maxBatchLaunched = _maxBatch;
     report.latencyMean = _latency.mean();
     report.latencyP50 = _latency.percentile(50.0);
     report.latencyP95 = _latency.percentile(95.0);

@@ -150,7 +150,10 @@ class MetricsCollector
 
   private:
     Histogram _latency{1e-8, 1e3, 53};
-    RunningStats _batchSizes;
+    // Launched batch sizes: integers, so the sum is exact in a double.
+    std::uint64_t _batches = 0;
+    std::uint64_t _batchSizeSum = 0;
+    int _maxBatch = 0;
     std::vector<double> _busySec; ///< per-chip busy time
     std::vector<std::uint64_t> _chipBatches; ///< per-chip launches
     double _depthIntegral = 0.0;  ///< ∫ depth dt

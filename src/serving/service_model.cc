@@ -41,28 +41,29 @@ GroupTimingModel::GroupTimingModel(const BatchServiceModel &service,
 {
     SUPERNPU_ASSERT(stages >= 1 && replicas >= 1,
                     "group degrees must be positive");
-    if (stages > 1) {
+    if (stages > 1)
         _pipe = std::make_unique<partition::PipelineServiceModel>(
             service.estimate(), service.network(), stages, link,
             service.cache());
-    } else {
-        _single.stageStartSec.assign(1, 0.0);
-        _single.stageBusySec.assign(1, 0.0);
-    }
 }
 
 const GroupTimingModel::Timing &
 GroupTimingModel::timing(int size) const
 {
-    if (_pipe) {
-        SUPERNPU_ASSERT(size >= 1, "bad batch");
-        if ((std::size_t)size >= _pipeBySize.size())
-            _pipeBySize.resize((std::size_t)size + 1, nullptr);
-        const Timing *&timing = _pipeBySize[(std::size_t)size];
-        if (timing == nullptr)
-            timing = &_pipe->timing(size);
-        return *timing;
-    }
+    SUPERNPU_ASSERT(size >= 1, "bad batch");
+    if ((std::size_t)size >= _bySize.size())
+        _bySize.resize((std::size_t)size + 1);
+    std::unique_ptr<const Timing> &timing = _bySize[(std::size_t)size];
+    if (!timing)
+        timing = std::make_unique<const Timing>(resolve(size));
+    return *timing;
+}
+
+GroupTimingModel::Timing
+GroupTimingModel::resolve(int size) const
+{
+    if (_pipe)
+        return _pipe->timing(size);
     // The batch splits into near-equal shares; the widest share's
     // service plus the ring all-gather of the results bounds the
     // group.
@@ -77,10 +78,12 @@ GroupTimingModel::timing(int size) const
                        .cycles /
                    (ghz * 1e9);
     }
-    _single.latencySec = service;
-    _single.intervalSec = service;
-    _single.stageBusySec[0] = service;
-    return _single;
+    Timing timing;
+    timing.latencySec = service;
+    timing.intervalSec = service;
+    timing.stageStartSec.assign(1, 0.0);
+    timing.stageBusySec.assign(1, service);
+    return timing;
 }
 
 } // namespace serving

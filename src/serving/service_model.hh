@@ -85,11 +85,14 @@ class BatchServiceModel
  *
  *  - K == 1: one lane, busy for batchSeconds(ceil(size/R)) plus the
  *    ring all-gather of the results when R > 1; interval, latency
- *    and busy coincide. Every call resolves the service time afresh,
- *    so each launch costs exactly one SimCache lookup.
- *  - K > 1 (R == 1): the memoized partition::PipelineServiceModel,
- *    whose unbounded memo keeps each size's Timing alive; the model
- *    looks each size up there once and keeps the pointer.
+ *    and busy coincide.
+ *  - K > 1 (R == 1): the memoized partition::PipelineServiceModel's
+ *    Timing for the size.
+ *
+ * Either way each batch size is resolved once, at its first call,
+ * into a table the model owns; every later call is an index, with no
+ * SimCache lookup. A serving run's cache tallies therefore count one
+ * lookup per distinct batch size, not one per launch.
  */
 class GroupTimingModel
 {
@@ -101,9 +104,8 @@ class GroupTimingModel
 
     /**
      * Timing of one batch of the given size, seconds from launch.
-     * One caller at a time. K == 1: the reference stays valid until
-     * the next call. K > 1: it stays valid, and is the same object
-     * for the same size, for the model's lifetime.
+     * One caller at a time. The reference stays valid, and is the
+     * same object for the same size, for the model's lifetime.
      */
     const Timing &timing(int size) const;
 
@@ -111,14 +113,16 @@ class GroupTimingModel
     int chips() const { return _stages * _replicas; }
 
   private:
+    /** The size's Timing, from the service model or the pipe. */
+    Timing resolve(int size) const;
+
     const BatchServiceModel &_service;
     int _stages;
     int _replicas;
     partition::LinkConfig _link;
     std::unique_ptr<partition::PipelineServiceModel> _pipe; ///< K > 1
-    /** K > 1: the pipe's Timing per batch size, null until asked. */
-    mutable std::vector<const Timing *> _pipeBySize;
-    mutable Timing _single; ///< K == 1, refilled per call
+    /** Each batch size's Timing, null until first asked. */
+    mutable std::vector<std::unique_ptr<const Timing>> _bySize;
 };
 
 } // namespace serving

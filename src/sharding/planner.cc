@@ -271,10 +271,7 @@ struct SearchPoint
     int t = 1, share = 1;
     int cls = 0;        ///< its (geometry, share) class
     int soloPoint = 0;  ///< the (1, share) point: the unsharded run
-    std::size_t firstCandidate = 0; ///< the first candidate reading it
     int maxStages = 1;  ///< largest K any candidate asks for
-    /** The LayerTimings was resident when the search began. */
-    bool timingsResident = false;
     TensorShardResult tensor;
     /** Its stage keys: its class's first rangeCount ranges. */
     std::uint32_t rangeCount = 0;
@@ -387,7 +384,6 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
                 point.share = share;
                 point.cls = c->second;
                 point.soloPoint = point_of.at({1, share});
-                point.firstCandidate = candidates.size();
                 points.push_back(std::move(point));
             }
             const int k_limit = std::min(chip_budget / (r * t), n);
@@ -427,12 +423,6 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
     std::vector<npusim::SimKey> keys(points.size());
     std::vector<std::shared_ptr<const npusim::SimResult>> resolved;
     std::vector<partition::LayerTimingKey> timing_keys(points.size());
-    // The serial walk's lookup sequences: SimCache ids, candidate i's
-    // at [offset[i], offset[i + 1]), and one LayerTimingCache point
-    // id per candidate.
-    std::vector<std::size_t> offset(candidates.size() + 1, 0);
-    std::vector<std::uint32_t> sim_ids;
-    std::vector<std::uint32_t> timing_ids(candidates.size());
     /** A class range some member's stage key is not resident for. */
     struct Miss
     {
@@ -470,8 +460,6 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
         pool.parallelFor(classes.size(), [&](std::size_t c) {
             SearchClass &cls = classes[c];
             for (const int p : cls.members) {
-                points[p].timingsResident =
-                    resident_timings[p] != nullptr;
                 if (!cls.timings)
                     cls.timings = resident_timings[p];
             }
@@ -553,44 +541,6 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
                 }
             }
         }
-
-        // The lookup sequences, candidate by candidate in the order
-        // evaluate() issues them. The timing memo is unbounded, so a
-        // point's LayerTimings misses exactly once — at its first
-        // candidate, unless it was resident — and that miss looks
-        // the wide simulation up again. Each candidate's lookup
-        // count is known up front, so each fills its own slice of
-        // the sequence, at an offset from a prefix sum.
-        const auto rewide = [&](std::size_t i) {
-            const SearchPoint &p = points[candidates[i].point];
-            return !p.timingsResident && p.firstCandidate == i;
-        };
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-            const Candidate &c = candidates[i];
-            offset[i + 1] = offset[i] + 2 + (c.t > 1) + rewide(i) + c.k;
-        }
-        sim_ids.resize(offset.back());
-        pool.parallelFor(candidates.size(), [&](std::size_t i) {
-            const Candidate &c = candidates[i];
-            const SearchPoint &p = points[c.point];
-            const std::uint32_t wide = (std::uint32_t)c.point;
-            std::uint32_t *id = &sim_ids[offset[i]];
-            *id++ = wide;
-            if (c.t > 1)
-                *id++ = (std::uint32_t)p.soloPoint;
-            timing_ids[i] = wide;
-            if (rewide(i))
-                *id++ = wide;
-            if (c.k == 1) {
-                *id++ = wide;
-            } else {
-                const std::uint32_t *range =
-                    &classes[p.cls].rangeOf[SearchClass::firstStage(c.k)];
-                for (int s = 0; s < c.k; ++s)
-                    *id++ = p.firstRangeId + range[s];
-            }
-            *id = kSoloId;
-        });
     }
 
     {
@@ -623,19 +573,29 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
     }
 
     {
-        perf::Scope span("planner.replay");
-        cache.replay(sim_ids, keys,
-                     [&](std::uint32_t id) { return resolved[id]; });
-        timing_cache.replay(timing_ids, timing_keys,
-                            [&](std::uint32_t id) {
-                                return classes[points[id].cls].timings;
-                            });
+        // Every distinct key the search resolved, once each in dense-id
+        // order: a hit where it was resident, else stored as a miss.
+        // The pass is serial and ordered, so the tallies repeat at any
+        // job count.
+        perf::Scope span("planner.publish");
+        cache.publish(keys, resolved);
+        std::vector<std::shared_ptr<const partition::LayerTimings>>
+            timings(points.size());
+        for (std::size_t i = 0; i < points.size(); ++i)
+            timings[i] = classes[points[i].cls].timings;
+        timing_cache.publish(timing_keys, timings);
     }
 
-    // Candidate i's stage ids close its lookup slice, just before
-    // the solo id.
-    const auto stage_ids = [&](std::size_t i) {
-        return &sim_ids[offset[i + 1] - 1 - candidates[i].k];
+    // Stage s of candidate c: its point's wide run when K = 1, else
+    // the class range cut K names for it.
+    const auto stage_result = [&](const Candidate &c, int s)
+        -> const std::shared_ptr<const npusim::SimResult> & {
+        const SearchPoint &p = points[c.point];
+        if (c.k == 1)
+            return resolved[c.point];
+        return resolved[p.firstRangeId +
+                        classes[p.cls]
+                            .rangeOf[SearchClass::firstStage(c.k) + s]];
     };
     // Every candidate's row from the read-only results, in slot
     // order. A stage's outbound link is timings.linkCycles[last],
@@ -652,12 +612,11 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
             const std::vector<int> &last = cls.cuts[c.k - 1].last;
             const std::vector<std::uint64_t> &link_cycles =
                 cls.timings->linkCycles;
-            const std::uint32_t *ids = stage_ids(i);
             return foldRow(
                 c.r, c.t, c.k, batch, p.tensor, link, gather_bytes,
                 [&](int s) {
                     return std::pair{
-                        last[s], resolved[ids[s]]->totalCycles +
+                        last[s], stage_result(c, s)->totalCycles +
                                      link_cycles[last[s]]};
                 },
                 [](int, std::uint64_t, std::uint64_t) {});
@@ -685,14 +644,13 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
     const Candidate &c = candidates[search.bestIndex];
     const SearchPoint &p = points[c.point];
     const SearchClass &cls = classes[p.cls];
-    const std::uint32_t *ids = stage_ids(search.bestIndex);
     search.winner = evaluate(
         network, c.r, c.t, batch,
         Resolved{p.tensor,
                  _partitioner.assemble(
                      shardName(network, c.t), *cls.timings,
                      cls.cuts[c.k - 1], p.share,
-                     [&](int s) { return resolved[ids[s]]; }),
+                     [&](int s) { return stage_result(c, s); }),
                  resolved[kSoloId]});
     return search;
 }

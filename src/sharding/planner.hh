@@ -30,9 +30,11 @@
  * keep the earlier triple, so results are deterministic.
  *
  * plan() is byte-identical to the serial loop of standalone
- * evaluate() calls over that enumeration: every candidate's row, the
- * winner's full plan, and the SimCache and LayerTimingCache hit,
- * miss and eviction totals, at any job count and any cache capacity.
+ * evaluate() calls over that enumeration in every candidate's row and
+ * the winner's full plan, at any job count and any cache capacity.
+ * Its cache tallies count what it did instead: each distinct SimCache
+ * and LayerTimingCache key of the search once, a hit where it was
+ * resident and a miss where it was stored.
  *
  * Degrees T with equal shardWidths shard the network into equal
  * layers under different names, and the simulator prices a layer from
@@ -61,26 +63,24 @@
  *     stage sub-ranges follow, point by point, keyed by O(1) stage
  *     hashes from the point's own network hash; residency is one
  *     locked peek over the wide keys and one over the stage keys;
- *  2. derive (parallel per candidate, at offsets from a prefix sum
- *     of the lookup counts): the exact SimCache lookup sequence the
- *     serial walk issues, as ids — including the repeated wide
- *     lookup inside a LayerTimings miss — and the LayerTimingCache
- *     sequence as point ids;
- *  3. simulate (parallel per class range, no lock): every class range
+ *  2. simulate (parallel per class range, no lock): every class range
  *     some member's stage key is not resident for, resolved once — a
  *     member's resident result, or runRange: one cold head layer plus
  *     the class's wide run's later layers — into the members' slots
  *     of the by-id results;
- *  4. replay (serial): both id sequences through their memos'
- *     Memo::replay, which counts and evicts exactly as the serial
- *     walk's getOrCompute calls would;
- *  5. evaluate (parallel): every candidate's PlanRow, its stage
- *     cycles read by id from the by-id results; then, after the
- *     pick, the winner's full ShardPlan, built once by the one
- *     evaluation body standalone evaluate() also runs.
+ *  3. publish (serial): every distinct key and its result through
+ *     Memo::publish, once each in dense-id order, and every point's
+ *     LayerTimings likewise;
+ *  4. evaluate (parallel): every candidate's PlanRow, its stage
+ *     cycles read from the by-id results (the wide id at K = 1, else
+ *     the point's first range id plus the range its class numbered
+ *     for the stage); then, after the pick, the winner's full
+ *     ShardPlan, built once by the one evaluation body standalone
+ *     evaluate() also runs.
  *
- * So `jobs` is a pure wall-clock knob and the byte-compared shard
- * ledgers (which embed the cache tallies) repeat across --jobs.
+ * So `jobs` is a pure wall-clock knob: the publish pass is serial and
+ * ordered, so the byte-compared shard ledgers (which embed the cache
+ * tallies) repeat across --jobs.
  */
 
 #ifndef SUPERNPU_SHARDING_PLANNER_HH

@@ -617,74 +617,98 @@ lruOrder(Memo<int, int> &memo, const std::vector<int> &universe,
     return order;
 }
 
-TEST(Memo, ReplayMatchesSerialGetOrCompute)
+TEST(Memo, PublishCountsEachKeyOnceAsGetOrComputeWould)
 {
     const bool was_profiling = perf::enabled();
     perf::setEnabled(true);
     const auto value_of = [](int key) { return key * 10 + 1; };
-    const std::vector<int> universe = {0, 1, 2, 3, 4, 5, 6, 7};
-    // The id table: every key of the universe, and two of them a
-    // second time under another id.
-    const std::vector<int> keys = {3, 0, 7, 1, 5, 2, 6, 4, 7, 0};
-    const int max_id = (int)keys.size() - 1;
+    const auto values_of = [&](const std::vector<int> &keys) {
+        std::vector<std::shared_ptr<const int>> values;
+        for (int key : keys)
+            values.push_back(std::make_shared<const int>(value_of(key)));
+        return values;
+    };
+
+    // By hand, capacity 3 holding 1, 2, 3 (3 most recent): 2 is a
+    // hit and moves to the front; 4 is a miss that evicts 1; 1 was
+    // resident when the pass began but is evicted by then, so it is
+    // a miss that evicts 3.
+    {
+        Memo<int, int> memo(3, "test.memoPublishByHand");
+        for (int key : {1, 2, 3})
+            memo.getOrCompute(key, [&] { return value_of(key); });
+        const std::vector<int> keys = {2, 4, 1};
+        memo.publish(keys, values_of(keys));
+        const MemoStats stats = memo.stats();
+        EXPECT_EQ(stats.hits, 1u);
+        EXPECT_EQ(stats.misses, 3u + 2u);
+        EXPECT_EQ(stats.evictions, 2u);
+        EXPECT_EQ(perf::counter("test.memoPublishByHand.hits").value(),
+                  1u);
+        EXPECT_EQ(perf::counter("test.memoPublishByHand.misses").value(),
+                  5u);
+        EXPECT_EQ(lruOrder(memo, {1, 2, 3, 4}, 3),
+                  (std::vector<int>{2, 4, 1}));
+    }
+
+    // Randomly: publishing distinct keys counts, evicts and orders as
+    // one getOrCompute per key, in order, on one thread would, and
+    // each key counts exactly once.
+    std::vector<int> universe(12);
+    for (int key = 0; key < (int)universe.size(); ++key)
+        universe[(std::size_t)key] = key;
     Rng rng(17);
     int trial = 0;
-    for (std::size_t capacity : {0, 1, 3, 4}) {
+    for (std::size_t capacity : {0, 1, 8}) {
         for (int round = 0; round < 20; ++round, ++trial) {
             SCOPED_TRACE("capacity " + std::to_string(capacity) +
                          " round " + std::to_string(round));
-            // Half the rounds replay onto a memo already holding
+            // Half the rounds publish onto a memo already holding
             // entries (walked in serially by both sides first).
             std::vector<int> prefix;
-            std::vector<std::uint32_t> ids;
             if (round % 2 == 1) {
                 for (int i = 0; i < 6; ++i)
-                    prefix.push_back((int)rng.uniformInt(0, 7));
+                    prefix.push_back((int)rng.uniformInt(0, 11));
             }
-            // Every third round repeats ids back to back: runs of
-            // hits on the front entry, and of a miss and its hits.
-            const int length = (int)rng.uniformInt(0, 40);
-            for (int i = 0; i < length; ++i) {
-                const auto id = (std::uint32_t)rng.uniformInt(0, max_id);
-                const int copies =
-                    round % 3 == 0 ? (int)rng.uniformInt(1, 3) : 1;
-                ids.insert(ids.end(), copies, id);
-            }
+            std::vector<int> keys = universe;
+            for (std::size_t i = keys.size() - 1; i > 0; --i)
+                std::swap(keys[i],
+                          keys[(std::size_t)rng.uniformInt(0, (int)i)]);
+            keys.resize((std::size_t)rng.uniformInt(0, 12));
 
             const std::string serial_name =
                 "test.memoSerial" + std::to_string(trial);
-            const std::string replay_name =
-                "test.memoReplay" + std::to_string(trial);
+            const std::string publish_name =
+                "test.memoPublish" + std::to_string(trial);
             Memo<int, int> serial(capacity, serial_name);
-            Memo<int, int> replayed(capacity, replay_name);
+            Memo<int, int> published(capacity, publish_name);
             for (int key : prefix) {
                 serial.getOrCompute(key, [&] { return value_of(key); });
-                replayed.getOrCompute(key,
-                                      [&] { return value_of(key); });
+                published.getOrCompute(key,
+                                       [&] { return value_of(key); });
             }
-            for (std::uint32_t id : ids) {
-                const int key = keys[id];
+            const MemoStats before = published.stats();
+            for (int key : keys)
                 serial.getOrCompute(key, [&] { return value_of(key); });
-            }
-            replayed.replay(ids, keys, [&](std::uint32_t id) {
-                return std::make_shared<const int>(value_of(keys[id]));
-            });
+            published.publish(keys, values_of(keys));
 
-            const MemoStats a = serial.stats(), b = replayed.stats();
+            const MemoStats a = serial.stats(), b = published.stats();
             EXPECT_EQ(a.hits, b.hits);
             EXPECT_EQ(a.misses, b.misses);
             EXPECT_EQ(a.evictions, b.evictions);
-            EXPECT_EQ(serial.size(), replayed.size());
+            EXPECT_EQ(b.hits - before.hits + b.misses - before.misses,
+                      keys.size());
+            EXPECT_EQ(serial.size(), published.size());
             EXPECT_EQ(perf::counter(serial_name + ".hits").value(),
-                      perf::counter(replay_name + ".hits").value());
+                      perf::counter(publish_name + ".hits").value());
             EXPECT_EQ(perf::counter(serial_name + ".misses").value(),
-                      perf::counter(replay_name + ".misses").value());
-            EXPECT_EQ(perf::counter(replay_name + ".hits").value(),
+                      perf::counter(publish_name + ".misses").value());
+            EXPECT_EQ(perf::counter(publish_name + ".hits").value(),
                       b.hits);
-            EXPECT_EQ(perf::counter(replay_name + ".misses").value(),
+            EXPECT_EQ(perf::counter(publish_name + ".misses").value(),
                       b.misses);
             EXPECT_EQ(lruOrder(serial, universe, capacity),
-                      lruOrder(replayed, universe, capacity));
+                      lruOrder(published, universe, capacity));
         }
     }
     perf::setEnabled(was_profiling);

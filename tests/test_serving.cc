@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -21,6 +23,7 @@
 #include "obs/audit.hh"
 #include "reliability/fault_model.hh"
 #include "serving/simulator.hh"
+#include "sharding/collective.hh"
 
 namespace supernpu {
 namespace serving {
@@ -302,19 +305,56 @@ TEST_F(ServingFixture, ServiceModelCachesPerBatch)
 TEST_F(ServingFixture, PipelineGroupTimingIsResolvedOncePerSize)
 {
     const partition::LinkConfig link;
-    const GroupTimingModel group(service, 2, 1, link);
     const partition::PipelineServiceModel pipe(estimate, net, 2, link,
                                                service.cache());
-    for (int size : {3, 1, solver_max, 3, 1}) {
-        const GroupTimingModel::Timing &first = group.timing(size);
-        group.timing(size == 2 ? 1 : 2); // another size in between
-        EXPECT_EQ(&group.timing(size), &first) << "size " << size;
-        const partition::PipelineServiceModel::Timing &direct =
-            pipe.timing(size);
-        EXPECT_EQ(first.latencySec, direct.latencySec);
-        EXPECT_EQ(first.intervalSec, direct.intervalSec);
-        EXPECT_EQ(first.stageStartSec, direct.stageStartSec);
-        EXPECT_EQ(first.stageBusySec, direct.stageBusySec);
+    const auto lookups = [&] {
+        const npusim::SimCacheStats stats = service.cache()->stats();
+        return stats.hits + stats.misses;
+    };
+    // What one batch of `size` costs each group shape, derived here
+    // from the service model and the pipe.
+    const auto expected = [&](int stages, int replicas, int size) {
+        if (stages > 1)
+            return pipe.timing(size);
+        double service_sec =
+            service.batchSeconds((size + replicas - 1) / replicas);
+        if (replicas > 1) {
+            const double ghz = estimate.frequencyGhz;
+            service_sec +=
+                (double)sharding::allGatherCost(
+                    link, replicas,
+                    partition::activationBytes(net.layers.back(), size),
+                    ghz)
+                    .cycles /
+                (ghz * 1e9);
+        }
+        GroupTimingModel::Timing timing;
+        timing.latencySec = service_sec;
+        timing.intervalSec = service_sec;
+        timing.stageStartSec = {0.0};
+        timing.stageBusySec = {service_sec};
+        return timing;
+    };
+    for (const auto &[stages, replicas] :
+         {std::pair{1, 1}, std::pair{1, 2}, std::pair{2, 1}}) {
+        const GroupTimingModel group(service, stages, replicas, link);
+        for (int size : {3, 1, solver_max, 3, 1}) {
+            SCOPED_TRACE("K " + std::to_string(stages) + " R " +
+                         std::to_string(replicas) + " size " +
+                         std::to_string(size));
+            const GroupTimingModel::Timing &first = group.timing(size);
+            group.timing(size == 2 ? 1 : 2); // another size in between
+            // A repeat is the same object and asks the cache nothing.
+            const std::uint64_t before = lookups();
+            EXPECT_EQ(&group.timing(size), &first);
+            EXPECT_EQ(lookups(), before);
+            const GroupTimingModel::Timing direct =
+                expected(stages, replicas, size);
+            EXPECT_EQ(first.latencySec, direct.latencySec);
+            EXPECT_EQ(first.intervalSec, direct.intervalSec);
+            EXPECT_EQ(first.stageStartSec, direct.stageStartSec);
+            EXPECT_EQ(first.stageBusySec, direct.stageBusySec);
+        }
     }
 }
 

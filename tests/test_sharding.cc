@@ -640,27 +640,38 @@ TEST_F(ShardingFixture, SearchCandidatesMatchTheirStandaloneEvaluate)
 
 TEST_F(ShardingFixture, SearchCountsMatchTheSerialWalkUnderLruPressure)
 {
-    // A ResNet50 search at budget 64 asks for far more simulations
-    // than either SimCache holds, so evicted keys are asked for
-    // again. Whatever the job count, the search must count, evict
-    // and leave the cache exactly as the serial loop of standalone
-    // evaluate() calls over the same enumeration does.
+    // A ResNet50 search at budget 64 resolves far more simulations
+    // than either SimCache holds. Whatever the job count, its rows and
+    // winner must be the serial loop of standalone evaluate() calls
+    // over the same enumeration, and its tallies must count each
+    // distinct key once and leave the cache the same way.
     const dnn::Network resnet = dnn::makeResNet50();
     const int full = npusim::maxBatch(config, estimate, resnet);
     constexpr int kBudget = 64;
     const int layers = (int)resnet.layers.size();
 
-    // Both sides start from the same warm caches: a few of the
-    // search's own placements (so some LayerTimings are resident,
-    // and some SimCache keys are, until evicted).
+    // The serial walk, into unbounded caches from cold: every
+    // distinct key it looks up misses exactly once.
+    npusim::SimCache serial_cache(0);
+    const HybridPlanner serial(estimate, testLink(), &serial_cache);
+    std::vector<ShardPlan> walked;
+    for (int r = 1; r <= std::min(kBudget, full); ++r)
+        for (int t = 1; r * t <= kBudget; ++t)
+            for (int k = 1; r * t * k <= kBudget && k <= layers; ++k)
+                walked.push_back(serial.evaluate(resnet, r, t, k, full));
+    const std::uint64_t distinct_keys = serial_cache.stats().misses;
+    const std::uint64_t distinct_timings =
+        serial.timingCacheStats().misses;
+    ASSERT_GT(distinct_keys, 64u);
+
+    // Each search starts from the same warm caches: a few of its own
+    // placements (so some LayerTimings are resident, and some
+    // SimCache keys are, until evicted).
     const auto warm = [&](const HybridPlanner &planner) {
         planner.evaluate(resnet, 1, 2, 3, full);
         planner.evaluate(resnet, 4, 1, 2, full);
         planner.evaluate(resnet, 2, 8, 4, full);
     };
-    // After the search, the hit/miss/eviction tally of each of a
-    // few further evaluations: it reads out what the search left
-    // resident, and in which LRU order.
     struct Tally
     {
         std::uint64_t hits, misses, evictions, timingHits,
@@ -681,6 +692,9 @@ TEST_F(ShardingFixture, SearchCountsMatchTheSerialWalkUnderLruPressure)
         return Tally{sim.hits, sim.misses, sim.evictions, timing.hits,
                      timing.misses};
     };
+    // After the search, the tally of each of a few further
+    // evaluations: it reads out what the search left resident, and
+    // in which LRU order.
     const auto probe = [&](const npusim::SimCache &cache,
                            const HybridPlanner &planner) {
         std::vector<Tally> pattern;
@@ -695,35 +709,33 @@ TEST_F(ShardingFixture, SearchCountsMatchTheSerialWalkUnderLruPressure)
     };
 
     for (std::size_t capacity : {8, 64}) {
-        npusim::SimCache serial_cache(capacity);
-        const HybridPlanner serial(estimate, testLink(), &serial_cache);
-        warm(serial);
-        std::vector<ShardPlan> walked;
-        for (int r = 1; r <= std::min(kBudget, full); ++r)
-            for (int t = 1; r * t <= kBudget; ++t)
-                for (int k = 1; r * t * k <= kBudget && k <= layers;
-                     ++k)
-                    walked.push_back(serial.evaluate(resnet, r, t, k, full));
-        const Tally serial_tally = tally(serial_cache, serial);
-        const std::vector<Tally> serial_probe =
-            probe(serial_cache, serial);
-        ASSERT_GT(serial_tally.evictions, 0u);
-
+        Tally first_tally{};
+        std::vector<Tally> first_probe;
         for (int jobs : {1, 2, 4}) {
             SCOPED_TRACE("capacity " + std::to_string(capacity) +
                          " jobs " + std::to_string(jobs));
             npusim::SimCache cache(capacity);
             const HybridPlanner planner(estimate, testLink(), &cache);
             warm(planner);
+            const Tally warmed = tally(cache, planner);
             const PlanSearch search = planner.plan(
                 resnet, kBudget, full, PlanObjective::Throughput, jobs);
             const Tally searched = tally(cache, planner);
-            EXPECT_EQ(searched.hits, serial_tally.hits);
-            EXPECT_EQ(searched.misses, serial_tally.misses);
-            EXPECT_EQ(searched.evictions, serial_tally.evictions);
-            EXPECT_EQ(searched.timingHits, serial_tally.timingHits);
-            EXPECT_EQ(searched.timingMisses, serial_tally.timingMisses);
-            EXPECT_TRUE(probe(cache, planner) == serial_probe);
+            EXPECT_EQ(searched.hits - warmed.hits + searched.misses -
+                          warmed.misses,
+                      distinct_keys);
+            EXPECT_EQ(searched.timingHits - warmed.timingHits +
+                          searched.timingMisses - warmed.timingMisses,
+                      distinct_timings);
+            EXPECT_GT(searched.evictions, 0u);
+            const std::vector<Tally> probed = probe(cache, planner);
+            if (jobs == 1) {
+                first_tally = searched;
+                first_probe = probed;
+            } else {
+                EXPECT_TRUE(searched == first_tally);
+                EXPECT_TRUE(probed == first_probe);
+            }
             ASSERT_EQ(search.evaluated.size(), walked.size());
             for (std::size_t i = 0; i < walked.size(); ++i)
                 expectSameRow(search.evaluated[i], walked[i]);
@@ -740,7 +752,8 @@ TEST_F(ShardingFixture, MergedGeometriesMatchTheSerialWalk)
     // each (geometry, share) class once and hands the other points
     // renamed results; the serial walk of standalone evaluate() calls
     // builds every shard network itself. Both must land on the same
-    // rows, winner, cache tallies and cache contents.
+    // rows and winner; the search counts each distinct key once, and
+    // its tallies and cache contents repeat across job counts.
     const dnn::Network narrow =
         dnn::parseNetwork("network Narrow\n"
                           "conv   c1 3 16 6 3 1 1\n"
@@ -805,24 +818,27 @@ TEST_F(ShardingFixture, MergedGeometriesMatchTheSerialWalk)
     const bool was_profiling = perf::enabled();
     perf::setEnabled(true);
     perf::Counter &runs = perf::counter("npusim.runs");
-    for (std::size_t capacity : {0, 4}) {
-        npusim::SimCache serial_cache(capacity);
-        const HybridPlanner serial(estimate, testLink(), &serial_cache);
-        std::vector<ShardPlan> walked;
-        // R stops at the batch, as plan() skips clamped replicas.
-        for (int r = 1; r <= kBatch; ++r)
-            for (int t = 1; r * t <= kBudget; ++t)
-                for (int k = 1; r * t * k <= kBudget && k <= n; ++k)
-                    walked.push_back(
-                        serial.evaluate(narrow, r, t, k, kBatch));
-        const npusim::SimCacheStats serial_sim = serial_cache.stats();
-        const partition::LayerTimingCacheStats serial_timing =
-            serial.timingCacheStats();
-        if (capacity != 0) {
-            ASSERT_GT(serial_sim.evictions, 0u);
-        }
-        const auto serial_contents = contents(serial_cache);
+    // The serial walk, into unbounded caches from cold: every
+    // distinct key it looks up misses exactly once.
+    npusim::SimCache serial_cache(0);
+    const HybridPlanner serial(estimate, testLink(), &serial_cache);
+    std::vector<ShardPlan> walked;
+    // R stops at the batch, as plan() skips clamped replicas.
+    for (int r = 1; r <= kBatch; ++r)
+        for (int t = 1; r * t <= kBudget; ++t)
+            for (int k = 1; r * t * k <= kBudget && k <= n; ++k)
+                walked.push_back(serial.evaluate(narrow, r, t, k, kBatch));
+    const std::uint64_t distinct_keys = serial_cache.stats().misses;
+    const std::uint64_t distinct_timings =
+        serial.timingCacheStats().misses;
+    EXPECT_EQ(distinct_timings, points.size());
+    const auto serial_contents = contents(serial_cache);
 
+    for (std::size_t capacity : {0, 4}) {
+        std::uint64_t first_evictions = 0;
+        std::vector<std::tuple<bool, std::string, std::uint64_t,
+                               std::size_t>>
+            first_contents;
         for (int jobs : {1, 4}) {
             SCOPED_TRACE("capacity " + std::to_string(capacity) +
                          " jobs " + std::to_string(jobs));
@@ -840,16 +856,32 @@ TEST_F(ShardingFixture, MergedGeometriesMatchTheSerialWalk)
             ASSERT_EQ((std::size_t)search.bestIndex, best_of(walked));
             expectSameShardPlan(search.best(), walked[best_of(walked)]);
 
+            // From cold, each distinct key is one miss.
             const npusim::SimCacheStats sim = cache.stats();
-            EXPECT_EQ(sim.hits, serial_sim.hits);
-            EXPECT_EQ(sim.misses, serial_sim.misses);
-            EXPECT_EQ(sim.evictions, serial_sim.evictions);
+            EXPECT_EQ(sim.hits, 0u);
+            EXPECT_EQ(sim.misses, distinct_keys);
+            if (capacity != 0) {
+                EXPECT_GT(sim.evictions, 0u);
+            } else {
+                EXPECT_EQ(sim.evictions, 0u);
+            }
             const partition::LayerTimingCacheStats timing =
                 planner.timingCacheStats();
-            EXPECT_EQ(timing.hits, serial_timing.hits);
-            EXPECT_EQ(timing.misses, serial_timing.misses);
-            EXPECT_EQ(timing.evictions, serial_timing.evictions);
-            EXPECT_TRUE(contents(cache) == serial_contents);
+            EXPECT_EQ(timing.hits, 0u);
+            EXPECT_EQ(timing.misses, distinct_timings);
+            EXPECT_EQ(timing.evictions, 0u);
+            // Unbounded, it holds what the serial walk left.
+            const auto seen = contents(cache);
+            if (capacity == 0) {
+                EXPECT_TRUE(seen == serial_contents);
+            }
+            if (jobs == 1) {
+                first_evictions = sim.evictions;
+                first_contents = seen;
+            } else {
+                EXPECT_EQ(sim.evictions, first_evictions);
+                EXPECT_TRUE(seen == first_contents);
+            }
         }
     }
     perf::setEnabled(was_profiling);
