@@ -12,9 +12,7 @@
 #include "common/parallel.hh"
 #include "common/units.hh"
 #include "estimator/design_rules.hh"
-#include "partition/pipeline_sim.hh"
 #include "perf/profile.hh"
-#include "sharding/planner.hh"
 #include "sim.hh"
 
 namespace supernpu {
@@ -71,19 +69,12 @@ DesignSpaceExplorer::makeConfig(int width, int division, int regs,
 Candidate
 DesignSpaceExplorer::evaluate(
     const estimator::NpuEstimator &npu_estimator,
-    const estimator::NpuConfig &config, int pipeline_stages,
-    int data_parallel, int tensor_shards,
-    const partition::LinkConfig &link, Objective objective) const
+    const estimator::NpuConfig &config, Objective objective) const
 {
     Candidate cand;
     cand.config = config;
-    cand.pipelineStages = pipeline_stages;
-    cand.dataParallel = data_parallel;
-    cand.tensorShards = tensor_shards;
-    const int group_chips =
-        data_parallel * tensor_shards * pipeline_stages;
     const auto est = npu_estimator.estimate(cand.config);
-    cand.areaMm2 = est.areaMm2 * (double)group_chips;
+    cand.areaMm2 = est.areaMm2;
 
     const auto findings =
         estimator::checkDesignRules(cand.config, est);
@@ -100,85 +91,20 @@ DesignSpaceExplorer::evaluate(
 
     NpuSimulator sim(est);
     double dynamic = 0.0;
-    if (data_parallel > 1 || tensor_shards > 1) {
-        // A sharded candidate: score the hybrid DP×TP×PP plan's
-        // effective throughput, and charge every chip's static power
-        // plus each pipeline stage's duty-cycled dynamic power
-        // replicated across the R·T shard grid.
-        SimCache fresh;
-        SimCache *cache = _cache ? _cache : &fresh;
-        sharding::HybridPlanner planner(est, link, cache);
-        for (const auto &net : _workloads) {
-            const int batch = maxBatch(cand.config, est, net);
-            const sharding::ShardPlan plan = planner.evaluate(
-                net, data_parallel, tensor_shards, pipeline_stages,
-                batch);
-            cand.avgMacPerSec +=
-                plan.effectiveMacPerSec() / (double)_workloads.size();
-            double group_dynamic = 0.0;
-            for (const auto &stage : plan.pipeline.stages) {
-                group_dynamic +=
-                    power::analyze(est, *stage.sim).dynamicW *
-                    ((double)stage.sim->totalCycles /
-                     (double)plan.bottleneckCycles);
-            }
-            dynamic += (double)(data_parallel * tensor_shards) *
-                       group_dynamic / (double)_workloads.size();
+    for (const auto &net : _workloads) {
+        const int batch = maxBatch(cand.config, est, net);
+        std::shared_ptr<const SimResult> run;
+        if (_cache) {
+            run = _cache->getOrRun(sim, net, batch);
+        } else {
+            run = std::make_shared<const SimResult>(sim.run(net, batch));
         }
-        cand.chipPowerW =
-            (double)group_chips * est.staticPowerW + dynamic;
-        cand.config.name += "/dp";
-        cand.config.name += std::to_string(data_parallel);
-        cand.config.name += "/tp";
-        cand.config.name += std::to_string(tensor_shards);
-        if (pipeline_stages > 1) {
-            cand.config.name += "/k";
-            cand.config.name += std::to_string(pipeline_stages);
-        }
-    } else if (pipeline_stages > 1) {
-        // A K-chip pipeline candidate: score the steady-state
-        // group throughput from the partitioned pipeline, and
-        // charge K chips of static power plus each stage's dynamic
-        // power weighted by its steady-state duty cycle.
-        SimCache fresh;
-        SimCache *cache = _cache ? _cache : &fresh;
-        partition::PipelineSimulator pipeline(est, link, cache);
-        for (const auto &net : _workloads) {
-            const int batch = maxBatch(cand.config, est, net);
-            const partition::PipelineResult run =
-                pipeline.run(net, pipeline_stages, batch);
-            cand.avgMacPerSec +=
-                run.effectiveMacPerSec() / (double)_workloads.size();
-            double group_dynamic = 0.0;
-            for (const auto &stage : run.plan.stages) {
-                group_dynamic +=
-                    power::analyze(est, *stage.sim).dynamicW *
-                    ((double)stage.sim->totalCycles /
-                     (double)run.plan.bottleneckCycles);
-            }
-            dynamic += group_dynamic / (double)_workloads.size();
-        }
-        cand.chipPowerW =
-            (double)pipeline_stages * est.staticPowerW + dynamic;
-        cand.config.name += "/k";
-        cand.config.name += std::to_string(pipeline_stages);
-    } else {
-        for (const auto &net : _workloads) {
-            const int batch = maxBatch(cand.config, est, net);
-            std::shared_ptr<const SimResult> run;
-            if (_cache) {
-                run = _cache->getOrRun(sim, net, batch);
-            } else {
-                run = std::make_shared<const SimResult>(
-                    sim.run(net, batch));
-            }
-            cand.avgMacPerSec +=
-                run->effectiveMacPerSec() / (double)_workloads.size();
-            dynamic += power::analyze(est, *run).dynamicW /
-                       (double)_workloads.size();
-        }
-        cand.chipPowerW = est.staticPowerW + dynamic;
+        cand.avgMacPerSec +=
+            run->effectiveMacPerSec() / (double)_workloads.size();
+        dynamic +=
+            power::analyze(est, *run).dynamicW / (double)_workloads.size();
     }
+    cand.chipPowerW = est.staticPowerW + dynamic;
 
     switch (objective) {
       case Objective::Throughput:
@@ -214,51 +140,24 @@ DesignSpaceExplorer::explore(const ExplorationSpace &space,
                         space.bufferMbForWidth.size(),
                     "bufferMbForWidth must parallel widths");
 
-    SUPERNPU_ASSERT(!space.pipelineStages.empty(),
-                    "pipelineStages must not be empty");
-    SUPERNPU_ASSERT(!space.dataParallel.empty(),
-                    "dataParallel must not be empty");
-    SUPERNPU_ASSERT(!space.tensorShards.empty(),
-                    "tensorShards must not be empty");
-
-    // Flatten the knob nest in the canonical (width, division, regs,
-    // stages, dp, tp) order; parallelMap fills result slots in this
-    // same order, so the pre-sort candidate sequence is independent
-    // of `jobs`. The default pipelineStages = dataParallel =
-    // tensorShards = {1} enumerates exactly the pre-partition point
-    // list.
-    struct Point
-    {
-        estimator::NpuConfig config;
-        int stages;
-        int dp;
-        int tp;
-    };
-    std::vector<Point> points;
+    // Flatten the knob nest in the canonical (width, division, regs)
+    // order; parallelMap fills result slots in this same order, so
+    // the pre-sort candidate sequence is independent of `jobs`.
+    std::vector<estimator::NpuConfig> configs;
     for (std::size_t w = 0; w < space.widths.size(); ++w) {
         for (int division : space.divisions) {
             for (int regs : space.regsPerPe) {
-                for (int stages : space.pipelineStages) {
-                    for (int dp : space.dataParallel) {
-                        for (int tp : space.tensorShards) {
-                            points.push_back(
-                                {makeConfig(
-                                     space.widths[w], division, regs,
-                                     space.bufferMbForWidth[w]),
-                                 stages, dp, tp});
-                        }
-                    }
-                }
+                configs.push_back(makeConfig(space.widths[w], division,
+                                             regs,
+                                             space.bufferMbForWidth[w]));
             }
         }
     }
 
     estimator::NpuEstimator npu_estimator(_lib);
     std::vector<Candidate> candidates =
-        pool.parallelMap(points.size(), [&](std::size_t i) {
-            return evaluate(npu_estimator, points[i].config,
-                            points[i].stages, points[i].dp,
-                            points[i].tp, space.link, objective);
+        pool.parallelMap(configs.size(), [&](std::size_t i) {
+            return evaluate(npu_estimator, configs[i], objective);
         });
 
     std::stable_sort(candidates.begin(), candidates.end(),

@@ -25,7 +25,6 @@
 #include "common/parallel.hh"
 #include "dnn/layer.hh"
 #include "estimator/npu_estimator.hh"
-#include "partition/link_model.hh"
 #include "power/power.hh"
 #include "sim_cache.hh"
 
@@ -55,56 +54,14 @@ struct ExplorationSpace
      * resource-balancing points); must parallel `widths`.
      */
     std::vector<int> bufferMbForWidth = {24, 38, 46, 50};
-
-    /**
-     * Pipeline-group sizes to co-explore (src/partition): each knob
-     * point is also scored as a K-chip layer-wise pipeline for every
-     * K here. The default {1} reproduces the single-chip sweep byte
-     * for byte; K > 1 candidates are named with a "/k<K>" suffix,
-     * score steady-state pipeline throughput, and charge K chips of
-     * power.
-     */
-    std::vector<int> pipelineStages = {1};
-
-    /**
-     * Data-parallel replica counts to co-explore (src/sharding):
-     * each knob point is also scored with its solved batch split
-     * across R replicas. The default {1} leaves the sweep untouched
-     * byte for byte; R > 1 candidates are named with a "/dp<R>"
-     * suffix and charge R times the chips.
-     */
-    std::vector<int> dataParallel = {1};
-
-    /**
-     * Tensor-parallel shard counts to co-explore (src/sharding):
-     * each knob point is also scored with every layer's ofmap
-     * channels split across T chips. The default {1} leaves the
-     * sweep untouched byte for byte; T > 1 candidates are named with
-     * a "/tp<T>" suffix and charge T times the chips.
-     */
-    std::vector<int> tensorShards = {1};
-
-    /**
-     * Inter-chip link of the K > 1 pipeline and R·T > 1 sharded
-     * candidates.
-     */
-    partition::LinkConfig link;
 };
 
 /** One evaluated candidate. */
 struct Candidate
 {
     estimator::NpuConfig config;
-    /** Chips in the candidate's pipeline group; 1 = single chip. */
-    int pipelineStages = 1;
-    /** Data-parallel replicas; 1 = unreplicated. */
-    int dataParallel = 1;
-    /** Tensor-parallel shards per replica; 1 = unsharded. */
-    int tensorShards = 1;
     double avgMacPerSec = 0.0;
-    /** Power of the whole candidate (all R·T·K chips). */
     double chipPowerW = 0.0;
-    /** Area of the whole candidate (all R·T·K chips). */
     double areaMm2 = 0.0;
     double score = 0.0;
     bool operable = true;
@@ -158,9 +115,6 @@ class DesignSpaceExplorer
     /** Score one knob point (the parallel unit of work). */
     Candidate evaluate(const estimator::NpuEstimator &npu_estimator,
                        const estimator::NpuConfig &config,
-                       int pipeline_stages, int data_parallel,
-                       int tensor_shards,
-                       const partition::LinkConfig &link,
                        Objective objective) const;
 
     const sfq::CellLibrary &_lib;

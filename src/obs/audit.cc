@@ -335,45 +335,6 @@ auditPipeline(const partition::PipelineResult &result)
 }
 
 AuditReport
-auditSharding(const sharding::ReplicaGroupResult &result)
-{
-    AuditReport audit;
-    const int r = result.replicas;
-    if (r < 1 || !result.wideSim) {
-        audit.violations.push_back(Violation{
-            "sharding/dp", "replicas", ">= 1 with a wide sim",
-            std::to_string(r)});
-        return audit;
-    }
-    audit.merge(auditSim(*result.wideSim));
-    expectEq(audit, "sharding/dp", "wideShare",
-             (std::uint64_t)((result.batch + r - 1) / r),
-             (std::uint64_t)result.wideShare);
-    expectEq(audit, "sharding/dp", "wideSimBatch",
-             (std::uint64_t)result.wideShare,
-             (std::uint64_t)result.wideSim->batch);
-    expectEq(audit, "sharding/dp", "computeCycles",
-             result.wideSim->totalCycles, result.computeCycles);
-    expectEq(audit, "sharding/dp", "totalCycles",
-             sharding::saturatingAdd(result.computeCycles,
-                                     result.gatherCycles),
-             result.totalCycles);
-    if (r == 1) {
-        // Degree 1 degenerates to the single-chip path exactly.
-        expectEq(audit, "sharding/dp", "gatherCyclesAtR1", 0,
-                 result.gatherCycles);
-        expectEq(audit, "sharding/dp", "gatherBytesAtR1", 0,
-                 result.gatherBytes);
-        expectEq(audit, "sharding/dp", "soloIdentityAtR1",
-                 result.soloCycles, result.totalCycles);
-    }
-    // Splitting a batch R ways can never win more than R.
-    expectLe(audit, "sharding/dp", "speedupLeReplicas",
-             result.speedup(), (double)r);
-    return audit;
-}
-
-AuditReport
 auditSharding(const sharding::TensorShardResult &result)
 {
     AuditReport audit;
@@ -446,6 +407,10 @@ auditSharding(const sharding::ShardPlan &plan)
                 std::to_string(k)});
         return audit;
     }
+    const int r = plan.dataParallel;
+    expectEq(audit, "sharding/plan", "replicaShare",
+             (std::uint64_t)((plan.batch + r - 1) / r),
+             (std::uint64_t)plan.replicaShare);
     std::uint64_t coll = 0, fill = 0, bottleneck = 0;
     for (int s = 0; s < k; ++s) {
         const partition::PipelineStage &stage =
@@ -506,8 +471,10 @@ auditSharding(const sharding::ShardPlan &plan)
     }
     // Speedup is NOT bounded by R·T·K: tensor sharding can drop
     // whole weight mappings when a layer narrows below the PE-array
-    // width, so the group can legitimately beat chips() solo shares.
-    // What it can never beat is chips() worth of peak MAC rate.
+    // width, and a full batch past the on-chip batch costs more per
+    // image than a replica's share, so the group can legitimately
+    // beat chips() solo shares. What it can never beat is chips()
+    // worth of peak MAC rate.
     if (plan.peakMacPerSec > 0) {
         expectLe(audit, "sharding/plan", "macThroughputLeChips",
                  plan.effectiveMacPerSec(),

@@ -84,14 +84,6 @@ AuditReport auditServing(const serving::ServingReport &report);
 AuditReport auditPipeline(const partition::PipelineResult &result);
 
 /**
- * Audit a data-parallel replica-group run: the wide share's
- * SimResult, compute + gather == total cycle conservation, a
- * zero-cost gather (and total == solo) at R=1, and the DP speedup
- * bounded by R — splitting a batch R ways can never win more than R.
- */
-AuditReport auditSharding(const sharding::ReplicaGroupResult &result);
-
-/**
  * Audit a tensor-parallel shard run: the wide shard's SimResult,
  * per-layer shard/reduce cycles and bytes rolling up exactly to the
  * totals, shard + collective == total, zero collectives (and
@@ -102,14 +94,15 @@ AuditReport auditSharding(const sharding::ReplicaGroupResult &result);
 AuditReport auditSharding(const sharding::TensorShardResult &result);
 
 /**
- * Audit a hybrid DP×TP×PP plan: every pipeline stage's SimResult,
- * the TP overlay rolling up (Σ stage collective == tensor
- * collective, stage occupancy == pipeline occupancy + overlay),
- * bottleneck == max overlaid occupancy with fill == Σ, interval ==
- * max(bottleneck, gather) and latency == fill + gather, zero
- * collectives at degree 1, and group MAC throughput bounded by
- * R·T·K chips' peak rate (the speedup itself may exceed R·T·K when
- * sharding drops whole weight mappings).
+ * Audit a hybrid DP×TP×PP plan: every pipeline stage's SimResult at
+ * the replica share ceil(batch/R), the TP overlay rolling up (Σ stage
+ * collective == tensor collective, stage occupancy == pipeline
+ * occupancy + overlay), bottleneck == max overlaid occupancy with
+ * fill == Σ, interval == max(bottleneck, gather) and latency == fill
+ * + gather, zero collectives at degree 1, and group MAC throughput
+ * bounded by R·T·K chips' peak rate (the speedup itself may exceed
+ * R·T·K when sharding drops whole weight mappings, or when the full
+ * batch outgrows the chip and the solo run slows per image).
  */
 AuditReport auditSharding(const sharding::ShardPlan &plan);
 

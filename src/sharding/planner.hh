@@ -91,8 +91,8 @@
 #include <string>
 #include <vector>
 
+#include "collective.hh"
 #include "partition/partitioner.hh"
-#include "replica_group.hh"
 #include "tensor_shard.hh"
 
 namespace supernpu {

@@ -34,7 +34,6 @@
 #include "serving/simulator.hh"
 #include "sharding/collective.hh"
 #include "sharding/planner.hh"
-#include "sharding/replica_group.hh"
 #include "sharding/tensor_shard.hh"
 
 namespace supernpu {
@@ -262,27 +261,15 @@ TEST_F(ShardingFixture, SingleShardSharesTheSingleChipCacheEntry)
     EXPECT_EQ(sharded.json(), reference.json());
 }
 
-TEST_F(ShardingFixture, SingleReplicaSharesTheSingleChipCacheEntry)
-{
-    ReplicaGroup group(estimate, testLink(), &cache);
-    const ReplicaGroupResult one = group.run(net, 1, batch);
-    EXPECT_EQ(one.gatherCycles, 0u);
-    EXPECT_EQ(one.gatherBytes, 0u);
-    EXPECT_EQ(one.totalCycles, one.soloCycles);
-    EXPECT_EQ(one.wideShare, batch);
-
-    npusim::NpuSimulator sim(estimate);
-    const auto direct = cache.getOrRun(sim, net, batch);
-    EXPECT_EQ(one.wideSim.get(), direct.get());
-}
-
 TEST_F(ShardingFixture, DegreeOnePlanReproducesTheSingleChipRun)
 {
     HybridPlanner planner(estimate, testLink(), &cache);
     const ShardPlan plan = planner.evaluate(net, 1, 1, 1, batch);
     EXPECT_EQ(plan.chips(), 1);
+    EXPECT_EQ(plan.replicaShare, batch);
     EXPECT_EQ(plan.tensorCollectiveCycles, 0u);
     EXPECT_EQ(plan.gatherCycles, 0u);
+    EXPECT_EQ(plan.gatherBytes, 0u);
     EXPECT_EQ(plan.intervalCycles, plan.soloCycles);
     EXPECT_EQ(plan.latencyCycles, plan.soloCycles);
 
@@ -312,24 +299,24 @@ TEST_F(ShardingFixture, TensorShardResultPassesTheAudit)
     }
 }
 
-TEST_F(ShardingFixture, ReplicaGroupResultPassesTheAudit)
+TEST_F(ShardingFixture, DataParallelPlanPassesTheAudit)
 {
-    ReplicaGroup group(estimate, testLink(), &cache);
+    HybridPlanner planner(estimate, testLink(), &cache);
     for (int r : {1, 2, 4}) {
-        const ReplicaGroupResult result = group.run(net, r, batch);
-        const obs::AuditReport audit = obs::auditSharding(result);
+        const ShardPlan plan = planner.evaluate(net, r, 1, 1, batch);
+        const obs::AuditReport audit = obs::auditSharding(plan);
         EXPECT_TRUE(audit.ok()) << "R=" << r << "\n" << audit.summary();
-        EXPECT_LE(result.speedup(), (double)r + 1e-9);
-        EXPECT_EQ(result.wideShare, (batch + r - 1) / r);
+        EXPECT_LE(plan.speedup(), (double)r + 1e-9);
+        EXPECT_EQ(plan.replicaShare, (batch + r - 1) / r);
     }
 }
 
 TEST_F(ShardingFixture, ReplicasClampToTheBatch)
 {
-    ReplicaGroup group(estimate, testLink(), &cache);
-    const ReplicaGroupResult tiny = group.run(net, 64, 3);
-    EXPECT_EQ(tiny.replicas, 3);
-    EXPECT_EQ(tiny.wideShare, 1);
+    HybridPlanner planner(estimate, testLink(), &cache);
+    const ShardPlan tiny = planner.evaluate(net, 64, 1, 1, 3);
+    EXPECT_EQ(tiny.dataParallel, 3);
+    EXPECT_EQ(tiny.replicaShare, 1);
 }
 
 TEST_F(ShardingFixture, AuditCatchesCookedShardBooks)
@@ -339,9 +326,10 @@ TEST_F(ShardingFixture, AuditCatchesCookedShardBooks)
     cooked.totalCycles -= 1; // books no longer balance
     EXPECT_FALSE(obs::auditSharding(cooked).ok());
 
-    ReplicaGroup group(estimate, testLink(), &cache);
-    ReplicaGroupResult inflated = group.run(net, 2, batch);
-    inflated.soloCycles *= 3; // claims a speedup beyond R
+    HybridPlanner planner(estimate, testLink(), &cache);
+    ShardPlan inflated = planner.evaluate(net, 2, 1, 1, batch);
+    ASSERT_TRUE(obs::auditSharding(inflated).ok());
+    inflated.batch *= 2; // claims images its replicas never ran
     EXPECT_FALSE(obs::auditSharding(inflated).ok());
 }
 
@@ -433,12 +421,6 @@ TEST_F(ShardingFixture, PlanBaselineIsTheFullBatchSoloRun)
     EXPECT_EQ(plan.soloCycles, direct->totalCycles);
     EXPECT_EQ(plan.macOpsPerBatch, direct->macOps);
     EXPECT_GT(plan.speedup(), 1.0);
-
-    // And it matches ReplicaGroup's books for the same placement.
-    ReplicaGroup group(estimate, testLink(), &cache);
-    const ReplicaGroupResult dp = group.run(net, 2, batch);
-    EXPECT_EQ(plan.soloCycles, dp.soloCycles);
-    EXPECT_EQ(plan.macOpsPerBatch, dp.macOpsPerBatch);
 
     const obs::AuditReport audit = obs::auditSharding(plan);
     EXPECT_TRUE(audit.ok()) << audit.summary();
@@ -914,6 +896,30 @@ TEST(ShardingResNet50, BestThroughputNeverDropsAsTheBudgetGrows)
         EXPECT_GE(best.throughput(), last);
         last = best.throughput();
     }
+}
+
+TEST(ShardingResNet50, DataParallelSpeedupMayBeatReplicasPastTheOnChipBatch)
+{
+    // Past the solver's on-chip batch the full-batch solo run costs
+    // more per image than a replica's share, so two replicas beat
+    // 2x: the plan audit bounds MAC rate, never the DP speedup.
+    sfq::DeviceConfig dev;
+    sfq::CellLibrary lib(dev);
+    const estimator::NpuConfig config =
+        estimator::NpuConfig::superNpu();
+    const estimator::NpuEstimate estimate =
+        estimator::NpuEstimator(lib).estimate(config);
+    const dnn::Network net = dnn::makeResNet50();
+    const int batch = npusim::maxBatch(config, estimate, net);
+
+    npusim::SimCache cache;
+    const HybridPlanner planner(estimate, {}, &cache);
+    const ShardPlan plan = planner.evaluate(net, 2, 1, 1, 2 * batch);
+    EXPECT_EQ(plan.replicaShare, batch);
+    EXPECT_GT(plan.soloCycles,
+              2 * (plan.bottleneckCycles + plan.gatherCycles));
+    const obs::AuditReport audit = obs::auditSharding(plan);
+    EXPECT_TRUE(audit.ok()) << audit.summary();
 }
 
 // --- serving replica groups ------------------------------------------

@@ -740,31 +740,10 @@ servingConfigFor(const Options &options,
     return serve;
 }
 
-/**
- * Reject the documented-unsupported combination up front, before
- * any model building: there is no per-stage checkpoint model, so
- * checkpoint-restart cannot pipeline. Returns the exit status, or 0
- * to go on.
- */
-int
-rejectPipelinedCheckpoint(const Options &options, const char *command)
-{
-    if (options.stages > 1 &&
-        options.serve.resilience.checkpointRestart) {
-        std::fprintf(stderr, "usage: supernpu %s: --checkpoint is"
-                     " unsupported with --stages > 1 (no per-stage"
-                     " checkpoint model)\n", command);
-        return 2;
-    }
-    return 0;
-}
-
 int
 cmdServe(const Options &options)
 {
     const dnn::Network &net = options.net;
-    if (const int status = rejectPipelinedCheckpoint(options, "serve"))
-        return status;
     const auto estimate = estimateFor(options);
 
     const serving::ServingConfig serve =
@@ -794,8 +773,6 @@ int
 cmdFaults(const Options &options)
 {
     const dnn::Network &net = options.net;
-    if (const int status = rejectPipelinedCheckpoint(options, "faults"))
-        return status;
     const auto estimate = estimateFor(options);
 
     serving::ServingConfig serve =
@@ -1290,8 +1267,10 @@ cmdBench(const Options &options)
             std::printf("  %-22s skipped: %s\n", delta.name.c_str(),
                         delta.note.c_str());
         } else if (delta.baselineThroughput > 0.0) {
-            std::printf("  %-22s %+.1f%% vs baseline%s\n",
-                        delta.name.c_str(), -delta.slowdownPct,
+            std::printf("  %-22s %.2fx baseline throughput%s\n",
+                        delta.name.c_str(),
+                        delta.currentThroughput /
+                            delta.baselineThroughput,
                         delta.regressed ? "  REGRESSED" : "");
         } else {
             std::printf("  %-22s %s\n", delta.name.c_str(),
