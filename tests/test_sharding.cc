@@ -276,8 +276,27 @@ TEST_F(ShardingFixture, DegreeOnePlanReproducesTheSingleChipRun)
     npusim::NpuSimulator sim(estimate);
     const auto direct = cache.getOrRun(sim, net, batch);
     EXPECT_EQ(plan.soloCycles, direct->totalCycles);
-    ASSERT_EQ(plan.pipeline.stageCount(), 1);
-    EXPECT_EQ(plan.pipeline.stages[0].sim.get(), direct.get());
+}
+
+TEST_F(ShardingFixture, SingleReplicaSharesTheSingleChipCacheEntry)
+{
+    // R=1 runs the whole batch on one replica of the original network,
+    // so its one stage holds the very SimResult the direct single-chip
+    // path gets from the cache.
+    HybridPlanner planner(estimate, testLink(), &cache);
+    const ShardPlan one = planner.evaluate(net, 1, 1, 1, batch);
+    EXPECT_EQ(one.replicaShare, batch);
+    EXPECT_EQ(one.gatherBytes, 0u);
+
+    npusim::NpuSimulator sim(estimate);
+    const auto direct = cache.getOrRun(sim, net, batch);
+    ASSERT_EQ(one.pipeline.stageCount(), 1);
+    EXPECT_EQ(one.pipeline.stages[0].sim.get(), direct.get());
+
+    obs::RunLedger replicated, reference;
+    obs::addSimResult(replicated, *one.pipeline.stages[0].sim);
+    obs::addSimResult(reference, *direct);
+    EXPECT_EQ(replicated.json(), reference.json());
 }
 
 // --- sharded runs and audits -----------------------------------------
