@@ -28,16 +28,15 @@
  * past it. Values are handed out as shared_ptr<const Value>, so a
  * value stays valid while a caller holds it even after eviction.
  *
- * The batch path is for a caller that computes its values in
- * parallel outside the memo. peek(key) reads a resident value without
- * counting or touching the LRU order; peek(first, last) does the same
- * for a run of keys under one lock. publish(keys, values) then hands
- * the memo every distinct key the caller resolved, in order, under
- * one lock: a resident key counts a hit and moves to the front, any
- * other is stored as a miss. The hybrid planner resolves its whole
- * search this way, so its tallies count each distinct key once — the
- * work it did, not how often a serial walk would have asked — and,
- * the pass being serial and ordered, repeat at any job count.
+ * peek(key) reads a resident value without counting it or touching
+ * the LRU order, for a caller that asks what is resident without
+ * computing it.
+ *
+ * A memo is for repeated lookups of deterministic results: serving's
+ * per-batch service times, partition sweeps, one placement's
+ * evaluation. A one-pass search that would store far more distinct
+ * keys than any later lookup reads keeps its results to itself
+ * instead (the hybrid planner's search does).
  */
 
 #ifndef SUPERNPU_COMMON_MEMO_HH
@@ -47,14 +46,12 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "perf/profile.hh"
 
@@ -147,55 +144,6 @@ class Memo
         return it == _index.end() ? nullptr : it->second->second;
     }
 
-    /**
-     * peek() of every key in [first, last), in order, under one
-     * lock.
-     */
-    template <typename KeyIt>
-    std::vector<std::shared_ptr<const Value>> peek(KeyIt first,
-                                                   KeyIt last) const
-    {
-        std::vector<std::shared_ptr<const Value>> values;
-        values.reserve((std::size_t)std::distance(first, last));
-        std::lock_guard<std::mutex> lock(_mutex);
-        for (; first != last; ++first) {
-            const auto it = _index.find(*first);
-            values.push_back(it == _index.end() ? nullptr
-                                                : it->second->second);
-        }
-        return values;
-    }
-
-    /**
-     * Hand the memo values[i] for keys[i], in order, under one lock:
-     * a resident key is a hit and moves to the front; any other key
-     * is a miss that stores its value and evicts past capacity. The
-     * two vectors must be the same length. Counters and perf counters
-     * are added in bulk.
-     */
-    void publish(const std::vector<Key> &keys,
-                 const std::vector<std::shared_ptr<const Value>> &values)
-    {
-        std::uint64_t hits = 0, misses = 0;
-        std::lock_guard<std::mutex> lock(_mutex);
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-            const auto it = _index.find(keys[i]);
-            if (it != _index.end()) {
-                ++hits;
-                _lru.splice(_lru.begin(), _lru, it->second);
-            } else {
-                ++misses;
-                insertLocked(keys[i], values[i]);
-            }
-        }
-        _stats.hits += hits;
-        _stats.misses += misses;
-        if (_hitCounter)
-            _hitCounter->add(hits);
-        if (_missCounter)
-            _missCounter->add(misses);
-    }
-
     /** Entries currently resident. */
     std::size_t size() const
     {
@@ -230,20 +178,13 @@ class Memo
     using Lru = std::list<std::pair<Key, std::shared_ptr<const Value>>>;
 
     /**
-     * Store `value` as the most recent entry for `key` and evict
-     * past capacity. A publish may have stored the key while this
-     * thread's flight computed it; the resident entry then just
-     * moves to the front.
+     * Store `value` as the most recent entry for `key`, which only
+     * its flight's leader computes, and evict past capacity.
      */
     void insertLocked(const Key &key, std::shared_ptr<const Value> value)
     {
-        const auto [it, fresh] = _index.try_emplace(key);
-        if (!fresh) {
-            _lru.splice(_lru.begin(), _lru, it->second);
-            return;
-        }
         _lru.emplace_front(key, std::move(value));
-        it->second = _lru.begin();
+        _index.emplace(key, _lru.begin());
         while (_capacity != 0 && _lru.size() > _capacity) {
             _index.erase(_lru.back().first);
             _lru.pop_back();

@@ -26,10 +26,7 @@ SimResult::layers() const
 {
     if (_layerCount == 0)
         return {};
-    if (isRenamed())
-        return _source->layers();
-    const std::vector<LayerResult> &tail =
-        _source ? _source->_owned : _owned;
+    const std::vector<LayerResult> &tail = _wide ? _wide->_owned : _owned;
     return LayerView(_owned.data(), tail.data() + _tailFirst, _layerCount);
 }
 
@@ -37,7 +34,7 @@ void
 SimResult::setLayers(std::vector<LayerResult> layers)
 {
     _owned = std::move(layers);
-    _source.reset();
+    _wide.reset();
     _tailFirst = 1;
     _layerCount = _owned.size();
 }
@@ -47,9 +44,7 @@ SimResult::shareTail(LayerResult head,
                      std::shared_ptr<const SimResult> wide,
                      std::size_t first, std::size_t last)
 {
-    if (wide && wide->isRenamed())
-        wide = wide->_source;
-    SUPERNPU_ASSERT(wide && !wide->_source,
+    SUPERNPU_ASSERT(wide && !wide->_wide,
                     "a stage shares the tail of a run that owns all its "
                     "layers, not of another stage");
     SUPERNPU_ASSERT(first <= last && last < wide->_layerCount,
@@ -57,24 +52,9 @@ SimResult::shareTail(LayerResult head,
                     wide->_layerCount);
     _owned.clear();
     _owned.push_back(std::move(head));
-    _source = std::move(wide);
+    _wide = std::move(wide);
     _tailFirst = first + 1;
     _layerCount = last - first + 1;
-}
-
-SimResult
-SimResult::renamed(std::shared_ptr<const SimResult> source,
-                   std::string name)
-{
-    SUPERNPU_ASSERT(source, "nothing to rename");
-    if (source->isRenamed())
-        source = source->_source;
-    SimResult result;
-    static_cast<SimSummary &>(result) = *source;
-    result.networkName = std::move(name);
-    result._layerCount = source->_layerCount;
-    result._source = std::move(source);
-    return result;
 }
 
 double

@@ -143,16 +143,33 @@ class LayerView
 };
 
 /**
- * Everything a SimResult records besides its per-layer results: its
- * names, batch, clock and totals. renamed() copies these and nothing
- * else.
+ * Whole-network (or pipeline-stage) simulation result.
+ *
+ * Who owns which layers: a result of NpuSimulator::run() or of the
+ * TPU comparator owns every layer. A stage composed by
+ * NpuSimulator::runRange owns only its cold head layer; the rest of
+ * its layers are its wide run's, read in place through a shared
+ * pointer that keeps that wide run alive as long as the stage lives.
+ * Readers see both kinds through the one view, layers().
  */
-struct SimSummary
+struct SimResult
 {
     std::string networkName;
     std::string configName;
     int batch = 1;
     double frequencyGhz = 0.0;
+
+    /** Every per-layer result, in network order. */
+    LayerView layers() const;
+    /** Own `layers` as every per-layer result. Totals stay as set. */
+    void setLayers(std::vector<LayerResult> layers);
+    /**
+     * Own `head` as layer 0 and read `wide`'s layers first+1..last
+     * in place as the rest. `wide` must own all its layers. Totals
+     * stay as set.
+     */
+    void shareTail(LayerResult head, std::shared_ptr<const SimResult> wide,
+                   std::size_t first, std::size_t last);
 
     std::uint64_t totalCycles = 0;
     std::uint64_t computeCycles = 0;
@@ -183,43 +200,6 @@ struct SimSummary
      * run's cycle counts stay comparable across fault rates.
      */
     std::uint64_t faultRecomputeCycles = 0;
-};
-
-/**
- * Whole-network (or pipeline-stage) simulation result.
- *
- * Who owns which layers: a result of NpuSimulator::run() or of the
- * TPU comparator owns every layer. A stage composed by
- * NpuSimulator::runRange owns only its cold head layer; the rest of
- * its layers are its wide run's, read in place through a shared
- * pointer that keeps that wide run alive as long as the stage lives.
- * A renamed() result owns no layer: it is another result of an
- * equal-geometry network under its own name, and reads all of that
- * result's layers in place. Readers see every kind through the one
- * view, layers().
- */
-struct SimResult : SimSummary
-{
-    /** Every per-layer result, in network order. */
-    LayerView layers() const;
-    /** Own `layers` as every per-layer result. Totals stay as set. */
-    void setLayers(std::vector<LayerResult> layers);
-    /**
-     * Own `head` as layer 0 and read `wide`'s layers first+1..last
-     * in place as the rest. `wide` must hold every layer of its
-     * network: a run that owns them all, or a renamed() one (whose
-     * source's layers are shared then). Totals stay as set.
-     */
-    void shareTail(LayerResult head, std::shared_ptr<const SimResult> wide,
-                   std::size_t first, std::size_t last);
-    /**
-     * `source` named `name`: its summary, with every layer read in
-     * place from it (from its source, when `source` is renamed
-     * itself), which stays alive as long as the result does. For a
-     * network whose layers equal those `source` simulated.
-     */
-    static SimResult renamed(std::shared_ptr<const SimResult> source,
-                             std::string name);
 
     /** Wall-clock seconds for the whole batch. */
     double seconds() const;
@@ -242,17 +222,11 @@ struct SimResult : SimSummary
     double preparationFraction() const;
 
   private:
-    /** A renamed result: no layer owned, all read from _source. */
-    bool isRenamed() const { return _owned.empty() && _source; }
-
-    /** Every layer, a composed stage's head only, or none (renamed). */
+    /** Every layer, or a composed stage's head only. */
     std::vector<LayerResult> _owned;
-    /**
-     * A composed stage's wide run, whose _owned holds the tail, or a
-     * renamed result's source.
-     */
-    std::shared_ptr<const SimResult> _source;
-    /** Index of layer 1 in the tail's vector (_source's or _owned). */
+    /** A composed stage's wide run, whose _owned holds the tail. */
+    std::shared_ptr<const SimResult> _wide;
+    /** Index of layer 1 in the tail's vector (_wide's or _owned). */
     std::size_t _tailFirst = 1;
     std::size_t _layerCount = 0;
 };

@@ -55,16 +55,6 @@ assemble(const estimator::NpuEstimate &est, std::string name, int batch,
 
 } // namespace
 
-std::string
-stageName(const std::string &network, int first, int last,
-          int layer_count)
-{
-    if (first == 0 && last == layer_count - 1)
-        return network;
-    return network + "[" + std::to_string(first) + "-" +
-           std::to_string(last) + "]";
-}
-
 NpuSimulator::NpuSimulator(const estimator::NpuEstimate &estimate)
     : _est(estimate)
 {
@@ -348,8 +338,12 @@ NpuSimulator::runRange(const dnn::Network &network, int first, int last,
             perf::counter("npusim.layerSims");
         layer_sims.add(1);
     }
-    return assemble(_est, stageName(network.name, first, last, n), batch,
-                    std::move(result));
+    const bool all = first == 0 && last == n - 1;
+    return assemble(_est,
+                    all ? network.name
+                        : network.name + "[" + std::to_string(first) +
+                              "-" + std::to_string(last) + "]",
+                    batch, std::move(result));
 }
 
 } // namespace npusim

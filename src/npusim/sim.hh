@@ -27,7 +27,6 @@
 #define SUPERNPU_NPUSIM_SIM_HH
 
 #include <memory>
-#include <string>
 
 #include "dnn/layer.hh"
 #include "estimator/npu_estimator.hh"
@@ -36,15 +35,6 @@
 
 namespace supernpu {
 namespace npusim {
-
-/**
- * The name of layers [first, last] of the `layer_count`-layer network
- * `network` run as a sub-network: `network[first-last]`, or `network`
- * itself for the whole range. NpuSimulator::runRange names its
- * results so.
- */
-std::string stageName(const std::string &network, int first, int last,
-                      int layer_count);
 
 /** Cycle-level simulator for one estimated NPU instance. */
 class NpuSimulator
@@ -82,10 +72,9 @@ class NpuSimulator
      * `whole`: the result owns its head layer only, reads layers
      * first+1..last in place from `whole` and keeps `whole` alive.
      * The head counts in npusim.layerSims, the call not in
-     * npusim.runs. `whole` may be a SimResult::renamed() run of an
-     * equal-geometry network: its source's layers are shared. Panics
-     * with a trace attached, on a range, layer count or batch that
-     * `whole` does not match, or when `whole` is a composed stage.
+     * npusim.runs. Panics with a trace attached, on a range, layer
+     * count or batch that `whole` does not match, or when `whole` is
+     * itself a composed stage.
      */
     SimResult runRange(const dnn::Network &network, int first, int last,
                        int batch,

@@ -14,16 +14,10 @@ namespace npusim {
 std::uint64_t
 hashNetwork(const dnn::Network &network)
 {
-    return hashNetwork(network.name, network.layers);
-}
-
-std::uint64_t
-hashNetwork(const std::string &name, const std::vector<dnn::Layer> &layers)
-{
     Fnv1a hash;
-    hash.text(name);
-    hash.word((std::uint64_t)layers.size());
-    for (const auto &layer : layers) {
+    hash.text(network.name);
+    hash.word((std::uint64_t)network.layers.size());
+    for (const auto &layer : network.layers) {
         hash.text(layer.name);
         hash.word((std::uint64_t)layer.kind);
         hash.word((std::uint64_t)layer.inChannels);
@@ -79,8 +73,8 @@ SimKeyHash::operator()(const SimKey &key) const
     // A bucket index, never persisted. The three hash fields are
     // digests already, so one odd multiply per field and a
     // murmur-style finalizer spread them at a fraction of the cost
-    // of byte-serial FNV: a planner search peeks and publishes each
-    // of its ~28k distinct keys, and a sweep hashes every lookup.
+    // of byte-serial FNV: serving and partition sweeps hash every
+    // lookup.
     std::uint64_t h = key.networkHash ^
                       key.configHash * 0x9e3779b97f4a7c15ull ^
                       (std::uint64_t)key.batch * 0xc2b2ae3d27d4eb4full ^

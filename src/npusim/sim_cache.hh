@@ -10,11 +10,14 @@
  * simulation per distinct batch size — so results are memoized here
  * under a key of (workload hash, config hash, batch, fault hash).
  *
- * The store is a common/memo.hh Memo, LRU-bounded at `maxEntries`;
- * its header states the single-flight contract, and the peek/publish
- * batch path through which the planner resolves a whole search and
- * counts each distinct key once. This file owns only what is
- * specific to simulations: the key and its hashes.
+ * The store is a common/memo.hh Memo, LRU-bounded at `maxEntries`,
+ * whose header states the single-flight contract. This file owns
+ * only what is specific to simulations: the key and its hashes.
+ *
+ * Who stores here: every live lookup (serving's service models, the
+ * partitioner, the reliability injector, the explorer, a fixed
+ * HybridPlanner::evaluate). A planner search stores only its winner's
+ * evaluate(); the rest of its simulations stay local to the search.
  */
 
 #ifndef SUPERNPU_NPUSIM_SIM_CACHE_HH
@@ -22,8 +25,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "common/memo.hh"
 #include "dnn/layer.hh"
@@ -40,13 +41,6 @@ namespace npusim {
  * results changes the hash.
  */
 std::uint64_t hashNetwork(const dnn::Network &network);
-
-/**
- * hashNetwork of a network named `name` with layers `layers`, for a
- * caller that holds an equal-geometry network under another name.
- */
-std::uint64_t hashNetwork(const std::string &name,
-                          const std::vector<dnn::Layer> &layers);
 
 /** Structural hash of an NPU configuration (every field). */
 std::uint64_t hashConfig(const estimator::NpuConfig &config);

@@ -203,10 +203,10 @@ void addSimCacheStats(RunLedger &ledger,
 /**
  * Record the partitioner's layer-timing memo counters under a
  * "layerTimingCache" section. The counts are host work, not model
- * output: a planner search publishes each distinct key it resolved
- * once, serially and in order (Memo::publish), so they are identical
- * at any job count and the section is safe for the CI jobs=1-vs-N
- * ledger byte-comparison.
+ * output. A planner search looks nothing up in the memo; only its
+ * winner's serial evaluate() does, so the counts are identical at any
+ * job count and the section is safe for the CI jobs=1-vs-N ledger
+ * byte-comparison.
  */
 void addLayerTimingCacheStats(
     RunLedger &ledger, const partition::LayerTimingCacheStats &stats);

@@ -21,13 +21,10 @@
  * It is an unbounded common/memo.hh Memo: it lives inside one
  * Partitioner and holds one small vector set, and keeps one
  * whole-network SimResult alive (as does every stage result that
- * shares its layers), per (network, batch) a search touches. The
- * hybrid planner's search peeks the keys of its (shard degree,
- * replica share) points and then publishes one LayerTimings under
- * every one of them (Memo::publish) — the same object for degrees
- * with the same layers — so each point counts once, a hit where it
- * was resident, and the totals the byte-compared shard ledgers embed
- * repeat at any job count.
+ * shares its layers), per (network, batch) that Partitioner::partition
+ * is asked for. Only partition() stores here. A hybrid planner
+ * search builds each class's LayerTimings itself and keeps it to the
+ * search; only its winner's evaluate() partitions through the memo.
  */
 
 #ifndef SUPERNPU_PARTITION_LAYER_TIMING_CACHE_HH

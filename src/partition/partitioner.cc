@@ -93,9 +93,8 @@ Partitioner::stageHash(std::uint64_t network_hash, int first, int last,
         .value();
 }
 
-std::vector<Partitioner::StageCut>
-Partitioner::cutStages(std::uint64_t network_hash,
-                       const LayerTimings &timings, int first_k,
+std::vector<std::vector<int>>
+Partitioner::cutStages(const LayerTimings &timings, int first_k,
                        int last_k)
 {
     const int n = timings.layerCount();
@@ -139,72 +138,20 @@ Partitioner::cutStages(std::uint64_t network_hash,
         table.cut.push_back(std::move(cut));
     }
 
-    std::vector<StageCut> cuts(last_k - first_k + 1);
+    std::vector<std::vector<int>> cuts(last_k - first_k + 1);
     for (int k = first_k; k <= last_k; ++k) {
         // Recover the stage boundaries (last layer of each stage).
-        StageCut &result = cuts[k - first_k];
-        result.last.resize(k);
+        std::vector<int> &last = cuts[k - first_k];
+        last.resize(k);
         int j = n - 1;
         for (int s = k; s >= 1; --s) {
-            result.last[s - 1] = j;
+            last[s - 1] = j;
             j = (s > 1) ? table.cut[s][j] : -1;
             SUPERNPU_ASSERT(s == 1 || j >= 0,
                             "partition DP reconstruction broke");
         }
-
-        result.hash.resize(k);
-        int first = 0;
-        for (int s = 0; s < k; ++s) {
-            result.hash[s] =
-                stageHash(network_hash, first, result.last[s], n);
-            first = result.last[s] + 1;
-        }
     }
     return cuts;
-}
-
-PartitionPlan
-Partitioner::assemble(
-    const std::string &network_name, const LayerTimings &timings,
-    const StageCut &cut, int batch,
-    const std::function<std::shared_ptr<const npusim::SimResult>(int)>
-        &sim_of) const
-{
-    const int n = timings.layerCount();
-    const int k = (int)cut.last.size();
-
-    PartitionPlan plan;
-    plan.networkName = network_name;
-    plan.configName = timings.configName;
-    plan.batch = batch;
-    plan.frequencyGhz = timings.frequencyGhz;
-    plan.link = _link;
-    plan.stages.resize(k);
-
-    int first = 0;
-    for (int s = 0; s < k; ++s) {
-        const int last = cut.last[s];
-        PipelineStage &stage = plan.stages[s];
-        stage.firstLayer = first;
-        stage.lastLayer = last;
-        stage.sim = sim_of(s);
-        stage.stageCycles = stage.sim->totalCycles;
-        if (last < n - 1) {
-            stage.linkBytes = timings.linkBytes[last];
-            stage.linkCycles = timings.linkCycles[last];
-        }
-        first = last + 1;
-
-        const std::uint64_t occ = stage.occupancyCycles();
-        plan.fillCycles += occ;
-        if (occ > plan.bottleneckCycles) {
-            plan.bottleneckCycles = occ;
-            plan.bottleneckStage = s;
-        }
-    }
-    SUPERNPU_ASSERT(plan.bottleneckCycles > 0,
-                    "degenerate plan: zero bottleneck");
-    return plan;
 }
 
 PartitionPlan
@@ -246,17 +193,47 @@ Partitioner::partition(std::uint64_t net_hash,
                                  network),
                 batch);
         });
-    const StageCut cut = cutStages(net_hash, *timings, stages, stages)[0];
+    const std::vector<int> last =
+        cutStages(*timings, stages, stages).front();
+
+    PartitionPlan plan;
+    plan.networkName = network.name;
+    plan.configName = timings->configName;
+    plan.batch = batch;
+    plan.frequencyGhz = timings->frequencyGhz;
+    plan.link = _link;
+    plan.stages.resize(stages);
 
     // Every chosen stage costs as a standalone sub-network, composed
     // on a cache miss from the whole-network run the timings keep.
-    return assemble(network.name, *timings, cut, batch, [&](int s) {
-        const int first = s == 0 ? 0 : cut.last[s - 1] + 1;
-        return _cache->getOrCompute({cut.hash[s], _configHash, batch}, [&] {
-            return _sim.runRange(network, first, cut.last[s], batch,
-                                 timings->sim);
-        });
-    });
+    int first = 0;
+    for (int s = 0; s < stages; ++s) {
+        PipelineStage &stage = plan.stages[s];
+        stage.firstLayer = first;
+        stage.lastLayer = last[s];
+        stage.sim = _cache->getOrCompute(
+            {stageHash(net_hash, first, last[s], n), _configHash, batch},
+            [&] {
+                return _sim.runRange(network, first, last[s], batch,
+                                     timings->sim);
+            });
+        stage.stageCycles = stage.sim->totalCycles;
+        if (last[s] < n - 1) {
+            stage.linkBytes = timings->linkBytes[last[s]];
+            stage.linkCycles = timings->linkCycles[last[s]];
+        }
+        first = last[s] + 1;
+
+        const std::uint64_t occ = stage.occupancyCycles();
+        plan.fillCycles += occ;
+        if (occ > plan.bottleneckCycles) {
+            plan.bottleneckCycles = occ;
+            plan.bottleneckStage = s;
+        }
+    }
+    SUPERNPU_ASSERT(plan.bottleneckCycles > 0,
+                    "degenerate plan: zero bottleneck");
+    return plan;
 }
 
 } // namespace partition

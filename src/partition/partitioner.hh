@@ -29,7 +29,6 @@
 #ifndef SUPERNPU_PARTITION_PARTITIONER_HH
 #define SUPERNPU_PARTITION_PARTITIONER_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -151,14 +150,7 @@ class Partitioner
     }
 
     // --- the pieces partition() is built from, which the hybrid
-    // planner's search also drives phase by phase ------------------
-
-    /** The stages of one cut: boundaries and stage keys. */
-    struct StageCut
-    {
-        std::vector<int> last; ///< last layer of each stage
-        std::vector<std::uint64_t> hash; ///< SimKey::networkHash
-    };
+    // planner's search also runs per (shard geometry, share) class --
 
     /**
      * The cut-search inputs of `network` at `batch`, derived from
@@ -181,28 +173,13 @@ class Partitioner
                                    int last, int layer_count);
 
     /**
-     * The best K-way split of the network hashed `network_hash`
-     * for every K in [first_k, last_k], in order, with its stageHash
-     * keys. Extends the entry's shared DP rows up to last_k first,
+     * The best K-way split of the network `timings` derive from, for
+     * every K in [first_k, last_k], in order: the last layer of each
+     * stage. Extends the entry's shared DP rows up to last_k first,
      * under one CutTable lock.
      */
-    static std::vector<StageCut>
-    cutStages(std::uint64_t network_hash, const LayerTimings &timings,
-              int first_k, int last_k);
-
-    /**
-     * The plan of one cut of a `network_name` point at `batch`:
-     * stage s simulates as sim_of(s), called once per stage in
-     * stage order.
-     */
-    PartitionPlan assemble(
-        const std::string &network_name, const LayerTimings &timings,
-        const StageCut &cut, int batch,
-        const std::function<std::shared_ptr<const npusim::SimResult>(
-            int)> &sim_of) const;
-
-    /** The layer-timing memo behind partition(). */
-    LayerTimingCache &timingCache() const { return _timings; }
+    static std::vector<std::vector<int>>
+    cutStages(const LayerTimings &timings, int first_k, int last_k);
 
   private:
     npusim::NpuSimulator _sim;

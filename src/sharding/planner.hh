@@ -31,63 +31,40 @@
  *
  * plan() is byte-identical to the serial loop of standalone
  * evaluate() calls over that enumeration in every candidate's row and
- * the winner's full plan, at any job count and any cache capacity.
- * Its cache tallies count what it did instead: each distinct SimCache
- * and LayerTimingCache key of the search once, a hit where it was
- * resident and a miss where it was stored.
+ * the winner's full plan, at any job count.
  *
+ * The search keeps its results to itself: it looks nothing up in,
+ * and stores nothing into, the SimCache or the LayerTimingCache.
  * Degrees T with equal shardWidths shard the network into equal
- * layers under different names, and the simulator prices a layer from
- * its shape alone. So the search groups its (T, replica share)
- * points into (shard geometry, share) classes by their exact widths,
- * and does the expensive work once per class: one shard network (the
- * geometry's first T; every other T only hashes its name over those
- * layers), one wide simulation, one LayerTimings, one cut DP and one
- * runRange per stage range any member needs. Each point keeps its
- * own SimKeys and cache entries: where one was not resident, it gets
- * the class's result under its own name (SimResult::renamed: its own
- * networkName, the same totals, the layers read in place), and its
- * LayerTimingCache entry is the class's LayerTimings object.
+ * layers under different names, and the simulator prices a layer
+ * from its shape alone. So the search groups its (T, replica share)
+ * points into (shard geometry, share) classes by their exact widths
+ * and does the expensive work once per class. It runs in two phases
+ * that share no lock, each fanned across a common/parallel
+ * ThreadPool:
  *
- * It gets there in phases that share no per-candidate lock, each
- * fanned across a common/parallel ThreadPool where it can be:
+ *  1. derive (parallel per class): one shard network per geometry
+ *     (its first T's), then per class one wide simulation, one
+ *     LayerTimings, one cut DP grown to the largest K any member asks
+ *     for, and one runRange per distinct stage range those cuts name.
+ *     A class keeps only each cut's stage ends and occupancies; the
+ *     simulations die with the task. Then per point (in parallel)
+ *     what differs by T within its class: its per-layer TP all-reduce
+ *     cycles;
+ *  2. evaluate (parallel): every candidate's PlanRow, folded from its
+ *     class's stages of cut K and its point's all-reduce cycles.
  *
- *  1. derive (parallel per class): the wide simulation (a member's
- *     resident result, or run now), the LayerTimings (a member's
- *     resident one, or built now), the cut DP grown to the largest K
- *     any member asks for, and the stage sub-ranges every K's cuts
- *     name, in the order K = 2, 3, ... first names them, so a
- *     point's ranges are a prefix of its class's. Then per point (in
- *     parallel) its TensorShardResult. Every distinct SimCache key
- *     gets a dense id: point i's wide key is id i, and each point's
- *     stage sub-ranges follow, point by point, keyed by O(1) stage
- *     hashes from the point's own network hash; residency is one
- *     locked peek over the wide keys and one over the stage keys;
- *  2. simulate (parallel per class range, no lock): every class range
- *     some member's stage key is not resident for, resolved once — a
- *     member's resident result, or runRange: one cold head layer plus
- *     the class's wide run's later layers — into the members' slots
- *     of the by-id results;
- *  3. publish (serial): every distinct key and its result through
- *     Memo::publish, once each in dense-id order, and every point's
- *     LayerTimings likewise;
- *  4. evaluate (parallel): every candidate's PlanRow, its stage
- *     cycles read from the by-id results (the wide id at K = 1, else
- *     the point's first range id plus the range its class numbered
- *     for the stage); then, after the pick, the winner's full
- *     ShardPlan, built once by the one evaluation body standalone
- *     evaluate() also runs.
- *
- * So `jobs` is a pure wall-clock knob: the publish pass is serial and
- * ordered, so the byte-compared shard ledgers (which embed the cache
- * tallies) repeat across --jobs.
+ * After the pick, the winner's full ShardPlan is the public
+ * evaluate() of its triple, through the caches: its stages are the
+ * only results a search leaves behind for later commands, and the
+ * caches' tallies and contents after plan() are those of that one
+ * evaluate() at any job count.
  */
 
 #ifndef SUPERNPU_SHARDING_PLANNER_HH
 #define SUPERNPU_SHARDING_PLANNER_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -243,32 +220,6 @@ class HybridPlanner
     }
 
   private:
-    /**
-     * The cache-backed results one evaluation reads: the T-way shard
-     * timing and the PP split of the shard network, both at the
-     * replica share, and the full-batch solo simulation. evaluate()
-     * resolves them through live cache lookups, plan() (for its
-     * winner) from the search's by-id results.
-     */
-    struct Resolved
-    {
-        const TensorShardResult &tensor;
-        partition::PartitionPlan pipeline;
-        std::shared_ptr<const npusim::SimResult> solo;
-    };
-
-    /**
-     * The one evaluation body behind evaluate() and plan()'s
-     * winner: the degrees are already validated and clamped, and
-     * `resolved` carries everything the caches supply.
-     */
-    ShardPlan evaluate(const dnn::Network &network, int data_parallel,
-                       int tensor_shards, int batch,
-                       Resolved resolved) const;
-
-    /** The SimCache key of `network_hash` at `batch` here. */
-    npusim::SimKey simKey(std::uint64_t network_hash, int batch) const;
-
     TensorSharder _sharder;
     partition::Partitioner _partitioner;
 };

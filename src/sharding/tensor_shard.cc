@@ -132,18 +132,9 @@ TensorSharder::shard(std::uint64_t network_hash,
                      int batch) const
 {
     auto wide = simulate(shard_hash, shard_net, batch);
-    auto solo =
+    const auto solo =
         shards == 1 ? wide : simulate(network_hash, network, batch);
-    return assemble(network, shards, batch, std::move(wide),
-                    std::move(solo));
-}
 
-TensorShardResult
-TensorSharder::assemble(
-    const dnn::Network &network, int shards, int batch,
-    std::shared_ptr<const npusim::SimResult> wide,
-    std::shared_ptr<const npusim::SimResult> solo) const
-{
     TensorShardResult result;
     result.networkName = network.name;
     result.configName = wide->configName;
@@ -156,19 +147,17 @@ TensorSharder::assemble(
     result.peakMacPerSec = _sim.estimate().peakMacPerSec;
 
     const int n = (int)network.layers.size();
+    const std::vector<std::uint64_t> reduce =
+        reduceCycles(network, shards, batch, result.frequencyGhz);
     result.layers.reserve(n);
     for (int l = 0; l < n; ++l) {
         ShardLayerTiming timing;
         timing.layerName = network.layers[l].name;
         timing.shardCycles = wide->layers()[l].totalCycles();
-        if (shards > 1) {
+        if (shards > 1)
             timing.reduceBytes = partition::activationBytes(
                 network.layers[l], batch);
-            timing.reduceCycles =
-                allReduceCost(_link, shards, timing.reduceBytes,
-                              result.frequencyGhz)
-                    .cycles;
-        }
+        timing.reduceCycles = reduce[l];
         result.shardCycles += timing.shardCycles;
         result.collectiveBytes =
             saturatingAdd(result.collectiveBytes, timing.reduceBytes);
@@ -183,6 +172,22 @@ TensorSharder::assemble(
                     "wide shard's total");
     result.wideSim = std::move(wide);
     return result;
+}
+
+std::vector<std::uint64_t>
+TensorSharder::reduceCycles(const dnn::Network &network, int shards,
+                            int batch, double frequency_ghz) const
+{
+    std::vector<std::uint64_t> cycles(network.layers.size(), 0);
+    if (shards == 1)
+        return cycles;
+    for (std::size_t l = 0; l < cycles.size(); ++l)
+        cycles[l] = allReduceCost(_link, shards,
+                                  partition::activationBytes(
+                                      network.layers[l], batch),
+                                  frequency_ghz)
+                        .cycles;
+    return cycles;
 }
 
 } // namespace sharding

@@ -157,15 +157,16 @@ class TensorSharder
     std::shared_ptr<const npusim::SimResult>
     simulate(std::uint64_t network_hash, const dnn::Network &network,
              int batch) const;
+
     /**
-     * The result of a `shards`-way split of `network` at `batch`
-     * from its two simulations: `wide`, the widest shard's network,
-     * and `solo`, the unsharded network (the same object at T=1).
+     * The ring all-reduce cycles after each layer of `network` split
+     * `shards` ways at `batch` on a `frequency_ghz` clock: the layer's
+     * full ofmap across the T shards, 0 at T = 1. What shard() charges
+     * per layer.
      */
-    TensorShardResult
-    assemble(const dnn::Network &network, int shards, int batch,
-             std::shared_ptr<const npusim::SimResult> wide,
-             std::shared_ptr<const npusim::SimResult> solo) const;
+    std::vector<std::uint64_t>
+    reduceCycles(const dnn::Network &network, int shards, int batch,
+                 double frequency_ghz) const;
 
     npusim::NpuSimulator _sim;
     partition::LinkConfig _link;

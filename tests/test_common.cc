@@ -577,143 +577,6 @@ TEST(Memo, ComputeErrorReachesLeaderAndEveryWaiter)
     EXPECT_EQ(memo.size(), 1u);
 }
 
-/**
- * The LRU order of `memo`'s residents among `universe`, least
- * recent first, read by pushing fresh keys (>= 1000) in one at a time
- * and noting which residents each push evicts. Consumes the memo's
- * entries and counters; a memo of capacity 0 never evicts, so only
- * its resident set (value-checked) is returned.
- */
-std::vector<int>
-lruOrder(Memo<int, int> &memo, const std::vector<int> &universe,
-         std::size_t capacity)
-{
-    std::vector<int> order;
-    std::set<int> resident;
-    for (int key : universe) {
-        if (const auto value = memo.peek(key)) {
-            EXPECT_EQ(*value, key * 10 + 1) << "key " << key;
-            resident.insert(key);
-        }
-    }
-    if (capacity == 0)
-        return std::vector<int>(resident.begin(), resident.end());
-    // capacity pushes evict every resident of a working LRU.
-    for (int fresh = 1000; !resident.empty(); ++fresh) {
-        if (fresh == 1000 + (int)capacity) {
-            ADD_FAILURE() << resident.size() << " key(s) never evicted";
-            break;
-        }
-        memo.getOrCompute(fresh, [] { return 0; });
-        for (auto it = resident.begin(); it != resident.end();) {
-            if (memo.peek(*it)) {
-                ++it;
-            } else {
-                order.push_back(*it);
-                it = resident.erase(it);
-            }
-        }
-    }
-    return order;
-}
-
-TEST(Memo, PublishCountsEachKeyOnceAsGetOrComputeWould)
-{
-    const bool was_profiling = perf::enabled();
-    perf::setEnabled(true);
-    const auto value_of = [](int key) { return key * 10 + 1; };
-    const auto values_of = [&](const std::vector<int> &keys) {
-        std::vector<std::shared_ptr<const int>> values;
-        for (int key : keys)
-            values.push_back(std::make_shared<const int>(value_of(key)));
-        return values;
-    };
-
-    // By hand, capacity 3 holding 1, 2, 3 (3 most recent): 2 is a
-    // hit and moves to the front; 4 is a miss that evicts 1; 1 was
-    // resident when the pass began but is evicted by then, so it is
-    // a miss that evicts 3.
-    {
-        Memo<int, int> memo(3, "test.memoPublishByHand");
-        for (int key : {1, 2, 3})
-            memo.getOrCompute(key, [&] { return value_of(key); });
-        const std::vector<int> keys = {2, 4, 1};
-        memo.publish(keys, values_of(keys));
-        const MemoStats stats = memo.stats();
-        EXPECT_EQ(stats.hits, 1u);
-        EXPECT_EQ(stats.misses, 3u + 2u);
-        EXPECT_EQ(stats.evictions, 2u);
-        EXPECT_EQ(perf::counter("test.memoPublishByHand.hits").value(),
-                  1u);
-        EXPECT_EQ(perf::counter("test.memoPublishByHand.misses").value(),
-                  5u);
-        EXPECT_EQ(lruOrder(memo, {1, 2, 3, 4}, 3),
-                  (std::vector<int>{2, 4, 1}));
-    }
-
-    // Randomly: publishing distinct keys counts, evicts and orders as
-    // one getOrCompute per key, in order, on one thread would, and
-    // each key counts exactly once.
-    std::vector<int> universe(12);
-    for (int key = 0; key < (int)universe.size(); ++key)
-        universe[(std::size_t)key] = key;
-    Rng rng(17);
-    int trial = 0;
-    for (std::size_t capacity : {0, 1, 8}) {
-        for (int round = 0; round < 20; ++round, ++trial) {
-            SCOPED_TRACE("capacity " + std::to_string(capacity) +
-                         " round " + std::to_string(round));
-            // Half the rounds publish onto a memo already holding
-            // entries (walked in serially by both sides first).
-            std::vector<int> prefix;
-            if (round % 2 == 1) {
-                for (int i = 0; i < 6; ++i)
-                    prefix.push_back((int)rng.uniformInt(0, 11));
-            }
-            std::vector<int> keys = universe;
-            for (std::size_t i = keys.size() - 1; i > 0; --i)
-                std::swap(keys[i],
-                          keys[(std::size_t)rng.uniformInt(0, (int)i)]);
-            keys.resize((std::size_t)rng.uniformInt(0, 12));
-
-            const std::string serial_name =
-                "test.memoSerial" + std::to_string(trial);
-            const std::string publish_name =
-                "test.memoPublish" + std::to_string(trial);
-            Memo<int, int> serial(capacity, serial_name);
-            Memo<int, int> published(capacity, publish_name);
-            for (int key : prefix) {
-                serial.getOrCompute(key, [&] { return value_of(key); });
-                published.getOrCompute(key,
-                                       [&] { return value_of(key); });
-            }
-            const MemoStats before = published.stats();
-            for (int key : keys)
-                serial.getOrCompute(key, [&] { return value_of(key); });
-            published.publish(keys, values_of(keys));
-
-            const MemoStats a = serial.stats(), b = published.stats();
-            EXPECT_EQ(a.hits, b.hits);
-            EXPECT_EQ(a.misses, b.misses);
-            EXPECT_EQ(a.evictions, b.evictions);
-            EXPECT_EQ(b.hits - before.hits + b.misses - before.misses,
-                      keys.size());
-            EXPECT_EQ(serial.size(), published.size());
-            EXPECT_EQ(perf::counter(serial_name + ".hits").value(),
-                      perf::counter(publish_name + ".hits").value());
-            EXPECT_EQ(perf::counter(serial_name + ".misses").value(),
-                      perf::counter(publish_name + ".misses").value());
-            EXPECT_EQ(perf::counter(publish_name + ".hits").value(),
-                      b.hits);
-            EXPECT_EQ(perf::counter(publish_name + ".misses").value(),
-                      b.misses);
-            EXPECT_EQ(lruOrder(serial, universe, capacity),
-                      lruOrder(published, universe, capacity));
-        }
-    }
-    perf::setEnabled(was_profiling);
-}
-
 TEST(Memo, PeekCountsNothing)
 {
     const bool was_profiling = perf::enabled();
@@ -741,38 +604,6 @@ TEST(Memo, PeekCountsNothing)
     EXPECT_FALSE(memo.peek(1));
     EXPECT_TRUE(memo.peek(2));
     EXPECT_EQ(memo.stats().evictions, 1u);
-    perf::setEnabled(was_profiling);
-}
-
-TEST(Memo, RangePeekIsOnePeekPerKey)
-{
-    const bool was_profiling = perf::enabled();
-    perf::setEnabled(true);
-    Memo<int, int> memo(2, "test.memoRangePeek");
-    memo.getOrCompute(1, [] { return 11; });
-    memo.getOrCompute(2, [] { return 21; });
-
-    // In key order, absent and repeated keys included; nothing is
-    // counted, stored or refreshed.
-    const std::vector<int> keys = {2, 3, 1, 2};
-    const std::vector<std::shared_ptr<const int>> values =
-        memo.peek(keys.begin(), keys.end());
-    ASSERT_EQ(values.size(), keys.size());
-    ASSERT_TRUE(values[0] && values[2] && values[3]);
-    EXPECT_EQ(*values[0], 21);
-    EXPECT_FALSE(values[1]);
-    EXPECT_EQ(*values[2], 11);
-    EXPECT_EQ(values[3], values[0]);
-    EXPECT_TRUE(memo.peek(keys.begin(), keys.begin()).empty());
-    EXPECT_EQ(memo.size(), 2u);
-    EXPECT_EQ(memo.stats().hits, 0u);
-    EXPECT_EQ(memo.stats().misses, 2u);
-    EXPECT_EQ(perf::counter("test.memoRangePeek.hits").value(), 0u);
-
-    // Key 1 stays the least recently used entry.
-    memo.getOrCompute(3, [] { return 31; });
-    EXPECT_FALSE(memo.peek(1));
-    EXPECT_TRUE(memo.peek(2));
     perf::setEnabled(was_profiling);
 }
 

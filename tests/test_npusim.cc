@@ -726,71 +726,6 @@ TEST_F(SimFixture, RunRangeRejectsAComposedWideRun)
                  "owns all its layers");
 }
 
-TEST_F(SimFixture, RenamedRunReadsItsSourceInPlace)
-{
-    // Two networks with equal layers under different names simulate
-    // alike: a renamed result carries the twin's name and the source's
-    // totals, owns no layer, and stages compose from it as from the
-    // run it renames.
-    const NpuSimulator sim(estimate(NpuConfig::superNpu()));
-    dnn::Network net = dnn::makeAlexNet();
-    dnn::Network twin = net;
-    twin.name = "AlexNetTwin";
-    const int n = (int)net.layers.size(), batch = 2;
-    auto whole = std::make_shared<const SimResult>(sim.run(net, batch));
-    const std::weak_ptr<const SimResult> whole_alive = whole;
-    const SimResult expected = sim.run(twin, batch);
-
-    auto renamed = std::make_shared<const SimResult>(
-        SimResult::renamed(whole, twin.name));
-    const auto again = std::make_shared<const SimResult>(
-        SimResult::renamed(renamed, "AlexNetTriplet"));
-    whole.reset();
-    EXPECT_FALSE(whole_alive.expired());
-    EXPECT_EQ(totalFields(*renamed), totalFields(expected));
-    EXPECT_EQ(again->networkName, "AlexNetTriplet");
-    ASSERT_EQ((int)renamed->layers().size(), n);
-    for (int l = 0; l < n; ++l) {
-        EXPECT_EQ(layerFields(renamed->layers()[l]),
-                  layerFields(expected.layers()[l]))
-            << "layer " << l;
-        // Renaming a renamed result reads the first source, too.
-        EXPECT_EQ(&again->layers()[l], &renamed->layers()[l]) << l;
-    }
-    obs::RunLedger a, b;
-    obs::addSimResult(a, *renamed);
-    obs::addSimResult(b, expected);
-    EXPECT_EQ(a.json(), b.json());
-
-    // A stage of the twin composed from the renamed run equals one
-    // composed from the twin's own run, and shares the source's tail.
-    const auto own = std::make_shared<const SimResult>(expected);
-    const int first = 2, last = n - 2;
-    const SimResult from_renamed =
-        sim.runRange(twin, first, last, batch, renamed);
-    const SimResult from_own = sim.runRange(twin, first, last, batch, own);
-    EXPECT_EQ(totalFields(from_renamed), totalFields(from_own));
-    for (int l = 0; l <= last - first; ++l)
-        EXPECT_EQ(layerFields(from_renamed.layers()[l]),
-                  layerFields(from_own.layers()[l]))
-            << "layer " << l;
-    EXPECT_EQ(&from_renamed.layers()[1], &renamed->layers()[first + 1]);
-
-    // A renamed stage reads the stage's layers, but is no wide run.
-    const auto stage = std::make_shared<const SimResult>(
-        sim.runRange(twin, 0, n - 1, batch, renamed));
-    const auto renamed_stage = std::make_shared<const SimResult>(
-        SimResult::renamed(stage, "AlexNetTriplet"));
-    EXPECT_EQ(&renamed_stage->layers()[0], &stage->layers()[0]);
-    EXPECT_EQ(&renamed_stage->layers()[1], &stage->layers()[1]);
-    EXPECT_EQ(renamed_stage->totalCycles, stage->totalCycles);
-    EXPECT_DEATH(sim.runRange(twin, 1, 2, batch, renamed_stage),
-                 "owns all its layers");
-
-    renamed.reset();
-    EXPECT_FALSE(whole_alive.expired()); // the triplet still reads it
-}
-
 TEST_F(SimFixture, StageTailIsTheWideRunsLayersAndKeepsItAlive)
 {
     // A composed stage owns its cold head only: every later layer is

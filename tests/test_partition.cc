@@ -215,20 +215,21 @@ TEST_F(PartitionFixture, StageKeysNameTheParentAndTheRange)
         const std::uint64_t hash = npusim::hashNetwork(*network);
         const LayerTimings timings = partitioner.buildTimings(
             *network, cache.getOrRun(sim, *network, batch), batch);
-        const std::vector<Partitioner::StageCut> cuts =
-            Partitioner::cutStages(hash, timings, 1, n);
-        EXPECT_EQ(cuts[0].hash, std::vector<std::uint64_t>{hash});
-        for (const Partitioner::StageCut &cut : cuts) {
+        const std::vector<std::vector<int>> cuts =
+            Partitioner::cutStages(timings, 1, n);
+        EXPECT_EQ(Partitioner::stageHash(hash, 0, cuts[0].back(), n),
+                  hash);
+        for (const std::vector<int> &cut : cuts) {
             int first = 0;
-            for (std::size_t s = 0; s < cut.last.size(); ++s) {
-                const Range range{parent, first, cut.last[s]};
-                EXPECT_EQ(range_of.try_emplace(cut.hash[s], range)
-                              .first->second,
+            for (const int last : cut) {
+                const Range range{parent, first, last};
+                const std::uint64_t key =
+                    Partitioner::stageHash(hash, first, last, n);
+                EXPECT_EQ(range_of.try_emplace(key, range).first->second,
                           range);
-                EXPECT_EQ(key_of.try_emplace(range, cut.hash[s])
-                              .first->second,
-                          cut.hash[s]);
-                first = cut.last[s] + 1;
+                EXPECT_EQ(key_of.try_emplace(range, key).first->second,
+                          key);
+                first = last + 1;
             }
         }
         ++parent;

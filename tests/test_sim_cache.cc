@@ -164,8 +164,6 @@ TEST(SimHash, NetworkHashIsShapeSensitive)
     b = a;
     b.name = "other";
     EXPECT_NE(hashNetwork(a), hashNetwork(b));
-    // A name over another network's layers hashes as that network.
-    EXPECT_EQ(hashNetwork(b.name, a.layers), hashNetwork(b));
 }
 
 TEST(SimHash, ConfigHashCoversEveryKnob)

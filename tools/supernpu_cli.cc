@@ -1106,10 +1106,14 @@ cmdShard(const Options &options)
             sweep_budgets.push_back(b);
         sweep_budgets.push_back(budget);
         for (int sweep_budget : sweep_budgets) {
-            const sharding::PlanSearch search =
-                planner.plan(net, sweep_budget, batch,
-                             options.objective, jobs);
-            const sharding::ShardPlan &best = search.best();
+            // A searched headline is already the full budget's row.
+            const sharding::ShardPlan best =
+                !fixed_point && sweep_budget == budget
+                    ? plan
+                    : planner
+                          .plan(net, sweep_budget, batch,
+                                options.objective, jobs)
+                          .best();
             audit.merge(obs::auditSharding(best));
             sweep.row()
                 .cell((long long)sweep_budget)
