@@ -28,10 +28,6 @@
  * past it. Values are handed out as shared_ptr<const Value>, so a
  * value stays valid while a caller holds it even after eviction.
  *
- * peek(key) reads a resident value without counting it or touching
- * the LRU order, for a caller that asks what is resident without
- * computing it.
- *
  * A memo is for repeated lookups of deterministic results: serving's
  * per-batch service times, partition sweeps, one placement's
  * evaluation. A one-pass search that would store far more distinct
@@ -131,17 +127,6 @@ class Memo
         }
         _flightDone.notify_all();
         return flight->value;
-    }
-
-    /**
-     * The resident value for `key`, or null. Counts nothing and
-     * leaves the LRU order alone.
-     */
-    std::shared_ptr<const Value> peek(const Key &key) const
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        const auto it = _index.find(key);
-        return it == _index.end() ? nullptr : it->second->second;
     }
 
     /** Entries currently resident. */

@@ -314,6 +314,18 @@ NpuSimulator::run(const dnn::Network &network, int batch) const
     return assemble(_est, network.name, batch, std::move(result));
 }
 
+LayerResult
+NpuSimulator::coldHead(const dnn::Network &network, int first,
+                       int batch) const
+{
+    if (perf::enabled()) {
+        static perf::Counter &layer_sims =
+            perf::counter("npusim.layerSims");
+        layer_sims.add(1);
+    }
+    return simulateLayer(network.layers[first], batch, false, 0);
+}
+
 SimResult
 NpuSimulator::runRange(const dnn::Network &network, int first, int last,
                        int batch,
@@ -331,13 +343,8 @@ NpuSimulator::runRange(const dnn::Network &network, int first, int last,
     // The wide run's layers, but the head starts cold: its input in
     // DRAM, nothing before its first weight fetch.
     SimResult result;
-    result.shareTail(simulateLayer(network.layers[first], batch, false, 0),
-                     std::move(whole), first, last);
-    if (perf::enabled()) {
-        static perf::Counter &layer_sims =
-            perf::counter("npusim.layerSims");
-        layer_sims.add(1);
-    }
+    result.shareTail(coldHead(network, first, batch), std::move(whole),
+                     first, last);
     const bool all = first == 0 && last == n - 1;
     return assemble(_est,
                     all ? network.name

@@ -64,17 +64,25 @@ class NpuSimulator
     SimResult run(const dnn::Network &network, int batch) const;
 
     /**
+     * Layer `first` of `network` as the head of a standalone stage:
+     * simulated cold, its input in DRAM and nothing before its first
+     * weight fetch. runRange's layer 0, and at first == 0 run()'s.
+     * Counts in npusim.layerSims, not in npusim.runs.
+     */
+    LayerResult coldHead(const dnn::Network &network, int first,
+                         int batch) const;
+
+    /**
      * run() of layers [first, last] as a sub-network `name[first-last]`
      * (the whole range keeps the name), given `whole` == run(network,
      * batch). A layer reads its predecessor only through outputOnChip
      * and lastMappingComputeCycles, which ignore that predecessor's
      * inputs, so the head is simulated cold and the tail shared with
-     * `whole`: the result owns its head layer only, reads layers
+     * `whole`: the result owns its coldHead() only, reads layers
      * first+1..last in place from `whole` and keeps `whole` alive.
-     * The head counts in npusim.layerSims, the call not in
-     * npusim.runs. Panics with a trace attached, on a range, layer
-     * count or batch that `whole` does not match, or when `whole` is
-     * itself a composed stage.
+     * The call does not count in npusim.runs. Panics with a trace
+     * attached, on a range, layer count or batch that `whole` does
+     * not match, or when `whole` is itself a composed stage.
      */
     SimResult runRange(const dnn::Network &network, int first, int last,
                        int batch,

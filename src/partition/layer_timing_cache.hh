@@ -3,28 +3,24 @@
  * Memo of the per-layer timing derivation the partitioner's cut
  * search consumes.
  *
- * Partitioner::partition derives the same artifacts for every K of a
- * planner search: the per-layer cycle prefix sums of one
- * whole-network simulation plus the outbound link bytes/cycles at
- * every candidate boundary. Only (network, batch) determine them —
- * the design point and link fabric are fixed per Partitioner — so a
- * DP×TP×PP sweep that evaluates K = 1..layers for each (R, T)
- * re-derives identical vectors K times. LayerTimingCache keys the
- * finished derivation on (network hash, batch) and shares it across
- * one search, so only the first K of each (R, T) pays for the
- * whole-network SimResult walk and the guarded link-cost arithmetic.
- * The entry also carries the cut search's DP rows (CutTable), so a
- * later K extends the table instead of rebuilding it, and the
- * whole-network simulation itself, from which
- * NpuSimulator::runRange composes every stage a cut picks.
+ * A LayerTimings is what a cut search needs of one (network, batch)
+ * point: the per-layer cycle prefix sums of one whole-network
+ * simulation, the outbound link bytes/cycles at every candidate
+ * boundary, the cut DP's rows (CutTable), and the whole-network
+ * simulation itself. NpuSimulator::runRange composes every stage a
+ * cut picks from that simulation, and stageCycles() prices a stage
+ * from its exact prefix without composing it.
  *
- * It is an unbounded common/memo.hh Memo: it lives inside one
- * Partitioner and holds one small vector set, and keeps one
- * whole-network SimResult alive (as does every stage result that
- * shares its layers), per (network, batch) that Partitioner::partition
- * is asked for. Only partition() stores here. A hybrid planner
- * search builds each class's LayerTimings itself and keeps it to the
- * search; only its winner's evaluate() partitions through the memo.
+ * Partitioner::partition keys the finished derivation on (network
+ * hash, batch) in a LayerTimingCache, an unbounded common/memo.hh
+ * Memo inside one Partitioner, so every K of one point shares one
+ * derivation and grows one DP table: the K of a `partition --sweep`,
+ * or a fixed placement's evaluate(). Each entry keeps its
+ * whole-network SimResult alive, as does every stage result that
+ * shares its layers. Only partition() stores here. A hybrid planner
+ * search builds each class's LayerTimings itself
+ * (Partitioner::buildTimings) and keeps it to the search; only its
+ * winner's evaluate() partitions through the memo.
  */
 
 #ifndef SUPERNPU_PARTITION_LAYER_TIMING_CACHE_HH
@@ -75,6 +71,12 @@ struct LayerTimings
     double frequencyGhz = 0.0;
     /** prefix[l] = Σ simulated cycles of layers [0, l); size n+1. */
     std::vector<double> prefix;
+    /**
+     * The same sums, exact: cycles[l] = Σ totalCycles() of the whole
+     * run's layers [0, l) in uint64 arithmetic, as a SimResult sums
+     * its totals; size n+1.
+     */
+    std::vector<std::uint64_t> cycles;
     /** Outbound link occupancy if the boundary sits after layer l;
      *  size n, 0 after the last layer (nothing to ship). */
     std::vector<double> linkAfter;
@@ -89,6 +91,19 @@ struct LayerTimings
     std::unique_ptr<CutTable> cuts = std::make_unique<CutTable>();
 
     int layerCount() const { return (int)prefix.size() - 1; }
+
+    /**
+     * runRange(first, last).totalCycles, without composing the stage:
+     * its cold head layer's `head_cycles` (NpuSimulator::coldHead)
+     * plus the whole run's layers first+1..last. Exact: a SimResult's
+     * totalCycles is its layers' compute, prep and stall cycles summed
+     * in uint64 arithmetic, which is also what cycles[] sums.
+     */
+    std::uint64_t stageCycles(int first, int last,
+                              std::uint64_t head_cycles) const
+    {
+        return head_cycles + cycles[last + 1] - cycles[first + 1];
+    }
 };
 
 /** Which derivation a LayerTimings belongs to. */

@@ -63,9 +63,12 @@ Partitioner::buildTimings(
     t.configName = full->configName;
     t.frequencyGhz = full->frequencyGhz;
     t.prefix.assign(n + 1, 0.0);
+    t.cycles.assign(n + 1, 0);
+    const npusim::LayerView layers = full->layers();
     for (int l = 0; l < n; ++l) {
-        t.prefix[l + 1] =
-            t.prefix[l] + (double)full->layers()[l].totalCycles();
+        const std::uint64_t cycles = layers[l].totalCycles();
+        t.prefix[l + 1] = t.prefix[l] + (double)cycles;
+        t.cycles[l + 1] = t.cycles[l] + cycles;
     }
     // Outbound link occupancy if the boundary sits after layer l.
     t.linkAfter.assign(n, 0.0);
@@ -108,6 +111,13 @@ Partitioner::cutStages(const LayerTimings &timings, int first_k,
     // Row s reads only row s-1, so the rows built for any K are the
     // rows every other K needs: the table grows to the largest K
     // asked for and each K walks its own chain of cuts.
+    //
+    // Each j scans its last cut i downward from j-1. seg_cost(i+1, j)
+    // never falls as i falls (prefix sums are nondecreasing and IEEE
+    // subtraction is monotone), so once it strictly exceeds the best
+    // cost so far no smaller i can match it and the scan stops.
+    // Taking ties on the way down keeps the smallest minimizing i,
+    // the cut an upward scan with a strict compare would keep.
     auto seg_cost = [&](int i, int j) {
         return prefix[j + 1] - prefix[i] + link_after[j];
     };
@@ -126,10 +136,14 @@ Partitioner::cutStages(const LayerTimings &timings, int first_k,
         next.assign(n, kInf);
         std::vector<int> cut(n, -1);
         for (int j = s - 1; j < n; ++j) {
-            for (int i = s - 2; i < j; ++i) {
-                double cost = std::max(prev[i], seg_cost(i + 1, j));
-                if (cost < next[j]) {
-                    next[j] = cost;
+            double &best = next[j];
+            for (int i = j - 1; i >= s - 2; --i) {
+                const double seg = seg_cost(i + 1, j);
+                if (seg > best)
+                    break;
+                const double cost = std::max(prev[i], seg);
+                if (cost <= best) {
+                    best = cost;
                     cut[j] = i;
                 }
             }

@@ -139,10 +139,10 @@ class Partitioner
     const LinkConfig &link() const { return _link; }
 
     /**
-     * Layer-timing memo counters for this partitioner. A planner
-     * search shares one Partitioner, so these say how often the
-     * R×T×K sweep reused a cut-search derivation instead of
-     * re-walking a SimResult; snapshotted into shard ledgers.
+     * Layer-timing memo counters for this partitioner: how often a
+     * partition() call reused its (network, batch) derivation
+     * instead of re-walking a SimResult; snapshotted into shard
+     * ledgers.
      */
     LayerTimingCacheStats timingCacheStats() const
     {

@@ -6,7 +6,6 @@
 #include "planner.hh"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <utility>
 
@@ -246,11 +245,15 @@ struct SearchClass
  */
 struct SearchPoint
 {
-    int t = 1, share = 1;
-    int cls = 0; ///< its (geometry, share) class
+    int t = 1;
+    int shareIndex = 0; ///< its replica share in the search's shares
+    int cls = 0;        ///< its (geometry, share) class
     /** TP all-reduce cycles after each layer. */
     std::vector<std::uint64_t> reduceCycles;
 };
+
+/** Candidate rows one planner.evaluate task folds. */
+constexpr std::size_t kFoldChunk = 256;
 
 } // namespace
 
@@ -267,145 +270,175 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
     search.objective = objective;
     search.chipBudget = chip_budget;
 
-    // Each T's shard geometry: T with equal shardWidths shard the
-    // network into equal layers, so the geometry's first T stands
-    // for all of them.
-    network.check();
-    std::vector<int> geometry_of(chip_budget);
-    std::vector<int> first_t;
-    {
-        std::map<std::vector<int>, int> geometry_ids;
-        for (int t = 1; t <= chip_budget; ++t) {
-            const auto [it, fresh] = geometry_ids.try_emplace(
-                shardWidths(network, t), (int)first_t.size());
-            if (fresh)
-                first_t.push_back(t);
-            geometry_of[t - 1] = it->second;
-        }
-    }
-
-    // Degrees a clamp would fold onto an already-enumerated triple
-    // are skipped up front: R beyond the batch and K beyond the
-    // layer count only duplicate rows (and spam clamp warns). Each
-    // (R, T) maps onto its (T, replica share) point, and each point
-    // onto its (geometry, share) class.
-    const int max_r = std::min(chip_budget, batch);
     const int n = (int)network.layers.size();
-    std::vector<Candidate> candidates;
-    std::vector<SearchPoint> points;
+    std::vector<int> first_t; ///< each shard geometry's first T
+    std::vector<int> shares;  ///< distinct replica shares, R order
+    /** Points of share s: [share_points[s], share_points[s + 1]). */
+    std::vector<int> share_points;
     std::vector<SearchClass> classes;
-    std::map<std::pair<int, int>, int> point_of, class_of;
-    for (int r = 1; r <= max_r; ++r) {
-        const int share = (batch + r - 1) / r;
-        for (int t = 1; r * t <= chip_budget; ++t) {
-            const auto [it, fresh] =
-                point_of.try_emplace({t, share}, (int)points.size());
-            if (fresh) {
-                const int g = geometry_of[t - 1];
-                const auto [c, new_class] = class_of.try_emplace(
-                    {g, share}, (int)classes.size());
-                if (new_class) {
-                    classes.emplace_back();
-                    classes.back().geometry = g;
-                    classes.back().share = share;
-                }
-                SearchPoint point;
-                point.t = t;
-                point.share = share;
-                point.cls = c->second;
-                points.push_back(std::move(point));
-            }
-            const int k_limit = std::min(chip_budget / (r * t), n);
-            SearchClass &cls = classes[points[it->second].cls];
-            cls.maxStages = std::max(cls.maxStages, k_limit);
-            for (int k = 1; k <= k_limit; ++k)
-                candidates.push_back(Candidate{r, t, k, it->second});
+    std::vector<SearchPoint> points;
+    std::vector<Candidate> candidates;
+    {
+        perf::Scope span("planner.enumerate");
+        network.check();
+
+        // Each T's shard geometry. ceil(C/T) never grows with T, so
+        // the T with equal shardWidths are contiguous: a T whose
+        // widths equal T-1's shares its geometry, and the geometry's
+        // first T stands for all of them.
+        std::vector<int> geometry_of(chip_budget);
+        std::vector<int> widths, prev_widths;
+        for (int t = 1; t <= chip_budget; ++t) {
+            widths = shardWidths(network, t);
+            if (t == 1 || widths != prev_widths)
+                first_t.push_back(t);
+            geometry_of[t - 1] = (int)first_t.size() - 1;
+            prev_widths.swap(widths);
         }
+
+        // Degrees a clamp would fold onto an already-enumerated triple
+        // are skipped up front: R beyond the batch and K beyond the
+        // layer count only duplicate rows (and spam clamp warns). The
+        // share ceil(batch/R) never grows with R either, so a share's
+        // points are all made at its first R, which reaches the most
+        // T: (T, share) is point share_points[s] + T - 1, and its
+        // class is the share's first class plus T's geometry, as
+        // geometries number in T order.
+        const int max_r = std::min(chip_budget, batch);
+        for (int r = 1; r <= max_r; ++r) {
+            const int share = (batch + r - 1) / r;
+            const int t_max = chip_budget / r;
+            if (shares.empty() || share != shares.back()) {
+                shares.push_back(share);
+                share_points.push_back((int)points.size());
+                const int class_base = (int)classes.size();
+                for (int t = 1; t <= t_max; ++t) {
+                    const int g = geometry_of[t - 1];
+                    if (class_base + g == (int)classes.size()) {
+                        classes.emplace_back();
+                        classes.back().geometry = g;
+                        classes.back().share = share;
+                    }
+                    SearchPoint point;
+                    point.t = t;
+                    point.shareIndex = (int)shares.size() - 1;
+                    point.cls = class_base + g;
+                    points.push_back(std::move(point));
+                }
+            }
+            for (int t = 1; t <= t_max; ++t) {
+                const int p = share_points.back() + t - 1;
+                const int k_limit = std::min(chip_budget / (r * t), n);
+                SearchClass &cls = classes[points[p].cls];
+                cls.maxStages = std::max(cls.maxStages, k_limit);
+                for (int k = 1; k <= k_limit; ++k)
+                    candidates.push_back(Candidate{r, t, k, p});
+            }
+        }
+        share_points.push_back((int)points.size());
     }
 
-    // Each geometry's network is built (validated by shardNetwork)
-    // once, fanned across the pool. T = 1 is the input network
-    // itself.
     ThreadPool pool(jobs < 0 ? 1 : jobs);
-    const std::vector<dnn::Network> shards =
-        pool.parallelMap(first_t.size(), [&](std::size_t g) {
-            return shardNetwork(network, first_t[g]);
-        });
-
     {
-        // Per class, with no lock and no cache: the wide simulation,
-        // the LayerTimings, the cut DP grown to the largest K any
-        // member asks for, and one runRange per distinct stage range
-        // its cuts name. Only each stage's last layer and occupancy
-        // outlive the task.
+        // With no lock and no cache: each geometry's network (T = 1
+        // is the input network itself), then per class the wide
+        // simulation, the LayerTimings, the cut DP grown to the
+        // largest K any member asks for, and one cold head per
+        // distinct first layer its cuts name. Only each stage's last
+        // layer and occupancy outlive the task.
         perf::Scope span("planner.derive");
+        const std::vector<dnn::Network> shards =
+            pool.parallelMap(first_t.size(), [&](std::size_t g) {
+                return shardNetwork(network, first_t[g]);
+            });
+        const npusim::NpuSimulator &sim = _sharder._sim;
         pool.parallelFor(classes.size(), [&](std::size_t c) {
             SearchClass &cls = classes[c];
             const dnn::Network &shard = shards[cls.geometry];
             const auto wide = std::make_shared<const npusim::SimResult>(
-                _sharder._sim.run(shard, cls.share));
+                sim.run(shard, cls.share));
             const partition::LayerTimings timings =
                 _partitioner.buildTimings(shard, wide, cls.share);
             const std::vector<std::vector<int>> cuts =
                 partition::Partitioner::cutStages(timings, 1,
                                                   cls.maxStages);
             cls.frequencyGhz = wide->frequencyGhz;
-            // Simulated cycles of range [first, last] at
-            // cycles[first * n + last], run at the first cut that
-            // names the range; the whole range is the wide run.
-            constexpr std::uint64_t kUnseen = ~std::uint64_t(0);
-            std::vector<std::uint64_t> cycles(n * n, kUnseen);
-            cycles[n - 1] = wide->totalCycles;
+            // Head cycles of a stage starting at each layer, simulated
+            // at the first cut that names it; layer 0's is the wide
+            // run's own.
+            std::vector<std::uint64_t> head(n, 0);
+            std::vector<bool> known(n, false);
+            head[0] = wide->layers()[0].totalCycles();
+            known[0] = true;
             cls.stages.reserve(
                 SearchClass::stageIndex(cls.maxStages + 1, 0));
             for (const std::vector<int> &cut : cuts) {
                 int first = 0;
                 for (const int last : cut) {
-                    std::uint64_t &range = cycles[first * n + last];
-                    if (range == kUnseen)
-                        range = _sharder._sim
-                                    .runRange(shard, first, last,
-                                              cls.share, wide)
-                                    .totalCycles;
+                    if (!known[first]) {
+                        head[first] =
+                            sim.coldHead(shard, first, cls.share)
+                                .totalCycles();
+                        known[first] = true;
+                    }
                     cls.stages.emplace_back(
-                        last, range + timings.linkCycles[last]);
+                        last, timings.stageCycles(first, last,
+                                                  head[first]) +
+                                  timings.linkCycles[last]);
                     first = last + 1;
                 }
             }
         });
-        // Each point's own TP all-reduce cycles at its share.
+        // The all-reduce bytes depend on the share alone, so each
+        // share with a T > 1 point derives them once; then each point
+        // charges its own TP all-reduce cycles.
+        std::vector<std::vector<std::uint64_t>> share_bytes(shares.size());
+        pool.parallelFor(shares.size(), [&](std::size_t s) {
+            share_bytes[s] =
+                share_points[s + 1] - share_points[s] > 1
+                    ? TensorSharder::reduceBytes(network, shares[s])
+                    : std::vector<std::uint64_t>(n, 0);
+        });
         pool.parallelFor(points.size(), [&](std::size_t i) {
             SearchPoint &p = points[i];
             p.reduceCycles = _sharder.reduceCycles(
-                network, p.t, p.share, classes[p.cls].frequencyGhz);
+                share_bytes[p.shareIndex], p.t,
+                classes[p.cls].frequencyGhz);
         });
     }
 
     // Every candidate's row from the read-only class and point books,
-    // in slot order.
+    // into its own slot, one chunk of rows per task.
     const std::uint64_t gather_bytes =
         partition::activationBytes(network.layers.back(), batch);
     const partition::LinkConfig &link = _sharder.link();
-    search.evaluated =
-        pool.parallelMap(candidates.size(), [&](std::size_t i) {
-            perf::Scope span("planner.evaluate");
+    search.evaluated.resize(candidates.size());
+    const std::size_t chunks =
+        (candidates.size() + kFoldChunk - 1) / kFoldChunk;
+    pool.parallelFor(chunks, [&](std::size_t chunk) {
+        perf::Scope span("planner.evaluate");
+        const std::size_t end =
+            std::min(candidates.size(), (chunk + 1) * kFoldChunk);
+        for (std::size_t i = chunk * kFoldChunk; i < end; ++i) {
             const Candidate &c = candidates[i];
             const SearchPoint &p = points[c.point];
             const SearchClass &cls = classes[p.cls];
-            return foldRow(
+            search.evaluated[i] = foldRow(
                 c.r, c.t, c.k, batch, cls.frequencyGhz, p.reduceCycles,
                 link, gather_bytes,
                 [&](int s) {
                     return cls.stages[SearchClass::stageIndex(c.k, s)];
                 },
                 [](int, std::uint64_t, std::uint64_t) {});
-        });
+        }
+    });
     if (perf::enabled()) {
         static perf::Counter &candidates_counter =
             perf::counter("planner.candidates");
         candidates_counter.add(candidates.size());
     }
 
+    perf::Scope span("planner.winner");
     // First strictly better wins: lexicographic (R,T,K) order makes
     // ties deterministic and biases toward simpler placements.
     for (int i = 1; i < (int)search.evaluated.size(); ++i) {

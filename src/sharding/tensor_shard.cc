@@ -5,21 +5,12 @@
 
 #include "tensor_shard.hh"
 
-#include <limits>
 #include <utility>
 
 #include "common/logging.hh"
 
 namespace supernpu {
 namespace sharding {
-
-std::uint64_t
-saturatingAdd(std::uint64_t a, std::uint64_t b)
-{
-    constexpr std::uint64_t kMax =
-        std::numeric_limits<std::uint64_t>::max();
-    return a > kMax - b ? kMax : a + b;
-}
 
 double
 TensorShardResult::seconds() const
@@ -147,16 +138,17 @@ TensorSharder::shard(std::uint64_t network_hash,
     result.peakMacPerSec = _sim.estimate().peakMacPerSec;
 
     const int n = (int)network.layers.size();
+    const std::vector<std::uint64_t> bytes =
+        shards > 1 ? reduceBytes(network, batch)
+                   : std::vector<std::uint64_t>(n, 0);
     const std::vector<std::uint64_t> reduce =
-        reduceCycles(network, shards, batch, result.frequencyGhz);
+        reduceCycles(bytes, shards, result.frequencyGhz);
     result.layers.reserve(n);
     for (int l = 0; l < n; ++l) {
         ShardLayerTiming timing;
         timing.layerName = network.layers[l].name;
         timing.shardCycles = wide->layers()[l].totalCycles();
-        if (shards > 1)
-            timing.reduceBytes = partition::activationBytes(
-                network.layers[l], batch);
+        timing.reduceBytes = bytes[l];
         timing.reduceCycles = reduce[l];
         result.shardCycles += timing.shardCycles;
         result.collectiveBytes =
@@ -175,18 +167,25 @@ TensorSharder::shard(std::uint64_t network_hash,
 }
 
 std::vector<std::uint64_t>
-TensorSharder::reduceCycles(const dnn::Network &network, int shards,
-                            int batch, double frequency_ghz) const
+TensorSharder::reduceBytes(const dnn::Network &network, int batch)
 {
-    std::vector<std::uint64_t> cycles(network.layers.size(), 0);
+    std::vector<std::uint64_t> bytes;
+    bytes.reserve(network.layers.size());
+    for (const dnn::Layer &layer : network.layers)
+        bytes.push_back(partition::activationBytes(layer, batch));
+    return bytes;
+}
+
+std::vector<std::uint64_t>
+TensorSharder::reduceCycles(const std::vector<std::uint64_t> &bytes,
+                            int shards, double frequency_ghz) const
+{
+    std::vector<std::uint64_t> cycles(bytes.size(), 0);
     if (shards == 1)
         return cycles;
-    for (std::size_t l = 0; l < cycles.size(); ++l)
-        cycles[l] = allReduceCost(_link, shards,
-                                  partition::activationBytes(
-                                      network.layers[l], batch),
-                                  frequency_ghz)
-                        .cycles;
+    for (std::size_t l = 0; l < bytes.size(); ++l)
+        cycles[l] =
+            allReduceCost(_link, shards, bytes[l], frequency_ghz).cycles;
     return cycles;
 }
 

@@ -27,6 +27,7 @@
 #ifndef SUPERNPU_SHARDING_TENSOR_SHARD_HH
 #define SUPERNPU_SHARDING_TENSOR_SHARD_HH
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,7 +43,13 @@ namespace supernpu {
 namespace sharding {
 
 /** a + b clamped to UINT64_MAX — cycle/byte totals never wrap. */
-std::uint64_t saturatingAdd(std::uint64_t a, std::uint64_t b);
+inline std::uint64_t
+saturatingAdd(std::uint64_t a, std::uint64_t b)
+{
+    constexpr std::uint64_t kMax =
+        std::numeric_limits<std::uint64_t>::max();
+    return a > kMax - b ? kMax : a + b;
+}
 
 /** Timing of one layer of a T-way sharded network. */
 struct ShardLayerTiming
@@ -159,13 +166,21 @@ class TensorSharder
              int batch) const;
 
     /**
-     * The ring all-reduce cycles after each layer of `network` split
-     * `shards` ways at `batch` on a `frequency_ghz` clock: the layer's
-     * full ofmap across the T shards, 0 at T = 1. What shard() charges
-     * per layer.
+     * The full ofmap bytes each layer of `network` all-reduces at
+     * `batch` when it is split more than one way. They depend on the
+     * batch alone, not on T.
+     */
+    static std::vector<std::uint64_t>
+    reduceBytes(const dnn::Network &network, int batch);
+
+    /**
+     * The ring all-reduce cycles after each layer split `shards` ways
+     * on a `frequency_ghz` clock: the layer's reduceBytes() `bytes`
+     * across the T shards, 0 at T = 1. What shard() charges per
+     * layer.
      */
     std::vector<std::uint64_t>
-    reduceCycles(const dnn::Network &network, int shards, int batch,
+    reduceCycles(const std::vector<std::uint64_t> &bytes, int shards,
                  double frequency_ghz) const;
 
     npusim::NpuSimulator _sim;

@@ -20,7 +20,6 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/units.hh"
-#include "perf/profile.hh"
 
 namespace supernpu {
 namespace {
@@ -575,36 +574,6 @@ TEST(Memo, ComputeErrorReachesLeaderAndEveryWaiter)
     EXPECT_EQ(*memo.getOrCompute(7, [] { return 42; }), 42);
     EXPECT_EQ(memo.stats().misses, 2u);
     EXPECT_EQ(memo.size(), 1u);
-}
-
-TEST(Memo, PeekCountsNothing)
-{
-    const bool was_profiling = perf::enabled();
-    perf::setEnabled(true);
-    Memo<int, int> memo(2, "test.memoPeek");
-    perf::Counter &hits = perf::counter("test.memoPeek.hits");
-    perf::Counter &misses = perf::counter("test.memoPeek.misses");
-    memo.getOrCompute(1, [] { return 11; });
-    memo.getOrCompute(2, [] { return 21; });
-
-    // A resident key reads back without counting; an absent one is
-    // null and is not stored.
-    ASSERT_TRUE(memo.peek(1));
-    EXPECT_EQ(*memo.peek(1), 11);
-    EXPECT_FALSE(memo.peek(3));
-    EXPECT_EQ(memo.size(), 2u);
-    EXPECT_EQ(memo.stats().hits, 0u);
-    EXPECT_EQ(memo.stats().misses, 2u);
-    EXPECT_EQ(hits.value(), 0u);
-    EXPECT_EQ(misses.value(), 2u);
-
-    // Peeking key 1 did not refresh it: it is still the least
-    // recently used entry, so the next insert evicts it, not key 2.
-    memo.getOrCompute(3, [] { return 31; });
-    EXPECT_FALSE(memo.peek(1));
-    EXPECT_TRUE(memo.peek(2));
-    EXPECT_EQ(memo.stats().evictions, 1u);
-    perf::setEnabled(was_profiling);
 }
 
 } // namespace

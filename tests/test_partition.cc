@@ -29,6 +29,7 @@
 #include "obs/audit.hh"
 #include "obs/ledger.hh"
 #include "partition/pipeline_sim.hh"
+#include "perf/profile.hh"
 
 namespace supernpu {
 namespace partition {
@@ -458,6 +459,128 @@ TEST(CutTable, SharedTableCutsAreMinMaxOptimal)
                              seg_cost(stage.firstLayer, stage.lastLayer));
         EXPECT_EQ(worst, best[k]);
     }
+}
+
+TEST(CutTable, PrunedDpMatchesTheUnprunedReference)
+{
+    // The DP scans each j's last cut downward and stops once the
+    // segment alone exceeds the best cost. Against the full upward
+    // scan with a strict compare, every cut row and the frontier must
+    // match exactly, at every K, on inputs heavy with ties: small
+    // integer layer costs with zeros, all-zero, all-equal and random
+    // link costs, and huge costs whose prefix sums round.
+    std::mt19937 rng(31);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (int trial = 0; trial < 240; ++trial) {
+        const int n = 1 + (int)(rng() % 18);
+        const int link_mode = trial % 3, cost_mode = trial / 3 % 4;
+        LayerTimings timings;
+        timings.prefix.assign(n + 1, 0.0);
+        timings.linkAfter.assign(n, 0.0);
+        const double same_link = (double)(rng() % 4);
+        for (int l = 0; l < n; ++l) {
+            double cost = (double)(rng() % (cost_mode == 0 ? 2 : 5));
+            if (cost_mode == 3)
+                cost = (double)(rng() % 3) * 0x1p60 + (double)(rng() % 7);
+            timings.prefix[l + 1] = timings.prefix[l] + cost;
+            if (l + 1 < n)
+                timings.linkAfter[l] = link_mode == 0   ? 0.0
+                                       : link_mode == 1 ? same_link
+                                                        : (double)(rng() % 4);
+        }
+        const auto seg_cost = [&](int i, int j) {
+            return timings.prefix[j + 1] - timings.prefix[i] +
+                   timings.linkAfter[j];
+        };
+
+        // Reference rows 1..n: every i, upward, first minimum kept.
+        std::vector<std::vector<double>> dp(n + 1);
+        std::vector<std::vector<int>> cut(n + 1);
+        dp[1].resize(n);
+        for (int j = 0; j < n; ++j)
+            dp[1][j] = seg_cost(0, j);
+        for (int s = 2; s <= n; ++s) {
+            dp[s].assign(n, kInf);
+            cut[s].assign(n, -1);
+            for (int j = s - 1; j < n; ++j)
+                for (int i = s - 2; i < j; ++i) {
+                    const double cost =
+                        std::max(dp[s - 1][i], seg_cost(i + 1, j));
+                    if (cost < dp[s][j]) {
+                        dp[s][j] = cost;
+                        cut[s][j] = i;
+                    }
+                }
+        }
+
+        for (int k = 1; k <= n; ++k) {
+            SCOPED_TRACE("trial " + std::to_string(trial) + " n=" +
+                         std::to_string(n) + " K=" + std::to_string(k));
+            LayerTimings fresh;
+            fresh.prefix = timings.prefix;
+            fresh.linkAfter = timings.linkAfter;
+            Partitioner::cutStages(fresh, k, k);
+            const CutTable &table = *fresh.cuts;
+            ASSERT_EQ((int)table.cut.size(), std::max(k + 1, 2));
+            for (int s = 2; s <= k; ++s)
+                ASSERT_EQ(table.cut[s], cut[s]) << "row " << s;
+            ASSERT_EQ(table.frontier, dp[k]);
+        }
+    }
+}
+
+TEST(CutTable, StageCyclesAreTheColdHeadPlusTheWideRunsPrefix)
+{
+    // The plan search prices a stage as its cold head plus the wide
+    // run's later layers from LayerTimings' exact prefix, without
+    // composing it. On every built-in workload, both ends of the
+    // optimization ladder and batches 1, 7 and the on-chip maximum,
+    // that must be runRange's totalCycles for every range; and
+    // layer 0's cold head is the wide run's own layer 0.
+    std::vector<dnn::Network> nets = dnn::evaluationWorkloads();
+    nets.push_back(dnn::makeResNet18());
+    nets.push_back(dnn::makeVgg19());
+    sfq::DeviceConfig dev;
+    sfq::CellLibrary lib(dev);
+    const estimator::NpuEstimator estimator(lib);
+    const bool was_profiling = perf::enabled();
+    perf::setEnabled(true);
+    perf::Counter &layer_sims = perf::counter("npusim.layerSims");
+    for (const dnn::Network &net : nets) {
+        const int n = (int)net.layers.size();
+        for (const estimator::NpuConfig &config :
+             {estimator::NpuConfig::superNpu(),
+              estimator::NpuConfig::baseline()}) {
+            const estimator::NpuEstimate est = estimator.estimate(config);
+            const npusim::NpuSimulator sim(est);
+            const Partitioner partitioner(est);
+            for (int batch : {1, 7, npusim::maxBatch(config, est, net)}) {
+                const auto whole = std::make_shared<const npusim::SimResult>(
+                    sim.run(net, batch));
+                const LayerTimings timings =
+                    partitioner.buildTimings(net, whole, batch);
+                ASSERT_EQ(timings.cycles.back(), whole->totalCycles);
+                for (int first = 0; first < n; ++first) {
+                    const std::uint64_t sims_before = layer_sims.value();
+                    const std::uint64_t head =
+                        sim.coldHead(net, first, batch).totalCycles();
+                    EXPECT_EQ(layer_sims.value() - sims_before, 1u);
+                    if (first == 0) {
+                        ASSERT_EQ(head, whole->layers()[0].totalCycles());
+                    }
+                    for (int last = first; last < n; ++last)
+                        ASSERT_EQ(timings.stageCycles(first, last, head),
+                                  sim.runRange(net, first, last, batch,
+                                               whole)
+                                      .totalCycles)
+                            << net.name << " " << config.name << " batch "
+                            << batch << " [" << first << ", " << last
+                            << "]";
+                }
+            }
+        }
+    }
+    perf::setEnabled(was_profiling);
 }
 
 // --- diagnostics -----------------------------------------------------
