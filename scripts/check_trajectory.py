@@ -7,10 +7,12 @@ The file holds one record per performance change: the commit it
 landed as, the parent commit it was measured against, the perfbench
 workload and seeds, and the median, q1 and q3 of wall_s, cpu_s and
 peak_rss_mb on both sides ("before" is the parent, "after" the
-change). A number the measurement did not give is null.
+change), plus setup_s where a record claims or reports it. A number
+the measurement did not give is null.
 
 Checked: the schema (no missing or unknown keys, numbers where
-numbers belong, q1 <= median <= q3 where all three are given), that
+numbers belong, q1 <= median <= q3 where all three are given; setup_s
+may be left out, and gets the same checks where present), that
 each workload is one BENCHMARK.json declares, that records are in
 increasing PR order, and that every commit exists in the local
 repository (`git cat-file -e`; CI checks out the full history). Only
@@ -35,6 +37,7 @@ DEFAULT_PATH = REPO_ROOT / "BENCH_trajectory.json"
 RECORD_KEYS = {"pr", "commit", "parent", "workload", "seeds", "args",
                "pairs", "host", "before", "after", "note"}
 METRICS = {"wall_s", "cpu_s", "peak_rss_mb"}
+OPTIONAL_METRICS = {"setup_s"}
 STATS = ("q1", "median", "q3")
 SHA = re.compile(r"^[0-9a-f]{40}$")
 
@@ -51,10 +54,12 @@ def is_number(x) -> bool:
 
 
 def check_side(where: str, side, problems: list[str]) -> None:
-    if not isinstance(side, dict) or set(side) != METRICS:
-        problems.append(f"{where}: needs exactly the keys {sorted(METRICS)}")
+    if (not isinstance(side, dict) or not METRICS <= set(side) or
+            not set(side) <= METRICS | OPTIONAL_METRICS):
+        problems.append(f"{where}: needs the keys {sorted(METRICS)}, and "
+                        f"may add {sorted(OPTIONAL_METRICS)}")
         return
-    for metric in sorted(METRICS):
+    for metric in sorted(side):
         stats = side[metric]
         at = f"{where}.{metric}"
         if not isinstance(stats, dict) or set(stats) != set(STATS):

@@ -19,13 +19,13 @@
  *  - LinkGlitch: an off-chip link (the 4 K <-> 300 K boundary)
  *    hiccups, stalling the chip's in-flight transfer.
  *
- * Fault arrivals are generated as a FaultSchedule: a sorted, fully
- * materialized event list. Every (chip, kind) pair draws from its
- * own common/rng stream seeded with streamSeed(seed, chip * K +
- * kind), so the schedule is byte-identical regardless of generation
- * order, chip count of *other* chips, or the thread count of a
- * surrounding sweep — the same discipline the parallel explorer
- * uses. Transient kinds support Poisson or bursty (on/off modulated
+ * Fault arrivals are generated as a FaultSchedule: a fully
+ * materialized event list in (time, chip, kind) order. Every
+ * (chip, kind) pair draws from its own common/rng stream seeded with
+ * streamSeed(seed, chip * K + kind), so the schedule is
+ * byte-identical regardless of generation order, chip count of
+ * *other* chips, or the thread count of a surrounding sweep — the
+ * same discipline the parallel explorer uses. Transient kinds support Poisson or bursty (on/off modulated
  * Poisson) arrivals; flux traps are Poisson at a much smaller rate
  * and permanent in effect.
  */
@@ -126,9 +126,18 @@ struct FaultScheduleConfig
 };
 
 /**
- * A fully materialized, deterministic fault schedule: events sorted
- * by (time, chip, kind). The empty schedule hashes to 0, so clean
- * SimCache keys are unchanged by the fault machinery.
+ * A fully materialized, deterministic fault schedule: events in
+ * (time, chip, kind) order, events with equal keys in the order they
+ * were given (generated events: by chip, then kind, then time). The
+ * order is built without a comparison sort over the whole schedule:
+ * each event falls into one of n time buckets over [0, horizon), a
+ * counting pass applied in place groups the buckets, and each bucket
+ * (about one event when times spread over the horizon) is ordered on
+ * its own. That takes time linear in n and 8 bytes of scratch per
+ * event; hand-written times crowded into one bucket, or past the
+ * horizon, cost a stable sort of that bucket. The empty schedule
+ * hashes to 0, so clean SimCache keys are unchanged by the fault
+ * machinery.
  */
 class FaultSchedule
 {
@@ -140,7 +149,8 @@ class FaultSchedule
 
     /**
      * Build a schedule from hand-written events (targeted tests and
-     * demos); events are sorted into canonical order.
+     * demos); events are put into canonical order, equal keys keeping
+     * their input order.
      */
     static FaultSchedule fromEvents(const FaultScheduleConfig &config,
                                     std::vector<FaultEvent> events);
@@ -149,9 +159,6 @@ class FaultSchedule
     const FaultScheduleConfig &config() const { return _config; }
     bool empty() const { return _events.empty(); }
     std::size_t size() const { return _events.size(); }
-
-    /** Events of one kind on one chip (injector queries). */
-    std::size_t count(FaultKind kind, int chip) const;
 
     /**
      * Structural FNV-1a hash over every event (time bit-exact).

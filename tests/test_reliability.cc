@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/parallel.hh"
+#include "common/rng.hh"
 #include "dnn/networks.hh"
 #include "dnn/parser.hh"
 #include "estimator/npu_estimator.hh"
@@ -116,7 +120,12 @@ TEST(FaultSchedule, ChipStreamsAreIndependentOfFleetSize)
         for (std::size_t i = 0; i < from_small.size(); ++i)
             EXPECT_TRUE(eventsEqual(from_small[i], from_large[i]));
     }
-    EXPECT_GT(large.count(FaultKind::PulseDrop, 2), 0u);
+    const auto added_chip_drops = std::count_if(
+        large.events().begin(), large.events().end(),
+        [](const FaultEvent &event) {
+            return event.chip == 2 && event.kind == FaultKind::PulseDrop;
+        });
+    EXPECT_GT(added_chip_drops, 0);
 }
 
 TEST(FaultSchedule, BurstArrivalKeepsLongRunRate)
@@ -155,6 +164,155 @@ TEST(FaultSchedule, EmptyHashesToZeroAndEventsPerturbIt)
     EXPECT_NE(FaultSchedule::fromEvents(FaultScheduleConfig{}, {moved})
                   .hash(),
               base);
+}
+
+TEST(FaultSchedule, GeneratedScheduleIsPinned)
+{
+    // Size and hash of generated schedules, pinned so a change to the
+    // generator or to the event order cannot pass unnoticed.
+    struct Pin
+    {
+        const char *name;
+        FaultScheduleConfig config;
+        std::size_t size;
+        std::uint64_t hash;
+    };
+    std::vector<Pin> pins;
+
+    // The perfbench serve_faults shape at seed 5: 64 chips, pulse
+    // drops and link glitches.
+    FaultScheduleConfig serve;
+    serve.horizonSec = 1.5;
+    serve.chips = 64;
+    serve.seed = streamSeed(5, 3);
+    serve.pulseDropRatePerSec = 10.0;
+    serve.linkGlitchRatePerSec = 1000.0;
+    pins.push_back({"serve_faults", serve, 97270, 6105207507228009580ull});
+
+    FaultScheduleConfig burst = allKindsConfig();
+    burst.chips = 4;
+    burst.horizonSec = 2.0;
+    burst.arrival = FaultArrival::Burst;
+    pins.push_back({"burst", burst, 2566, 2093352114402348355ull});
+
+    FaultScheduleConfig one_chip;
+    one_chip.horizonSec = 1.0;
+    one_chip.seed = 7;
+    one_chip.pulseDropRatePerSec = 300.0;
+    one_chip.clockSkewRatePerSec = 100.0;
+    pins.push_back({"one_chip", one_chip, 421, 7625469696093316163ull});
+
+    FaultScheduleConfig traps;
+    traps.horizonSec = 1.0;
+    traps.chips = 3;
+    traps.seed = 11;
+    traps.pulseDropRatePerSec = 50.0;
+    traps.fluxTrapRatePerSec = 200.0;
+    pins.push_back({"flux_traps", traps, 727, 18173395616866214963ull});
+
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.name);
+        const FaultSchedule schedule = FaultSchedule::generate(pin.config);
+        EXPECT_EQ(schedule.size(), pin.size);
+        EXPECT_EQ(schedule.hash(), pin.hash);
+    }
+}
+
+TEST(FaultSchedule, EqualKeysKeepInputOrder)
+{
+    // Two flux traps that differ only in their target tie on (time,
+    // chip, kind): the schedule keeps them in the order given, so its
+    // hash follows the input and not the standard library's sort.
+    FaultScheduleConfig config;
+    config.chips = 2;
+    FaultEvent column;
+    column.timeSec = 0.5;
+    column.kind = FaultKind::FluxTrap;
+    column.chip = 1;
+    column.magnitude = config.fluxTrapDerate;
+    column.trapTarget = FluxTrapTarget::PeColumn;
+    FaultEvent chunk = column;
+    chunk.trapTarget = FluxTrapTarget::BufferChunk;
+    FaultEvent earlier;
+    earlier.timeSec = 0.25;
+
+    const FaultSchedule a =
+        FaultSchedule::fromEvents(config, {column, chunk, earlier});
+    const FaultSchedule b =
+        FaultSchedule::fromEvents(config, {chunk, earlier, column});
+    ASSERT_EQ(a.size(), 3u);
+    ASSERT_EQ(b.size(), 3u);
+    EXPECT_TRUE(eventsEqual(a.events()[0], earlier));
+    EXPECT_TRUE(eventsEqual(a.events()[1], column));
+    EXPECT_TRUE(eventsEqual(a.events()[2], chunk));
+    EXPECT_TRUE(eventsEqual(b.events()[0], earlier));
+    EXPECT_TRUE(eventsEqual(b.events()[1], chunk));
+    EXPECT_TRUE(eventsEqual(b.events()[2], column));
+    EXPECT_NE(a.hash(), b.hash());
+}
+
+TEST(FaultSchedule, TimeFarPastHorizonIsOrdered)
+{
+    // 1e300 s maps far outside any time bucket; it must land in the
+    // last one without an out-of-range conversion (the sanitizer
+    // build runs this test).
+    FaultScheduleConfig config;
+    FaultEvent now;
+    FaultEvent late;
+    late.timeSec = 1e300;
+    for (const auto &input :
+         {std::vector<FaultEvent>{now, late},
+          std::vector<FaultEvent>{late, now}}) {
+        const FaultSchedule schedule =
+            FaultSchedule::fromEvents(config, input);
+        ASSERT_EQ(schedule.size(), 2u);
+        EXPECT_EQ(schedule.events()[0].timeSec, 0.0);
+        EXPECT_EQ(schedule.events()[1].timeSec, 1e300);
+    }
+}
+
+TEST(FaultSchedule, FromEventsMatchesAStableSort)
+{
+    // Random hand-written events with many tied keys, a crowd packed
+    // into one time bucket and a tail past the horizon: the schedule
+    // order equals a stable sort by (time, chip, kind).
+    FaultScheduleConfig config;
+    config.horizonSec = 1.0;
+    config.chips = 3;
+    Rng rng(2026);
+    std::vector<FaultEvent> events;
+    for (int i = 0; i < 600; ++i) {
+        FaultEvent event;
+        const double pick = rng.uniform();
+        if (pick < 0.4)
+            event.timeSec = (double)rng.uniformInt(0, 40) / 40.0;
+        else if (pick < 0.6)
+            event.timeSec = 0.3 + 1e-6 * rng.uniform();
+        else if (pick < 0.8)
+            event.timeSec = rng.uniform(1.0, 5.0);
+        else
+            event.timeSec = rng.uniform();
+        event.chip = (int)rng.uniformInt(0, config.chips - 1);
+        event.kind = (FaultKind)rng.uniformInt(0, faultKindCount - 1);
+        event.magnitude = (double)i; // tells tied events apart
+        events.push_back(event);
+    }
+
+    std::vector<FaultEvent> expected = events;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const FaultEvent &a, const FaultEvent &b) {
+                         if (a.timeSec != b.timeSec)
+                             return a.timeSec < b.timeSec;
+                         if (a.chip != b.chip)
+                             return a.chip < b.chip;
+                         return (int)a.kind < (int)b.kind;
+                     });
+    const FaultSchedule schedule =
+        FaultSchedule::fromEvents(config, events);
+    ASSERT_EQ(schedule.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        EXPECT_TRUE(eventsEqual(schedule.events()[i], expected[i]))
+            << "at " << i;
 }
 
 // --- degraded geometry -----------------------------------------------
