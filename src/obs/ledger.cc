@@ -554,17 +554,15 @@ addFaultSchedule(RunLedger &ledger,
     ledger.setInt("faults", "seed", config.seed);
     ledger.setText("faults", "arrival",
                    reliability::faultArrivalName(config.arrival));
-    std::uint64_t perKind[reliability::faultKindCount] = {};
-    for (const reliability::FaultEvent &event : schedule.events())
-        ++perKind[(int)event.kind];
+    using reliability::FaultKind;
     ledger.setInt("faults", "pulseDrops",
-                  perKind[(int)reliability::FaultKind::PulseDrop]);
+                  schedule.count(FaultKind::PulseDrop));
     ledger.setInt("faults", "fluxTraps",
-                  perKind[(int)reliability::FaultKind::FluxTrap]);
+                  schedule.count(FaultKind::FluxTrap));
     ledger.setInt("faults", "clockSkews",
-                  perKind[(int)reliability::FaultKind::ClockSkew]);
+                  schedule.count(FaultKind::ClockSkew));
     ledger.setInt("faults", "linkGlitches",
-                  perKind[(int)reliability::FaultKind::LinkGlitch]);
+                  schedule.count(FaultKind::LinkGlitch));
 }
 
 void

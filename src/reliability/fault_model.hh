@@ -19,21 +19,26 @@
  *  - LinkGlitch: an off-chip link (the 4 K <-> 300 K boundary)
  *    hiccups, stalling the chip's in-flight transfer.
  *
- * Fault arrivals are generated as a FaultSchedule: a fully
- * materialized event list in (time, chip, kind) order. Every
- * (chip, kind) pair draws from its own common/rng stream seeded with
+ * Fault arrivals are generated as a FaultSchedule: an immutable event
+ * list in (time, chip, kind) order. Every (chip, kind) pair draws
+ * from its own common/rng stream seeded with
  * streamSeed(seed, chip * K + kind), so the schedule is
  * byte-identical regardless of generation order, chip count of
  * *other* chips, or the thread count of a surrounding sweep — the
- * same discipline the parallel explorer uses. Transient kinds support Poisson or bursty (on/off modulated
- * Poisson) arrivals; flux traps are Poisson at a much smaller rate
- * and permanent in effect.
+ * same discipline the parallel explorer uses. Transient kinds
+ * support Poisson or bursty (on/off modulated Poisson) arrivals;
+ * flux traps are Poisson at a much smaller rate and permanent in
+ * effect.
  */
 
 #ifndef SUPERNPU_RELIABILITY_FAULT_MODEL_HH
 #define SUPERNPU_RELIABILITY_FAULT_MODEL_HH
 
+#include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <vector>
 
 namespace supernpu {
@@ -126,22 +131,166 @@ struct FaultScheduleConfig
 };
 
 /**
- * A fully materialized, deterministic fault schedule: events in
- * (time, chip, kind) order, events with equal keys in the order they
- * were given (generated events: by chip, then kind, then time). The
- * order is built without a comparison sort over the whole schedule:
- * each event falls into one of n time buckets over [0, horizon), a
- * counting pass applied in place groups the buckets, and each bucket
- * (about one event when times spread over the horizon) is ordered on
- * its own. That takes time linear in n and 8 bytes of scratch per
- * event; hand-written times crowded into one bucket, or past the
- * horizon, cost a stable sort of that bucket. The empty schedule
- * hashes to 0, so clean SimCache keys are unchanged by the fault
- * machinery.
+ * A deterministic fault schedule: an immutable value holding events
+ * in (time, chip, kind) order, events with equal keys in the order
+ * they were given (generated events: by chip, then kind, then time).
+ *
+ * Storage. The events live once, in a body that every copy of the
+ * schedule shares (copying a ServingConfig copies a pointer). Each
+ * event is stored as a 16-byte record: its time, its chip and one
+ * 32-bit word packing the kind (2 bits), the trap target (1 bit) and
+ * an index into the body's parameter table of (magnitude,
+ * durationSec) pairs. Table entries 0..3 are each kind's pair as the
+ * config sets it; a generated schedule uses only those. fromEvents()
+ * appends an entry for each event whose pair differs bitwise from its
+ * kind's default, so every field of a hand-written event reads back
+ * bit for bit. The body also keeps the number of events of each kind.
+ * events() reads the records through a view that yields FaultEvent
+ * by value.
+ *
+ * Order. The order is built without a comparison sort over the whole
+ * schedule: each event falls into one of n time buckets over
+ * [0, horizon), a counting pass applied in place groups the buckets,
+ * and each bucket (about one event when times spread over the
+ * horizon) is ordered on its own. That takes time linear in n and 8
+ * bytes of scratch per event; hand-written times crowded into one
+ * bucket, or past the horizon, cost a stable sort of that bucket. The
+ * empty schedule hashes to 0, so clean SimCache keys are unchanged by
+ * the fault machinery.
  */
 class FaultSchedule
 {
+    struct Record;
+    struct Params;
+
   public:
+    /**
+     * Read-only view of a schedule's events, in schedule order.
+     * Element access and iterators yield FaultEvent by value; the
+     * iterators point into the schedule's body, so iterators taken
+     * from two views of one schedule compare and subtract. Valid
+     * while the schedule (or a copy of it) lives.
+     */
+    class EventView
+    {
+      public:
+        class const_iterator
+        {
+          public:
+            using iterator_category = std::random_access_iterator_tag;
+            using value_type = FaultEvent;
+            using difference_type = std::ptrdiff_t;
+            using pointer = void;
+            using reference = FaultEvent;
+
+            const_iterator() = default;
+            const_iterator(const Record *at, const Params *params)
+                : _at(at), _params(params)
+            {
+            }
+
+            FaultEvent operator*() const { return event(*_at, _params); }
+            FaultEvent operator[](difference_type n) const
+            {
+                return event(_at[n], _params);
+            }
+            const_iterator &operator++()
+            {
+                ++_at;
+                return *this;
+            }
+            const_iterator operator++(int)
+            {
+                const_iterator was = *this;
+                ++_at;
+                return was;
+            }
+            const_iterator &operator--()
+            {
+                --_at;
+                return *this;
+            }
+            const_iterator operator--(int)
+            {
+                const_iterator was = *this;
+                --_at;
+                return was;
+            }
+            const_iterator &operator+=(difference_type n)
+            {
+                _at += n;
+                return *this;
+            }
+            const_iterator &operator-=(difference_type n)
+            {
+                _at -= n;
+                return *this;
+            }
+            friend const_iterator operator+(const_iterator it,
+                                            difference_type n)
+            {
+                return it += n;
+            }
+            friend const_iterator operator+(difference_type n,
+                                            const_iterator it)
+            {
+                return it += n;
+            }
+            friend const_iterator operator-(const_iterator it,
+                                            difference_type n)
+            {
+                return it -= n;
+            }
+            friend difference_type operator-(const const_iterator &a,
+                                             const const_iterator &b)
+            {
+                return a._at - b._at;
+            }
+            bool operator==(const const_iterator &o) const
+            {
+                return _at == o._at;
+            }
+            std::strong_ordering operator<=>(const const_iterator &o) const
+            {
+                return _at <=> o._at;
+            }
+
+          private:
+            const Record *_at = nullptr;
+            const Params *_params = nullptr;
+        };
+
+        EventView() = default;
+        EventView(const Record *records, const Params *params,
+                  std::size_t size)
+            : _records(records), _params(params), _size(size)
+        {
+        }
+
+        std::size_t size() const { return _size; }
+        bool empty() const { return _size == 0; }
+        FaultEvent operator[](std::size_t i) const
+        {
+            return event(_records[i], _params);
+        }
+        /** Event i's time and chip, read without the parameters. */
+        double timeSec(std::size_t i) const { return _records[i].timeSec; }
+        int chip(std::size_t i) const { return _records[i].chip; }
+        const_iterator begin() const
+        {
+            return const_iterator(_records, _params);
+        }
+        const_iterator end() const
+        {
+            return const_iterator(_records + _size, _params);
+        }
+
+      private:
+        const Record *_records = nullptr;
+        const Params *_params = nullptr;
+        std::size_t _size = 0;
+    };
+
     FaultSchedule() = default;
 
     /** Generate a schedule from per-(chip, kind) seeded streams. */
@@ -150,15 +299,24 @@ class FaultSchedule
     /**
      * Build a schedule from hand-written events (targeted tests and
      * demos); events are put into canonical order, equal keys keeping
-     * their input order.
+     * their input order. Fatal on an event whose kind cannot use its
+     * parameters: a non-finite time; a flux trap or clock skew whose
+     * magnitude is not a finite multiplier >= 1; a link glitch whose
+     * stall is not finite and >= 0; a clock skew whose window is
+     * negative.
      */
     static FaultSchedule fromEvents(const FaultScheduleConfig &config,
                                     std::vector<FaultEvent> events);
 
-    const std::vector<FaultEvent> &events() const { return _events; }
-    const FaultScheduleConfig &config() const { return _config; }
-    bool empty() const { return _events.empty(); }
-    std::size_t size() const { return _events.size(); }
+    EventView events() const;
+    const FaultScheduleConfig &config() const { return body().config; }
+    bool empty() const { return size() == 0; }
+    std::size_t size() const { return body().records.size(); }
+    /** Number of events of `kind`, counted when the schedule was built. */
+    std::uint64_t count(FaultKind kind) const
+    {
+        return body().perKind[(int)kind];
+    }
 
     /**
      * Structural FNV-1a hash over every event (time bit-exact).
@@ -167,8 +325,44 @@ class FaultSchedule
     std::uint64_t hash() const;
 
   private:
-    FaultScheduleConfig _config;
-    std::vector<FaultEvent> _events;
+    /**
+     * One stored event. `word` packs the kind (bits 0-1), the trap
+     * target (bit 2) and the event's parameter-table index (bits
+     * 3-31).
+     */
+    struct Record
+    {
+        double timeSec;
+        std::int32_t chip;
+        std::uint32_t word;
+    };
+    static_assert(sizeof(Record) == 16, "stored fault events are 16 bytes");
+
+    /** One parameter-table entry. */
+    struct Params
+    {
+        double magnitude;
+        double durationSec;
+    };
+
+    struct Body
+    {
+        FaultScheduleConfig config;
+        std::vector<Record> records;
+        std::vector<Params> params;
+        std::uint64_t perKind[faultKindCount] = {};
+    };
+
+    /** The event `record` stores, its parameters read from `params`. */
+    static FaultEvent event(const Record &record, const Params *params);
+    /** The shared body; the empty one for a default schedule. */
+    const Body &body() const;
+    /** A body holding `config` and the kinds' default parameters. */
+    static std::shared_ptr<Body> newBody(const FaultScheduleConfig &config);
+    /** Count kinds and order the records of a freshly built body. */
+    static FaultSchedule finish(std::shared_ptr<Body> body);
+
+    std::shared_ptr<const Body> _body;
 };
 
 } // namespace reliability

@@ -20,7 +20,7 @@ DegradedGeometry
 geometryAfter(const FaultSchedule &schedule, int chip)
 {
     DegradedGeometry geometry;
-    for (const FaultEvent &event : schedule.events()) {
+    for (const FaultEvent event : schedule.events()) {
         if (event.chip != chip || event.kind != FaultKind::FluxTrap)
             continue;
         if (event.trapTarget == FluxTrapTarget::PeColumn)
@@ -130,7 +130,7 @@ FaultInjector::run(const dnn::Network &network, int batch,
         const double span = out.seconds();
         std::uint64_t drops_in_span = 0;
         std::uint64_t events_for_chip = 0;
-        for (const FaultEvent &event : schedule.events()) {
+        for (const FaultEvent event : schedule.events()) {
             if (event.chip != chip)
                 continue;
             ++events_for_chip;

@@ -10,7 +10,8 @@
  * is read through a cursor (its sequence numbers are reserved at seed
  * time, as if every fault had been pushed then), and an open-loop
  * source's one pending arrival waits in a slot. The heap holds the
- * rest, a few events per dispatch target.
+ * rest: a few live events per dispatch target, and the stale ones
+ * (below) not yet popped.
  *
  * Timeout events are advisory: a fired timeout only launches a batch
  * if the chip is idle and the queue's own `launchable` test agrees.
@@ -198,9 +199,9 @@ class Calendar
     }
 
     /** Stream a time-sorted fault schedule; reserves its seqs. */
-    void attachFaults(const std::vector<reliability::FaultEvent> &faults)
+    void attachFaults(const reliability::FaultSchedule::EventView &faults)
     {
-        _faults = &faults;
+        _faults = faults;
         _faultSeq0 = _nextSeq;
         _nextSeq += (std::uint64_t)faults.size();
     }
@@ -208,7 +209,7 @@ class Calendar
     bool empty() const
     {
         return _heap.empty() && _arrivalSeq == kNoSeq &&
-               (_faults == nullptr || _faultNext == _faults->size());
+               _faultNext == _faults.size();
     }
 
     /** Remove and return the earliest event; the calendar is nonempty. */
@@ -222,8 +223,8 @@ class Calendar
             sec = _heap.top().timeSec;
             seq = _heap.top().seq;
         }
-        if (_faults != nullptr && _faultNext < _faults->size()) {
-            const double fault_sec = (*_faults)[_faultNext].timeSec;
+        if (_faultNext < _faults.size()) {
+            const double fault_sec = _faults.timeSec(_faultNext);
             const std::uint64_t fault_seq = _faultSeq0 + _faultNext;
             if (earlier(fault_sec, fault_seq, sec, seq)) {
                 part = Part::Fault;
@@ -237,10 +238,10 @@ class Calendar
 
         switch (part) {
           case Part::Fault: {
-            const reliability::FaultEvent &fault = (*_faults)[_faultNext];
-            const Event event{fault.timeSec, _faultSeq0 + _faultNext,
-                              (std::uint64_t)_faultNext, fault.chip,
-                              EventKind::Fault};
+            const Event event{_faults.timeSec(_faultNext),
+                              _faultSeq0 + _faultNext,
+                              (std::uint64_t)_faultNext,
+                              _faults.chip(_faultNext), EventKind::Fault};
             ++_faultNext;
             return event;
           }
@@ -269,9 +270,9 @@ class Calendar
     double _arrivalSec = 0.0;
     std::uint64_t _arrivalSeq = kNoSeq; ///< kNoSeq: no arrival pending
 
-    const std::vector<reliability::FaultEvent> *_faults = nullptr;
-    std::size_t _faultNext = 0;     ///< cursor into *_faults
-    std::uint64_t _faultSeq0 = 0;   ///< seq of (*_faults)[0]
+    reliability::FaultSchedule::EventView _faults;
+    std::size_t _faultNext = 0;     ///< cursor into _faults
+    std::uint64_t _faultSeq0 = 0;   ///< seq of _faults[0]
 };
 
 /** One batch in flight on a dispatch target. */
@@ -360,8 +361,12 @@ ServingSimulator::run()
     // The heap's backing store is sized up front: steady state
     // carries roughly one pending completion/timeout pair per
     // dispatch target plus the closed-loop clients' arrivals. Faults
-    // and the open-loop arrival never enter the heap. Reserving once
-    // keeps it from reallocating mid-run.
+    // and the open-loop arrival never enter the heap. Stale entries
+    // do: a Done or StageFree superseded by a link glitch's re-push,
+    // or left by a killed batch, stays in the heap until it pops. A
+    // glitch-heavy run can therefore outgrow the reservation, and the
+    // vector then grows as usual (serving.staleEvents counts those
+    // pops under profiling).
     Calendar calendar((std::size_t)_cfg.chips * 4 +
                       (std::size_t)_cfg.arrival.clients + 64);
     // A Retry event parks its request in a reused slot and carries
@@ -570,6 +575,15 @@ ServingSimulator::run()
         launch_batch(index, std::move(batch));
     };
 
+    // A popped Done or StageFree that a newer event superseded.
+    const auto count_stale = [] {
+        if (perf::enabled()) {
+            static perf::Counter &perf_stale =
+                perf::counter("serving.staleEvents");
+            perf_stale.add(1);
+        }
+    };
+
     // Queue a new or re-entering request on the picked target.
     const auto dispatch = [&](const Request &request) {
         const int index = pick_target();
@@ -592,7 +606,7 @@ ServingSimulator::run()
         injected = first;
     }
 
-    // The materialized fault schedule streams from its cursor. Empty
+    // The fault schedule streams from its cursor. Empty
     // schedule: no sequence number reserved, numbering untouched.
     calendar.attachFaults(_cfg.faults.events());
 
@@ -644,8 +658,10 @@ ServingSimulator::run()
                 [&](const Batch &candidate) {
                     return candidate.doneSeq == event.seq;
                 });
-            if (batch == target.inFlight.end())
-                break; // stale: killed or glitch-stretched batch
+            if (batch == target.inFlight.end()) {
+                count_stale(); // killed or glitch-stretched batch
+                break;
+            }
             SUPERNPU_ASSERT(batch == target.inFlight.begin(),
                             "group completed out of order");
             // Corruption that outran its detection (or was never
@@ -666,7 +682,7 @@ ServingSimulator::run()
             break;
           }
           case EventKind::Fault: {
-            const reliability::FaultEvent &fault =
+            const reliability::FaultEvent fault =
                 _cfg.faults.events()[(std::size_t)event.tag];
             // Fault events strike physical chips: the struck chip
             // is one member of group event.chip / G, and a fault on
@@ -907,8 +923,10 @@ ServingSimulator::run()
           }
           case EventKind::StageFree: {
             Target &target = targets[event.chip];
-            if (event.seq != target.pendingFreeSeq)
-                break; // stale: glitch-stretched or batch killed
+            if (event.seq != target.pendingFreeSeq) {
+                count_stale(); // glitch-stretched or batch killed
+                break;
+            }
             target.pendingFreeSeq = kNoSeq;
             target.busy = false;
             try_launch(event.chip);

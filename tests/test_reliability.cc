@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
@@ -45,6 +48,90 @@ eventsEqual(const FaultEvent &a, const FaultEvent &b)
            a.chip == b.chip && a.magnitude == b.magnitude &&
            a.durationSec == b.durationSec &&
            a.trapTarget == b.trapTarget;
+}
+
+/** A hand-written event; the parameters are stored as given. */
+FaultEvent
+handEvent(double time_sec, FaultKind kind, int chip, double magnitude,
+          double duration_sec,
+          FluxTrapTarget target = FluxTrapTarget::PeColumn)
+{
+    FaultEvent event;
+    event.timeSec = time_sec;
+    event.kind = kind;
+    event.chip = chip;
+    event.magnitude = magnitude;
+    event.durationSec = duration_sec;
+    event.trapTarget = target;
+    return event;
+}
+
+/**
+ * Fourteen hand-written events on 3 chips over a 1 s horizon: default
+ * and non-default magnitudes and durations for every kind, -0.0
+ * durations and magnitudes (bitwise not the default 0.0; one on a
+ * flux trap whose magnitude is the default), parameters on a pulse
+ * drop (unused by serving, still hashed), both trap targets, a tie on
+ * (time, chip, kind) and two times past the horizon.
+ */
+std::vector<FaultEvent>
+handWrittenEvents()
+{
+    using K = FaultKind;
+    const FluxTrapTarget chunk = FluxTrapTarget::BufferChunk;
+    return {
+        handEvent(0.1, K::FluxTrap, 0, 3.0, 0.0),
+        handEvent(0.1, K::FluxTrap, 1, 2.0, 0.0, chunk),
+        handEvent(0.2, K::ClockSkew, 2, 1.25, -0.0),
+        handEvent(0.3, K::ClockSkew, 0, 1.5, 1e-3),
+        handEvent(0.3, K::ClockSkew, 1, 1.5, 2.5e-3),
+        handEvent(0.4, K::LinkGlitch, 2, 7e-5, 0.0),
+        handEvent(0.45, K::LinkGlitch, 1, 5e-5, 1e-4),
+        handEvent(2.5, K::LinkGlitch, 0, 5e-5, 0.0),
+        handEvent(0.05, K::PulseDrop, 1, 0.0, 0.0),
+        handEvent(0.6, K::PulseDrop, 2, 0.75, 0.0, chunk),
+        handEvent(7.0, K::FluxTrap, 2, 2.0, 0.0, chunk),
+        handEvent(0.2, K::ClockSkew, 2, 1.5, 0.0),
+        handEvent(0.2, K::FluxTrap, 2, 2.0, -0.0),
+        handEvent(0.7, K::PulseDrop, 0, -0.0, 0.0),
+    };
+}
+
+FaultScheduleConfig
+handWrittenConfig()
+{
+    FaultScheduleConfig config;
+    config.chips = 3;
+    config.horizonSec = 1.0;
+    return config;
+}
+
+/** Every field equal, doubles bit for bit. */
+bool
+eventsIdentical(const FaultEvent &a, const FaultEvent &b)
+{
+    return std::bit_cast<std::uint64_t>(a.timeSec) ==
+               std::bit_cast<std::uint64_t>(b.timeSec) &&
+           a.kind == b.kind && a.chip == b.chip &&
+           std::bit_cast<std::uint64_t>(a.magnitude) ==
+               std::bit_cast<std::uint64_t>(b.magnitude) &&
+           std::bit_cast<std::uint64_t>(a.durationSec) ==
+               std::bit_cast<std::uint64_t>(b.durationSec) &&
+           a.trapTarget == b.trapTarget;
+}
+
+/** Per-kind counts taken over the events themselves. */
+void
+expectCountsMatchEvents(const FaultSchedule &schedule)
+{
+    for (int k = 0; k < faultKindCount; ++k) {
+        const FaultKind kind = (FaultKind)k;
+        const auto counted = std::count_if(
+            schedule.events().begin(), schedule.events().end(),
+            [&](const FaultEvent &event) { return event.kind == kind; });
+        EXPECT_EQ(schedule.count(kind), (std::uint64_t)counted)
+            << faultKindName(kind);
+    }
 }
 
 } // namespace
@@ -294,7 +381,7 @@ TEST(FaultSchedule, FromEventsMatchesAStableSort)
             event.timeSec = rng.uniform();
         event.chip = (int)rng.uniformInt(0, config.chips - 1);
         event.kind = (FaultKind)rng.uniformInt(0, faultKindCount - 1);
-        event.magnitude = (double)i; // tells tied events apart
+        event.magnitude = 1.0 + i; // tells tied events apart
         events.push_back(event);
     }
 
@@ -313,6 +400,169 @@ TEST(FaultSchedule, FromEventsMatchesAStableSort)
     for (std::size_t i = 0; i < expected.size(); ++i)
         EXPECT_TRUE(eventsEqual(schedule.events()[i], expected[i]))
             << "at " << i;
+}
+
+TEST(FaultSchedule, HandWrittenScheduleIsPinned)
+{
+    // Size and hash of a hand-written schedule whose events carry
+    // their own parameters, pinned from the event-list layout that
+    // stored every field per event.
+    const FaultSchedule schedule =
+        FaultSchedule::fromEvents(handWrittenConfig(), handWrittenEvents());
+    EXPECT_EQ(schedule.size(), 14u);
+    EXPECT_EQ(schedule.hash(), 2175056927197051394ull);
+}
+
+TEST(FaultSchedule, HandWrittenEventsRoundTripBitForBit)
+{
+    // Every field of every input event reads back bit for bit, in
+    // the order a stable sort by (time, chip, kind) gives.
+    const std::vector<FaultEvent> input = handWrittenEvents();
+    std::vector<FaultEvent> expected = input;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const FaultEvent &a, const FaultEvent &b) {
+                         if (a.timeSec != b.timeSec)
+                             return a.timeSec < b.timeSec;
+                         if (a.chip != b.chip)
+                             return a.chip < b.chip;
+                         return (int)a.kind < (int)b.kind;
+                     });
+    const FaultSchedule schedule =
+        FaultSchedule::fromEvents(handWrittenConfig(), input);
+    ASSERT_EQ(schedule.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        EXPECT_TRUE(eventsIdentical(schedule.events()[i], expected[i]))
+            << "at " << i;
+
+    // Each -0.0 kept its sign, also where it compares equal to the
+    // kind's default.
+    const auto negative_zeros = [](const auto &events) {
+        return std::count_if(
+            events.begin(), events.end(), [](const FaultEvent &event) {
+                return std::signbit(event.magnitude) ||
+                       std::signbit(event.durationSec);
+            });
+    };
+    EXPECT_EQ(negative_zeros(input), 3);
+    EXPECT_EQ(negative_zeros(schedule.events()), 3);
+
+    // Iterators from separate views of one schedule meet.
+    const std::vector<FaultEvent> copied(schedule.events().begin(),
+                                         schedule.events().end());
+    ASSERT_EQ(copied.size(), schedule.size());
+    EXPECT_EQ(schedule.events().end() - schedule.events().begin(),
+              (std::ptrdiff_t)schedule.size());
+    for (std::size_t i = 0; i < copied.size(); ++i)
+        EXPECT_TRUE(eventsIdentical(copied[i], schedule.events()[i]));
+}
+
+TEST(FaultSchedule, GeneratedEventsCarryTheConfigParameters)
+{
+    FaultScheduleConfig config = allKindsConfig();
+    config.fluxTrapDerate = 2.5;
+    config.clockSkewDerate = 1.25;
+    config.clockSkewDurationSec = 3e-3;
+    config.linkGlitchDelaySec = 7e-5;
+    const FaultSchedule schedule = FaultSchedule::generate(config);
+    for (const FaultEvent event : schedule.events()) {
+        switch (event.kind) {
+          case FaultKind::PulseDrop:
+            EXPECT_EQ(event.magnitude, 0.0);
+            EXPECT_EQ(event.durationSec, 0.0);
+            break;
+          case FaultKind::FluxTrap:
+            EXPECT_EQ(event.magnitude, 2.5);
+            EXPECT_EQ(event.durationSec, 0.0);
+            break;
+          case FaultKind::ClockSkew:
+            EXPECT_EQ(event.magnitude, 1.25);
+            EXPECT_EQ(event.durationSec, 3e-3);
+            break;
+          case FaultKind::LinkGlitch:
+            EXPECT_EQ(event.magnitude, 7e-5);
+            EXPECT_EQ(event.durationSec, 0.0);
+            break;
+        }
+        if (event.kind != FaultKind::FluxTrap) {
+            EXPECT_EQ(event.trapTarget, FluxTrapTarget::PeColumn);
+        }
+    }
+}
+
+TEST(FaultSchedule, KindCountsMatchTheEvents)
+{
+    FaultScheduleConfig burst = allKindsConfig();
+    burst.arrival = FaultArrival::Burst;
+    for (const FaultSchedule &schedule :
+         {FaultSchedule::generate(allKindsConfig()),
+          FaultSchedule::generate(burst),
+          FaultSchedule::fromEvents(handWrittenConfig(),
+                                    handWrittenEvents()),
+          FaultSchedule()}) {
+        expectCountsMatchEvents(schedule);
+    }
+    const FaultSchedule hand =
+        FaultSchedule::fromEvents(handWrittenConfig(), handWrittenEvents());
+    EXPECT_EQ(hand.count(FaultKind::PulseDrop), 3u);
+    EXPECT_EQ(hand.count(FaultKind::FluxTrap), 4u);
+    EXPECT_EQ(hand.count(FaultKind::ClockSkew), 4u);
+    EXPECT_EQ(hand.count(FaultKind::LinkGlitch), 3u);
+}
+
+TEST(FaultSchedule, CopiesShareOneBody)
+{
+    // A copy reads the same stored events, not a second list.
+    const FaultSchedule schedule =
+        FaultSchedule::generate(allKindsConfig());
+    const FaultSchedule copy = schedule;
+    ASSERT_FALSE(copy.empty());
+    EXPECT_TRUE(copy.events().begin() == schedule.events().begin());
+    EXPECT_EQ(copy.hash(), schedule.hash());
+    EXPECT_TRUE(FaultSchedule().events().empty());
+}
+
+TEST(FaultSchedule, FromEventsRejectsMalformedParameters)
+{
+    // Each kind is checked on the fields it uses: a flux trap or
+    // clock skew of magnitude 0 would make service free or its loss
+    // infinite, so it is a fatal input error, not a silent result.
+    const FaultScheduleConfig config = handWrittenConfig();
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto build = [&](const FaultEvent &event) {
+        (void)FaultSchedule::fromEvents(config, {event});
+    };
+    using K = FaultKind;
+    EXPECT_DEATH(build(handEvent(0.1, K::FluxTrap, 0, 0.0, 0.0)),
+                 "flux-trap fault event needs a finite magnitude >= 1");
+    EXPECT_DEATH(build(handEvent(0.1, K::FluxTrap, 0, 0.5, 0.0)),
+                 "flux-trap fault event needs a finite magnitude >= 1");
+    EXPECT_DEATH(build(handEvent(0.1, K::FluxTrap, 0, inf, 0.0)),
+                 "flux-trap fault event needs a finite magnitude >= 1");
+    EXPECT_DEATH(build(handEvent(0.1, K::ClockSkew, 0, 0.0, 1e-3)),
+                 "clock-skew fault event needs a finite magnitude >= 1");
+    EXPECT_DEATH(build(handEvent(0.1, K::ClockSkew, 0, nan, 1e-3)),
+                 "clock-skew fault event needs a finite magnitude >= 1");
+    EXPECT_DEATH(build(handEvent(0.1, K::ClockSkew, 0, 1.5, -1e-3)),
+                 "clock-skew fault event needs a duration >= 0");
+    EXPECT_DEATH(build(handEvent(0.1, K::LinkGlitch, 0, -1e-5, 0.0)),
+                 "link-glitch fault event needs a finite stall >= 0");
+    EXPECT_DEATH(build(handEvent(0.1, K::LinkGlitch, 0, inf, 0.0)),
+                 "link-glitch fault event needs a finite stall >= 0");
+    EXPECT_DEATH(build(handEvent(inf, K::PulseDrop, 0, 0.0, 0.0)),
+                 "pulse-drop fault event needs a finite time");
+    EXPECT_DEATH(build(handEvent(nan, K::LinkGlitch, 0, 5e-5, 0.0)),
+                 "link-glitch fault event needs a finite time");
+
+    // Fields a kind does not use are stored, not checked; boundary
+    // values pass.
+    EXPECT_EQ(FaultSchedule::fromEvents(
+                  config, {handEvent(0.1, K::PulseDrop, 0, -3.0, -1.0),
+                           handEvent(0.1, K::FluxTrap, 1, 1.0, -1.0),
+                           handEvent(0.1, K::ClockSkew, 2, 1.0, 0.0),
+                           handEvent(0.2, K::LinkGlitch, 0, 0.0, -1.0)})
+                  .size(),
+              4u);
 }
 
 // --- degraded geometry -----------------------------------------------
