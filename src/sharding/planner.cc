@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.hh"
@@ -213,47 +214,26 @@ struct Candidate
 };
 
 /**
- * What one (shard geometry, replica share) class of a search resolves
- * once for every (T, share) point in it. T whose shardWidths are
- * equal shard the network into equal layers under different names,
- * and the simulator prices a layer from its shape alone, so one
- * simulation, one LayerTimings and one cut DP serve them all.
+ * One (shard geometry, replica share) class of a search: what its
+ * task resolves once for every (T, share) point in it. T whose
+ * shardWidths are equal shard the network into equal layers under
+ * different names, and the simulator prices a layer from its shape
+ * alone, so one simulation, one LayerTimings and one cut DP serve
+ * them all.
  */
 struct SearchClass
 {
-    int geometry = 0; ///< index of its shard geometry
-    int share = 1;
-    int maxStages = 1; ///< largest K any member's candidate asks for
-    double frequencyGhz = 0.0;
-    /**
-     * Stage s of the best K-way split is stages[stageIndex(K, s)]:
-     * its last layer and the cycles it occupies (simulated cycles
-     * plus its outbound link) before the TP overlay.
-     */
-    std::vector<std::pair<int, std::uint64_t>> stages;
-
-    static std::size_t stageIndex(int k, int s)
-    {
-        return (std::size_t)k * (k - 1) / 2 + s;
-    }
-};
-
-/**
- * What one (T, replica share) point of a search resolves once for
- * every candidate that reads it (every R with that share, every K):
- * its class, and what differs by T within the class.
- */
-struct SearchPoint
-{
-    int t = 1;
+    int geometry = 0;   ///< index of its shard geometry
     int shareIndex = 0; ///< its replica share in the search's shares
-    int cls = 0;        ///< its (geometry, share) class
-    /** TP all-reduce cycles after each layer. */
-    std::vector<std::uint64_t> reduceCycles;
+    int maxStages = 1;  ///< largest K any member's candidate asks for
 };
 
-/** Candidate rows one planner.evaluate task folds. */
-constexpr std::size_t kFoldChunk = 256;
+/** Where stage s of the K-way split sits in a flat list of cuts. */
+std::size_t
+stageIndex(int k, int s)
+{
+    return (std::size_t)k * (k - 1) / 2 + s;
+}
 
 } // namespace
 
@@ -276,8 +256,14 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
     /** Points of share s: [share_points[s], share_points[s + 1]). */
     std::vector<int> share_points;
     std::vector<SearchClass> classes;
-    std::vector<SearchPoint> points;
+    /** Points of class c: [class_points[c], class_points[c + 1]). */
+    std::vector<int> class_points;
     std::vector<Candidate> candidates;
+    /**
+     * Candidates of point p, in enumeration order: the slots
+     * point_slots[j] for j in [point_first[p], point_first[p + 1]).
+     */
+    std::vector<int> point_first(1, 0), point_slots;
     {
         perf::Scope span("planner.enumerate");
         network.check();
@@ -302,136 +288,142 @@ HybridPlanner::plan(const dnn::Network &network, int chip_budget,
         // share ceil(batch/R) never grows with R either, so a share's
         // points are all made at its first R, which reaches the most
         // T: (T, share) is point share_points[s] + T - 1, and its
-        // class is the share's first class plus T's geometry, as
-        // geometries number in T order.
+        // class is the share's first class plus T's geometry. As
+        // geometries number in T order, a class's points are a
+        // contiguous run of its share's.
         const int max_r = std::min(chip_budget, batch);
+        int points = 0, class_base = 0;
         for (int r = 1; r <= max_r; ++r) {
             const int share = (batch + r - 1) / r;
             const int t_max = chip_budget / r;
             if (shares.empty() || share != shares.back()) {
                 shares.push_back(share);
-                share_points.push_back((int)points.size());
-                const int class_base = (int)classes.size();
-                for (int t = 1; t <= t_max; ++t) {
+                share_points.push_back(points);
+                class_base = (int)classes.size();
+                for (int t = 1; t <= t_max; ++t, ++points) {
                     const int g = geometry_of[t - 1];
                     if (class_base + g == (int)classes.size()) {
-                        classes.emplace_back();
-                        classes.back().geometry = g;
-                        classes.back().share = share;
+                        classes.push_back(
+                            SearchClass{g, (int)shares.size() - 1, 1});
+                        class_points.push_back(points);
                     }
-                    SearchPoint point;
-                    point.t = t;
-                    point.shareIndex = (int)shares.size() - 1;
-                    point.cls = class_base + g;
-                    points.push_back(std::move(point));
                 }
+                point_first.resize(points + 1, 0);
             }
             for (int t = 1; t <= t_max; ++t) {
                 const int p = share_points.back() + t - 1;
                 const int k_limit = std::min(chip_budget / (r * t), n);
-                SearchClass &cls = classes[points[p].cls];
+                SearchClass &cls = classes[class_base + geometry_of[t - 1]];
                 cls.maxStages = std::max(cls.maxStages, k_limit);
+                point_first[p + 1] += k_limit;
                 for (int k = 1; k <= k_limit; ++k)
                     candidates.push_back(Candidate{r, t, k, p});
             }
         }
-        share_points.push_back((int)points.size());
+        share_points.push_back(points);
+        class_points.push_back(points);
+
+        // Each point's candidate slots, by a counting sort of the
+        // enumeration: a class task finds its rows by point.
+        std::partial_sum(point_first.begin(), point_first.end(),
+                         point_first.begin());
+        std::vector<int> next(point_first.begin(), point_first.end() - 1);
+        point_slots.resize(candidates.size());
+        for (int i = 0; i < (int)candidates.size(); ++i)
+            point_slots[next[candidates[i].point]++] = i;
     }
 
     ThreadPool pool(jobs < 0 ? 1 : jobs);
+    const std::uint64_t gather_bytes =
+        partition::activationBytes(network.layers.back(), batch);
+    const partition::LinkConfig &link = _sharder.link();
+    search.evaluated.resize(candidates.size());
     {
         // With no lock and no cache: each geometry's network (T = 1
-        // is the input network itself), then per class the wide
-        // simulation, the LayerTimings, the cut DP grown to the
+        // is the input network itself) and each share's all-reduce
+        // bytes, which depend on the share alone; then per class the
+        // wide simulation, the LayerTimings, the cut DP grown to the
         // largest K any member asks for, and one cold head per
-        // distinct first layer its cuts name. Only each stage's last
-        // layer and occupancy outlive the task.
+        // distinct first layer its cuts name. The class task then
+        // folds every row its points' candidates read, so only the
+        // rows outlive it.
         perf::Scope span("planner.derive");
         const std::vector<dnn::Network> shards =
             pool.parallelMap(first_t.size(), [&](std::size_t g) {
                 return shardNetwork(network, first_t[g]);
             });
+        const std::vector<std::vector<std::uint64_t>> share_bytes =
+            pool.parallelMap(shares.size(), [&](std::size_t s) {
+                return share_points[s + 1] - share_points[s] > 1
+                           ? TensorSharder::reduceBytes(network, shares[s])
+                           : std::vector<std::uint64_t>(n, 0);
+            });
         const npusim::NpuSimulator &sim = _sharder._sim;
         pool.parallelFor(classes.size(), [&](std::size_t c) {
-            SearchClass &cls = classes[c];
+            const SearchClass &cls = classes[c];
+            const int share = shares[cls.shareIndex];
             const dnn::Network &shard = shards[cls.geometry];
             const auto wide = std::make_shared<const npusim::SimResult>(
-                sim.run(shard, cls.share));
+                sim.run(shard, share));
+            const double frequency_ghz = wide->frequencyGhz;
             const partition::LayerTimings timings =
-                _partitioner.buildTimings(shard, wide, cls.share);
+                _partitioner.buildTimings(shard, wide, share);
             const std::vector<std::vector<int>> cuts =
                 partition::Partitioner::cutStages(timings, 1,
                                                   cls.maxStages);
-            cls.frequencyGhz = wide->frequencyGhz;
-            // Head cycles of a stage starting at each layer, simulated
-            // at the first cut that names it; layer 0's is the wide
-            // run's own.
+            // Stage s of the best K-way split is
+            // stages[stageIndex(K, s)]: its last layer and the cycles
+            // it occupies (its cold head plus the wide run's later
+            // layers, and its outbound link) before the TP overlay.
+            // Head cycles of a stage starting at each layer are
+            // simulated at the first cut that names it; layer 0's is
+            // the wide run's own.
+            std::vector<std::pair<int, std::uint64_t>> stages;
+            stages.reserve(stageIndex(cls.maxStages + 1, 0));
             std::vector<std::uint64_t> head(n, 0);
             std::vector<bool> known(n, false);
             head[0] = wide->layers()[0].totalCycles();
             known[0] = true;
-            cls.stages.reserve(
-                SearchClass::stageIndex(cls.maxStages + 1, 0));
             for (const std::vector<int> &cut : cuts) {
                 int first = 0;
                 for (const int last : cut) {
                     if (!known[first]) {
                         head[first] =
-                            sim.coldHead(shard, first, cls.share)
+                            sim.coldHead(shard, first, share)
                                 .totalCycles();
                         known[first] = true;
                     }
-                    cls.stages.emplace_back(
+                    stages.emplace_back(
                         last, timings.stageCycles(first, last,
                                                   head[first]) +
                                   timings.linkCycles[last]);
                     first = last + 1;
                 }
             }
-        });
-        // The all-reduce bytes depend on the share alone, so each
-        // share with a T > 1 point derives them once; then each point
-        // charges its own TP all-reduce cycles.
-        std::vector<std::vector<std::uint64_t>> share_bytes(shares.size());
-        pool.parallelFor(shares.size(), [&](std::size_t s) {
-            share_bytes[s] =
-                share_points[s + 1] - share_points[s] > 1
-                    ? TensorSharder::reduceBytes(network, shares[s])
-                    : std::vector<std::uint64_t>(n, 0);
-        });
-        pool.parallelFor(points.size(), [&](std::size_t i) {
-            SearchPoint &p = points[i];
-            p.reduceCycles = _sharder.reduceCycles(
-                share_bytes[p.shareIndex], p.t,
-                classes[p.cls].frequencyGhz);
+
+            // Every row of the class, into its own slot: per point,
+            // what differs by T within the class (its per-layer TP
+            // all-reduce cycles), folded with the stages of each
+            // candidate's cut K.
+            perf::Scope fold_span("planner.evaluate");
+            for (int p = class_points[c]; p < class_points[c + 1]; ++p) {
+                const int t = p - share_points[cls.shareIndex] + 1;
+                const std::vector<std::uint64_t> reduce_cycles =
+                    _sharder.reduceCycles(share_bytes[cls.shareIndex], t,
+                                          frequency_ghz);
+                for (int j = point_first[p]; j < point_first[p + 1]; ++j) {
+                    const Candidate &cand = candidates[point_slots[j]];
+                    search.evaluated[point_slots[j]] = foldRow(
+                        cand.r, t, cand.k, batch, frequency_ghz,
+                        reduce_cycles, link, gather_bytes,
+                        [&](int s) {
+                            return stages[stageIndex(cand.k, s)];
+                        },
+                        [](int, std::uint64_t, std::uint64_t) {});
+                }
+            }
         });
     }
-
-    // Every candidate's row from the read-only class and point books,
-    // into its own slot, one chunk of rows per task.
-    const std::uint64_t gather_bytes =
-        partition::activationBytes(network.layers.back(), batch);
-    const partition::LinkConfig &link = _sharder.link();
-    search.evaluated.resize(candidates.size());
-    const std::size_t chunks =
-        (candidates.size() + kFoldChunk - 1) / kFoldChunk;
-    pool.parallelFor(chunks, [&](std::size_t chunk) {
-        perf::Scope span("planner.evaluate");
-        const std::size_t end =
-            std::min(candidates.size(), (chunk + 1) * kFoldChunk);
-        for (std::size_t i = chunk * kFoldChunk; i < end; ++i) {
-            const Candidate &c = candidates[i];
-            const SearchPoint &p = points[c.point];
-            const SearchClass &cls = classes[p.cls];
-            search.evaluated[i] = foldRow(
-                c.r, c.t, c.k, batch, cls.frequencyGhz, p.reduceCycles,
-                link, gather_bytes,
-                [&](int s) {
-                    return cls.stages[SearchClass::stageIndex(c.k, s)];
-                },
-                [](int, std::uint64_t, std::uint64_t) {});
-        }
-    });
     if (perf::enabled()) {
         static perf::Counter &candidates_counter =
             perf::counter("planner.candidates");

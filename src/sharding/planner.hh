@@ -39,30 +39,30 @@
  * layers under different names, and the simulator prices a layer
  * from its shape alone. So the search groups its (T, replica share)
  * points into (shard geometry, share) classes by their exact widths
- * and does the expensive work once per class. It runs in four
- * phases, each in its own perf::Scope; the parallel ones fan across
- * a common/parallel ThreadPool and share no lock:
+ * and does the expensive work once per class. It runs in three
+ * phases, each in its own perf::Scope; the parallel one fans across
+ * a common/parallel ThreadPool and shares no lock:
  *
  *  1. enumerate (serial): each T's geometry in one linear scan, as
  *     ceil(C/T) never grows with T and equal geometries are
  *     contiguous in T; then every (R, T, K) in order, with its
  *     (T, share) point and (geometry, share) class found by flat
- *     index, as every point of a share appears at its first R;
- *  2. derive (parallel per class): one shard network per geometry
- *     (its first T's), then per class one wide simulation, one
- *     LayerTimings, one cut DP grown to the largest K any member
- *     asks for, and one cold head per distinct first layer those
- *     cuts name. A stage costs its cold head plus the wide run's
- *     later layers (LayerTimings::stageCycles, exactly runRange's
- *     total), so no stage SimResult is composed. A class keeps only
- *     each cut's stage ends and occupancies; the simulations die
- *     with the task. Then per replica share the all-reduce bytes,
- *     and per point what differs by T within its class: its
- *     per-layer TP all-reduce cycles;
- *  3. evaluate (parallel, one chunk of rows per task): every
- *     candidate's PlanRow, folded from its class's stages of cut K
- *     and its point's all-reduce cycles;
- *  4. winner (serial): the pick, then the winner's full ShardPlan,
+ *     index, as every point of a share appears at its first R. A
+ *     class's points are a contiguous run, and a counting sort lists
+ *     each point's candidate slots;
+ *  2. derive and fold (parallel): one shard network per geometry
+ *     (its first T's) and the all-reduce bytes per replica share,
+ *     then one task per class: one wide simulation, one LayerTimings,
+ *     one cut DP grown to the largest K any member asks for, and one
+ *     cold head per distinct first layer those cuts name. A stage
+ *     costs its cold head plus the wide run's later layers
+ *     (LayerTimings::stageCycles, exactly runRange's total), so no
+ *     stage SimResult is composed. In one planner.evaluate span the
+ *     task then folds its own rows: per point, that T's per-layer TP
+ *     all-reduce cycles; per candidate, its PlanRow from the stages
+ *     of cut K, into the candidate's slot. Only the rows outlive the
+ *     task;
+ *  3. winner (serial): the pick, then the winner's full ShardPlan,
  *     which is the public evaluate() of its triple, through the
  *     caches: its stages are the only results a search leaves
  *     behind for later commands, and the caches' tallies and

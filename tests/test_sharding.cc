@@ -18,6 +18,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/hash.hh"
 #include "dnn/layer.hh"
 #include "dnn/networks.hh"
 #include "dnn/parser.hh"
@@ -829,6 +830,41 @@ TEST_F(ShardingFixture, SearchLeavesTheCachesAsTheWinnersEvaluateAlone)
             EXPECT_TRUE(probe(searched_cache, searcher) ==
                         probe(lone_cache, lone));
         }
+    }
+}
+
+TEST_F(ShardingFixture, ResNet50BudgetSearchIsPinned)
+{
+    // Every row of the 1024-chip ResNet50 search at the on-chip batch
+    // and the default link, and the winner's index, bit for bit: the
+    // whole search a `shard --chips 1024` run makes, at jobs 1 and 4.
+    // A row folded into the wrong slot, or with another point's
+    // all-reduce cycles, moves the digest.
+    const dnn::Network resnet = dnn::makeResNet50();
+    const int full = npusim::maxBatch(config, estimate, resnet);
+    for (int jobs : {1, 4}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        npusim::SimCache fresh;
+        const HybridPlanner planner(estimate, {}, &fresh);
+        const PlanSearch search = planner.plan(
+            resnet, 1024, full, PlanObjective::Throughput, jobs);
+        Fnv1a digest;
+        for (const PlanRow &row : search.evaluated) {
+            digest.word((std::uint64_t)row.dataParallel)
+                .word((std::uint64_t)row.tensorShards)
+                .word((std::uint64_t)row.pipelineStages)
+                .word((std::uint64_t)row.batch)
+                .real(row.frequencyGhz)
+                .word(row.tensorCollectiveCycles)
+                .word(row.gatherCycles)
+                .word(row.bottleneckCycles)
+                .word(row.fillCycles)
+                .word(row.intervalCycles)
+                .word(row.latencyCycles);
+        }
+        digest.word((std::uint64_t)search.bestIndex);
+        EXPECT_EQ(search.evaluated.size(), 17931u);
+        EXPECT_EQ(digest.value(), 0x6dc0798158d6a64dull);
     }
 }
 

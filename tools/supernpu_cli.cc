@@ -557,6 +557,17 @@ emitLedger(const Options &options, const obs::RunLedger &ledger)
     std::printf("wrote ledger to %s\n", options.ledgerFile.c_str());
 }
 
+/** A --sweep table's exact rows, as the ledger table `name`. */
+void
+addSweepTable(obs::RunLedger &ledger, const std::string &name,
+              const std::vector<std::string> &columns,
+              std::vector<std::vector<obs::Value>> rows)
+{
+    (void)ledger.table(name, columns);
+    for (std::vector<obs::Value> &row : rows)
+        ledger.addRow(name, std::move(row));
+}
+
 /** Enforce an audit when SUPERNPU_AUDIT (env or build) enables it. */
 void
 maybeAudit(const obs::AuditReport &audit, const std::string &context)
@@ -964,6 +975,8 @@ cmdPartition(const Options &options)
     audit.merge(obs::auditPipeline(solo));
     maybeAudit(audit, "partition " + net.name);
 
+    // The sweep's exact values, for the ledger.
+    std::vector<std::vector<obs::Value>> sweep_rows;
     if (options.sweep) {
         std::printf("\n");
         TextTable sweep("pipeline K-sweep");
@@ -980,14 +993,22 @@ cmdPartition(const Options &options)
             double util_sum = 0.0;
             for (int s = 0; s < swept.plan.stageCount(); ++s)
                 util_sum += swept.plan.stageUtilization(s);
+            const double speedup = swept.steadyInferencesPerSec() /
+                                   solo.steadyInferencesPerSec();
+            const double mean_util =
+                util_sum / (double)swept.plan.stageCount();
             sweep.row()
                 .cell((long long)k)
                 .cell(swept.steadyInferencesPerSec(), 0)
-                .cell(swept.steadyInferencesPerSec() /
-                          solo.steadyInferencesPerSec(),
-                      2)
+                .cell(speedup, 2)
                 .cell(swept.plan.fillLatencySec() * 1e6, 2)
-                .cell(util_sum / (double)swept.plan.stageCount(), 3);
+                .cell(mean_util, 3);
+            sweep_rows.push_back(
+                {obs::Value::integer((std::uint64_t)k),
+                 obs::Value::real(swept.steadyInferencesPerSec()),
+                 obs::Value::real(speedup),
+                 obs::Value::real(swept.plan.fillLatencySec()),
+                 obs::Value::real(mean_util)});
         }
         sweep.print();
     }
@@ -997,6 +1018,11 @@ cmdPartition(const Options &options)
         obs::addPipelineResult(ledger, run);
         obs::addSimCacheStats(ledger,
                               npusim::SimCache::global().stats());
+        if (options.sweep)
+            addSweepTable(ledger, "pipelineSweep",
+                          {"stages", "inferencesPerSec", "speedup",
+                           "fillLatencySec", "meanUtilization"},
+                          std::move(sweep_rows));
         emitLedger(options, ledger);
     }
     return 0;
@@ -1088,6 +1114,8 @@ cmdShard(const Options &options)
 
     obs::AuditReport audit = obs::auditSharding(plan);
 
+    // The sweep's exact values, for the ledger.
+    std::vector<std::vector<obs::Value>> sweep_rows;
     if (options.sweep) {
         std::printf("\n");
         TextTable sweep("shard budget sweep");
@@ -1123,6 +1151,15 @@ cmdShard(const Options &options)
                 .cell(best.throughput(), 0)
                 .cell(best.speedup(), 2)
                 .cell(best.latencySec() * 1e6, 2);
+            sweep_rows.push_back(
+                {obs::Value::integer((std::uint64_t)sweep_budget),
+                 obs::Value::integer((std::uint64_t)best.dataParallel),
+                 obs::Value::integer((std::uint64_t)best.tensorShards),
+                 obs::Value::integer(
+                     (std::uint64_t)best.pipelineStages),
+                 obs::Value::real(best.throughput()),
+                 obs::Value::real(best.speedup()),
+                 obs::Value::real(best.latencySec())});
         }
         sweep.print();
     }
@@ -1135,6 +1172,12 @@ cmdShard(const Options &options)
                               npusim::SimCache::global().stats());
         obs::addLayerTimingCacheStats(ledger,
                                       planner.timingCacheStats());
+        if (options.sweep)
+            addSweepTable(ledger, "shardSweep",
+                          {"chips", "dataParallel", "tensorShards",
+                           "pipelineStages", "inferencesPerSec",
+                           "speedup", "latencySec"},
+                          std::move(sweep_rows));
         emitLedger(options, ledger);
     }
     return 0;
