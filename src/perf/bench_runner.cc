@@ -53,6 +53,7 @@ struct BenchCase
     const char *name;
     const char *unit;
     CaseRun (*fn)(const CaseCtx &);
+    bool inSmoke = true; ///< false: the full suite only
 };
 
 void
@@ -268,6 +269,38 @@ caseFaultSweep(const CaseCtx &ctx)
     return run;
 }
 
+// --- case: serve_northstar ------------------------------------------
+// The serving loop at the north star's scale, fault-free: exactly
+// `serve resnet50 supernpu --chips 64 --requests 2000000`, so Poisson
+// arrivals at the default 1000 req/s, dynamic batching up to the
+// solver's batch, JSQ dispatch over 64 lone dies. Full suite only.
+CaseRun
+caseServeNorthstar(const CaseCtx &)
+{
+    const estimator::NpuEstimate est = superNpuEstimate();
+    const dnn::Network net = dnn::makeResNet50();
+    npusim::SimCache cache;
+    const serving::BatchServiceModel service(est, net, &cache);
+
+    serving::ServingConfig config;
+    config.chips = 64;
+    config.requests = 2000000;
+    config.batching.maxBatch = npusim::maxBatch(est.config, est, net);
+
+    serving::ServingSimulator sim(service, config);
+    const serving::ServingReport report = sim.run();
+    obs::enforce(obs::auditServing(report), "bench serve_northstar");
+
+    CaseRun run;
+    run.work = report.completed;
+    addMetric(run, "completed", report.completed);
+    addMetric(run, "batchesLaunched", report.batchesLaunched);
+    addMetric(run, "events", report.eventsProcessed);
+    addMetric(run, "p99Ns",
+              (std::uint64_t)(report.latencyP99 * 1e9 + 0.5));
+    return run;
+}
+
 // --- case: pipeline_scaling -----------------------------------------
 // Partitioner DP plus pipeline composition at K = 1/2/4 with a cold
 // sim cache: the multi-chip planning path end to end.
@@ -419,6 +452,7 @@ allCases()
         {"shard_scaling", "plans/sec", caseShardScaling},
         {"planner_search", "plans/sec", casePlannerSearch},
         {"check_fuzz", "runs/sec", caseCheckFuzz},
+        {"serve_northstar", "requests/sec", caseServeNorthstar, false},
     };
     return cases;
 }
@@ -430,8 +464,11 @@ selectCases(const BenchOptions &options)
     if (options.suite != "smoke" && options.suite != "full")
         fatal("unknown bench suite '", options.suite,
               "' (expected smoke or full)");
+    const bool smoke = options.suite == "smoke";
     std::vector<const BenchCase *> selected;
     for (const auto &candidate : allCases()) {
+        if (smoke && !candidate.inSmoke)
+            continue;
         if (!options.only.empty() &&
             std::find(options.only.begin(), options.only.end(),
                       candidate.name) == options.only.end())
@@ -439,11 +476,13 @@ selectCases(const BenchOptions &options)
         selected.push_back(&candidate);
     }
     for (const auto &name : options.only) {
-        const bool known = std::any_of(
+        const auto found = std::find_if(
             allCases().begin(), allCases().end(),
             [&](const BenchCase &c) { return name == c.name; });
-        if (!known)
+        if (found == allCases().end())
             fatal("unknown bench case '", name, "'");
+        if (smoke && !found->inSmoke)
+            fatal("bench case '", name, "' runs in the full suite only");
     }
     return selected;
 }

@@ -5,13 +5,14 @@
  * Event ordering: the calendar pops by (time, sequence). The sequence
  * tiebreak makes simultaneous events process in creation order, which
  * keeps runs deterministic across standard-library heap
- * implementations. The calendar keeps the two sources that are
- * already in order out of its heap: the time-sorted fault schedule
- * is read through a cursor (its sequence numbers are reserved at seed
- * time, as if every fault had been pushed then), and an open-loop
- * source's one pending arrival waits in a slot. The heap holds the
- * rest: a few live events per dispatch target, and the stale ones
- * (below) not yet popped.
+ * implementations. The calendar keeps the sources that are already
+ * in order, or hold one event each, out of its heap: the time-sorted
+ * fault schedule is read through a cursor (its sequence numbers are
+ * reserved at seed time, as if every fault had been pushed then), an
+ * open-loop source's one pending arrival waits in a slot, and each
+ * dispatch target has one slot for its head batch's completion and
+ * one for its pending stage-free. The heap holds the rest: timeouts,
+ * detections, quarantines, retries and closed-loop arrivals.
  *
  * Timeout events are advisory: a fired timeout only launches a batch
  * if the chip is idle and the queue's own `launchable` test agrees.
@@ -31,12 +32,19 @@
  * batches; a lone die or a replica group holds at most one, a
  * pipeline streams several back to back.
  *
- * Fault events reuse the stale-event discipline: Detect carries the
- * corruption wave it was armed for and kills only that wave's
- * batches still in flight (a no-op once they completed); Done
- * carries its own schedule sequence and is a no-op unless it is a
- * batch's pending completion (a killed or glitch-stretched batch
- * leaves a stale Done behind rather than requiring heap surgery).
+ * A target's batches complete in FIFO order, so only the head's Done
+ * can be next: the Done slot holds the head's (doneSec, doneSeq) and
+ * the StageFree slot the pending lane-0 free. Every change to either
+ * re-keys its slot in place (a launch into an empty FIFO, a
+ * completion, a link glitch that stretches the FIFO, a kill or
+ * checkpoint restart, a cleared stage-free). A completion or
+ * stage-free that is scheduled or moves draws a fresh sequence
+ * number, as a newly pushed event would, so simultaneous events keep
+ * their creation order, and no superseded completion or stage-free
+ * is ever left to pop. Detect carries the corruption wave it was
+ * armed for and kills only that wave's batches still in flight (a
+ * no-op once they completed).
+ *
  * With an empty fault schedule no fault event is created, no
  * service time is scaled, and the event sequence — hence every
  * metric — is byte-identical to the pre-fault simulator.
@@ -160,25 +168,42 @@ struct EventAfter
 };
 
 /**
- * The event calendar: one (time, seq) order over three parts.
+ * The event calendar: one (time, seq) order over four parts.
  *
  *  - a cursor over the fault schedule, which is already sorted by
  *    time; fault i carries sequence number faultSeq0 + i, reserved
  *    when the schedule is attached;
  *  - a slot for the one pending arrival of an open-loop source;
+ *  - two slots per dispatch target, its head batch's Done and its
+ *    pending StageFree, under a winner tree that keeps the earliest
+ *    slot at its root;
  *  - a binary heap of every other event.
  *
  * Every event takes its sequence number when it is scheduled, so the
  * pop order is the one a single heap over all of them would give.
+ * A target slot mirrors its target's state: the loop re-keys it
+ * whenever that state changes, and popping it leaves it as it was.
  */
 class Calendar
 {
   public:
-    explicit Calendar(std::size_t heap_capacity)
+    Calendar(std::size_t heap_capacity, int targets)
     {
         std::vector<Event> backing;
         backing.reserve(heap_capacity);
         _heap = Heap(EventAfter{}, std::move(backing));
+        _leaves = 1;
+        while (_leaves < 2 * (std::size_t)targets)
+            _leaves *= 2;
+        _slotSec.assign(_leaves, std::numeric_limits<double>::infinity());
+        _slotSeq.assign(_leaves, kNoSeq);
+        // Node n's winner; leaf i is node _leaves + i. Every slot
+        // starts empty, so each node's leftmost slot wins it.
+        _winner.resize(2 * _leaves);
+        for (std::size_t i = 0; i < _leaves; ++i)
+            _winner[_leaves + i] = (std::uint32_t)i;
+        for (std::size_t node = _leaves - 1; node >= 1; --node)
+            _winner[node] = _winner[2 * node];
     }
 
     /** Schedule a heap event; returns its sequence number. */
@@ -187,6 +212,36 @@ class Calendar
     {
         _heap.push(Event{time_sec, _nextSeq, tag, chip, kind});
         return _nextSeq++;
+    }
+
+    /** Draw the sequence number of an event bound for a target slot. */
+    std::uint64_t reserveSeq() { return _nextSeq++; }
+
+    /**
+     * Key target's Done (or StageFree) slot at (time_sec, seq), or
+     * empty it with seq == kNoSeq.
+     */
+    void keySlot(int target, EventKind kind, double time_sec,
+                 std::uint64_t seq)
+    {
+        SUPERNPU_ASSERT(kind == EventKind::Done ||
+                            kind == EventKind::StageFree,
+                        "only Done and StageFree have target slots");
+        const std::size_t slot =
+            2 * (std::size_t)target + (kind == EventKind::StageFree);
+        _slotSec[slot] = seq == kNoSeq
+                             ? std::numeric_limits<double>::infinity()
+                             : time_sec;
+        _slotSeq[slot] = seq;
+        for (std::size_t node = (_leaves + slot) / 2; node >= 1;
+             node /= 2) {
+            const std::uint32_t left = _winner[2 * node];
+            const std::uint32_t right = _winner[2 * node + 1];
+            _winner[node] = earlier(_slotSec[right], _slotSeq[right],
+                                    _slotSec[left], _slotSeq[left])
+                                ? right
+                                : left;
+        }
     }
 
     /** Schedule the open-loop source's next arrival (none pending). */
@@ -209,19 +264,26 @@ class Calendar
     bool empty() const
     {
         return _heap.empty() && _arrivalSeq == kNoSeq &&
-               _faultNext == _faults.size();
+               _faultNext == _faults.size() &&
+               _slotSeq[_winner[1]] == kNoSeq;
     }
 
     /** Remove and return the earliest event; the calendar is nonempty. */
     Event pop()
     {
         // An empty part compares as (+inf, kNoSeq), after any event.
-        enum class Part { Heap, Fault, Arrival } part = Part::Heap;
+        enum class Part { Heap, Slot, Fault, Arrival } part = Part::Heap;
         double sec = std::numeric_limits<double>::infinity();
         std::uint64_t seq = kNoSeq;
         if (!_heap.empty()) {
             sec = _heap.top().timeSec;
             seq = _heap.top().seq;
+        }
+        const std::uint32_t slot = _winner[1];
+        if (earlier(_slotSec[slot], _slotSeq[slot], sec, seq)) {
+            part = Part::Slot;
+            sec = _slotSec[slot];
+            seq = _slotSeq[slot];
         }
         if (_faultNext < _faults.size()) {
             const double fault_sec = _faults.timeSec(_faultNext);
@@ -237,6 +299,11 @@ class Calendar
             part = Part::Arrival;
 
         switch (part) {
+          case Part::Slot:
+            return Event{_slotSec[slot], _slotSeq[slot], 0,
+                         (int)(slot / 2),
+                         slot % 2 ? EventKind::StageFree
+                                  : EventKind::Done};
           case Part::Fault: {
             const Event event{_faults.timeSec(_faultNext),
                               _faultSeq0 + _faultNext,
@@ -273,6 +340,13 @@ class Calendar
     reliability::FaultSchedule::EventView _faults;
     std::size_t _faultNext = 0;     ///< cursor into _faults
     std::uint64_t _faultSeq0 = 0;   ///< seq of _faults[0]
+
+    // Target slots 2t (Done) and 2t + 1 (StageFree), padded to a
+    // power of two with empty slots; an empty slot is (+inf, kNoSeq).
+    std::size_t _leaves = 0;
+    std::vector<double> _slotSec;
+    std::vector<std::uint64_t> _slotSeq;
+    std::vector<std::uint32_t> _winner; ///< node -> earliest slot below
 };
 
 /** One batch in flight on a dispatch target. */
@@ -282,7 +356,7 @@ struct Batch
     double launchSec = 0.0;
     double serviceSec = 0.0; ///< derated launch-to-completion work
     double doneSec = 0.0;
-    std::uint64_t doneSeq = 0; ///< valid Done event for this batch
+    std::uint64_t doneSeq = 0; ///< sequence number of its Done
     /** Corruption wave that hit the batch; 0 while it is clean. */
     std::uint64_t wave = 0;
     double corruptedAtSec = 0.0;
@@ -322,7 +396,7 @@ struct Target
     int inFlightRequests = 0;
     bool busy = false;            ///< lane 0 holds a batch
     double freeSec = 0.0;         ///< when lane 0 frees
-    std::uint64_t pendingFreeSeq = kNoSeq; ///< valid StageFree event
+    std::uint64_t pendingFreeSeq = kNoSeq; ///< pending StageFree
     /** Deadline of the newest armed Timeout; -inf before the first. */
     double armedTimeoutSec = -std::numeric_limits<double>::infinity();
     double lastDoneSec = 0.0;     ///< FIFO floor for completions
@@ -358,17 +432,25 @@ ServingReport
 ServingSimulator::run()
 {
     perf::Scope perf_scope("serving.run");
-    // The heap's backing store is sized up front: steady state
-    // carries roughly one pending completion/timeout pair per
-    // dispatch target plus the closed-loop clients' arrivals. Faults
-    // and the open-loop arrival never enter the heap. Stale entries
-    // do: a Done or StageFree superseded by a link glitch's re-push,
-    // or left by a killed batch, stays in the heap until it pops. A
-    // glitch-heavy run can therefore outgrow the reservation, and the
-    // vector then grows as usual (serving.staleEvents counts those
-    // pops under profiling).
+    // Every dispatch target is a group of G = R·K chips: K stage
+    // lanes of R replica chips each, lane l owning the group's chips
+    // l·R .. l·R + R-1. G == 1 keeps n_targets == chips.
+    const int K = _cfg.pipelineStages;
+    const int R = _cfg.dataParallelReplicas;
+    const int G = K * R;
+    const int n_targets = _cfg.chips / G;
+
+    // Completions and stage-frees live in the calendar's two slots
+    // per target, faults behind its cursor and the open-loop arrival
+    // in its own slot, so none of them enters the heap. The heap's
+    // backing store is sized up front for the rest: a few timeouts
+    // per target (one pending per deadline, plus any a launch made
+    // moot), the closed-loop clients' arrivals, and the detections,
+    // quarantines and retries in flight. A burst of retries can
+    // outgrow it, and the vector then grows as usual.
     Calendar calendar((std::size_t)_cfg.chips * 4 +
-                      (std::size_t)_cfg.arrival.clients + 64);
+                          (std::size_t)_cfg.arrival.clients + 64,
+                      n_targets);
     // A Retry event parks its request in a reused slot and carries
     // the slot index as its tag, which keeps Event small.
     std::vector<Request> retry_slots;
@@ -386,13 +468,6 @@ ServingSimulator::run()
         calendar.push(time, EventKind::Retry, -1, slot);
     };
 
-    // Every dispatch target is a group of G = R·K chips: K stage
-    // lanes of R replica chips each, lane l owning the group's chips
-    // l·R .. l·R + R-1. G == 1 keeps n_targets == chips.
-    const int K = _cfg.pipelineStages;
-    const int R = _cfg.dataParallelReplicas;
-    const int G = K * R;
-    const int n_targets = _cfg.chips / G;
     const GroupTimingModel group(_service, K, R, _cfg.link);
 
     ArrivalProcess arrivals(_cfg.arrival, _cfg.seed);
@@ -512,6 +587,25 @@ ServingSimulator::run()
         return dispatcher.pick();
     };
 
+    // A target's calendar slots mirror its head batch's completion
+    // and its pending StageFree: re-key them after every change to
+    // either.
+    const auto key_done = [&](int index) {
+        const Target &target = targets[index];
+        if (target.inFlight.empty()) {
+            calendar.keySlot(index, EventKind::Done, 0.0, kNoSeq);
+            return;
+        }
+        const Batch &head = target.inFlight.front();
+        calendar.keySlot(index, EventKind::Done, head.doneSec,
+                         head.doneSeq);
+    };
+    const auto key_free = [&](int index) {
+        const Target &target = targets[index];
+        calendar.keySlot(index, EventKind::StageFree, target.freeSec,
+                         target.pendingFreeSeq);
+    };
+
     // Put a batch in service: it holds lane 0 for the (derated)
     // initiation interval, occupies each lane for its window, and
     // completes one latency after launch — FIFO behind its
@@ -541,15 +635,16 @@ ServingSimulator::run()
         target.lastDoneSec = batch.doneSec;
         target.inFlightRequests += size;
         metrics.recordGroupBatch(index * G, size, lane_busy, R);
-        batch.doneSeq =
-            calendar.push(batch.doneSec, EventKind::Done, index);
+        batch.doneSeq = calendar.reserveSeq();
         target.busy = true;
         if (timing.intervalSec < timing.latencySec) {
             target.freeSec = clock + derate(target, timing.intervalSec);
-            target.pendingFreeSeq =
-                calendar.push(target.freeSec, EventKind::StageFree, index);
+            target.pendingFreeSeq = calendar.reserveSeq();
+            key_free(index);
         }
         target.inFlight.push_back(std::move(batch));
+        if (target.inFlight.size() == 1)
+            key_done(index);
     };
 
     // Launch a batch on an idle target when its queue allows;
@@ -573,15 +668,6 @@ ServingSimulator::run()
         target.queue.popInto(batch.requests);
         queued_depth -= batch.requests.size();
         launch_batch(index, std::move(batch));
-    };
-
-    // A popped Done or StageFree that a newer event superseded.
-    const auto count_stale = [] {
-        if (perf::enabled()) {
-            static perf::Counter &perf_stale =
-                perf::counter("serving.staleEvents");
-            perf_stale.add(1);
-        }
     };
 
     // Queue a new or re-entering request on the picked target.
@@ -653,27 +739,23 @@ ServingSimulator::run()
             break;
           case EventKind::Done: {
             Target &target = targets[event.chip];
-            const auto batch = std::find_if(
-                target.inFlight.begin(), target.inFlight.end(),
-                [&](const Batch &candidate) {
-                    return candidate.doneSeq == event.seq;
-                });
-            if (batch == target.inFlight.end()) {
-                count_stale(); // killed or glitch-stretched batch
-                break;
-            }
-            SUPERNPU_ASSERT(batch == target.inFlight.begin(),
-                            "group completed out of order");
+            SUPERNPU_ASSERT(!target.inFlight.empty() &&
+                                target.inFlight.front().doneSeq ==
+                                    event.seq,
+                            "a Done slot fell out of step with its "
+                            "target's head batch");
+            Batch &batch = target.inFlight.front();
             // Corruption that outran its detection (or was never
             // detected under the no-recovery policy) ships garbage:
             // the requests complete, and count as failed.
-            const bool failed = batch->wave != 0;
-            for (const Request &request : batch->requests)
+            const bool failed = batch.wave != 0;
+            for (const Request &request : batch.requests)
                 complete_request(request, failed);
-            target.inFlightRequests -= (int)batch->requests.size();
-            dispatcher.add(event.chip, -(int)batch->requests.size());
-            recycle_batch(std::move(*batch));
+            target.inFlightRequests -= (int)batch.requests.size();
+            dispatcher.add(event.chip, -(int)batch.requests.size());
+            recycle_batch(std::move(batch));
             target.inFlight.pop_front();
+            key_done(event.chip);
             // Without a pending StageFree, the batch held lane 0
             // until completion.
             if (target.pendingFreeSeq == kNoSeq)
@@ -763,8 +845,7 @@ ServingSimulator::run()
                 for (Batch &batch : target.inFlight) {
                     batch.doneSec += stall;
                     batch.glitchSec += stall;
-                    batch.doneSeq =
-                        calendar.push(batch.doneSec, EventKind::Done, index);
+                    batch.doneSeq = calendar.reserveSeq();
                     for (int l = 0; l < K; ++l) {
                         double &start = batch.laneStartSec[(std::size_t)l];
                         double &end = batch.laneEndSec[(std::size_t)l];
@@ -778,11 +859,12 @@ ServingSimulator::run()
                         }
                     }
                 }
+                key_done(index);
                 target.lastDoneSec += stall;
                 if (target.pendingFreeSeq != kNoSeq) {
                     target.freeSec += stall;
-                    target.pendingFreeSeq = calendar.push(
-                        target.freeSec, EventKind::StageFree, index);
+                    target.pendingFreeSeq = calendar.reserveSeq();
+                    key_free(index);
                 }
                 // Stalls between windows serialize on their lane: a
                 // second glitch during a pending one extends it.
@@ -850,8 +932,7 @@ ServingSimulator::run()
                     batch->laneEndSec[0] = batch->doneSec;
                     target.lastDoneSec = batch->doneSec;
                     charge_lane(index, 0, remaining);
-                    batch->doneSeq = calendar.push(
-                        batch->doneSec, EventKind::Done, index);
+                    batch->doneSeq = calendar.reserveSeq();
                     ++batch;
                     continue;
                 }
@@ -863,6 +944,8 @@ ServingSimulator::run()
                 recycle_batch(std::move(*batch));
                 batch = target.inFlight.erase(batch);
             }
+            if (hit)
+                key_done(index);
             if (!hit || res.checkpointRestart)
                 break;
             target.lastDoneSec = target.inFlight.empty()
@@ -880,11 +963,12 @@ ServingSimulator::run()
                     until = 0.0;
                 }
             }
-            // If the newest launch died, lane 0 is free now — its
-            // pending StageFree becomes stale.
+            // If the newest launch died, lane 0 is free now: its
+            // pending StageFree is cancelled.
             if (!tail_live && target.busy) {
                 target.busy = false;
                 target.pendingFreeSeq = kNoSeq;
+                key_free(index);
             }
             try_launch(index);
             break;
@@ -923,11 +1007,11 @@ ServingSimulator::run()
           }
           case EventKind::StageFree: {
             Target &target = targets[event.chip];
-            if (event.seq != target.pendingFreeSeq) {
-                count_stale(); // glitch-stretched or batch killed
-                break;
-            }
+            SUPERNPU_ASSERT(event.seq == target.pendingFreeSeq,
+                            "a StageFree slot fell out of step with "
+                            "its target");
             target.pendingFreeSeq = kNoSeq;
+            key_free(event.chip);
             target.busy = false;
             try_launch(event.chip);
             break;

@@ -10,12 +10,14 @@
  *
  * The event loop pops eight event kinds in one (time, sequence)
  * order: arrival, batch timeout, batch completion, fault, detection,
- * quarantine, retry and pipeline stage-free. Its calendar has three
+ * quarantine, retry and pipeline stage-free. Its calendar has four
  * parts: a cursor over the time-sorted fault schedule, a slot for an
- * open-loop source's one pending arrival, and a small heap of every
- * other event. All stochastic choices flow through one seeded
- * common/rng generator, so a (config, seed) pair replays
- * bit-identically.
+ * open-loop source's one pending arrival, two slots per dispatch
+ * target (its head batch's completion and its pending stage-free,
+ * re-keyed in place when a fault moves or cancels them), and a small
+ * heap of every other event. No superseded event is ever popped. All
+ * stochastic choices flow through one seeded common/rng generator,
+ * so a (config, seed) pair replays bit-identically.
  *
  * Drain semantics: once the configured request count has been
  * injected, remaining queued requests flush even if the fixed-batch

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dnn/parser.hh"
 #include "estimator/npu_estimator.hh"
 #include "obs/audit.hh"
@@ -299,6 +301,16 @@ TEST(BenchHarness, SuiteCaseNamesMatchRegistry)
     EXPECT_EQ(names[5], "shard_scaling");
     EXPECT_EQ(names[6], "planner_search");
     EXPECT_EQ(names[7], "check_fuzz");
+}
+
+TEST(BenchHarness, NorthstarServeRunsInTheFullSuiteOnly)
+{
+    const auto full = bench::suiteCaseNames("full");
+    ASSERT_EQ(full.size(), 9u);
+    EXPECT_EQ(full[8], "serve_northstar");
+    const auto smoke = bench::suiteCaseNames("smoke");
+    EXPECT_EQ(std::count(smoke.begin(), smoke.end(), "serve_northstar"),
+              0);
 }
 
 TEST(BenchHarness, TimedBaselineGateFailsOnSlowdown)

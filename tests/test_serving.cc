@@ -451,6 +451,30 @@ TEST_F(ServingFixture, LowLoadDynamicBatchingReportIsPinned)
                                    1.6305181159999989e-05}));
 }
 
+// Five lone dies at 3 M req/s: their ten completion and stage-free
+// slots pad to sixteen, so the calendar's winner tree has four levels
+// and empty padding leaves, and full batches complete on every die at
+// once. Every field is pinned exactly at the values of a calendar
+// that kept completions in its heap. Without faults no stale event
+// exists, so the pop count is unchanged too.
+TEST_F(ServingFixture, FiveDieFleetReportIsPinned)
+{
+    ServingConfig serving = baseConfig(3e6);
+    serving.chips = 5;
+    const ServingReport r = ServingSimulator(service, serving).run();
+    EXPECT_EQ(r.completed, 3000u);
+    EXPECT_EQ(r.eventsProcessed, 3204u);
+    EXPECT_EQ(r.batchesLaunched, 102u);
+    EXPECT_EQ(r.makespanSec, 0.0010652915187331501);
+    EXPECT_EQ(r.meanQueueDepth, 98.276334322567436);
+    EXPECT_EQ(r.latencyP99, 9.7851173352677626e-05);
+    const std::vector<double> busy = {
+        1.6271096230000006e-05, 1.063731164e-05,
+        8.7495806199999979e-06, 5.8517722600000002e-06,
+        5.3688041999999993e-06};
+    EXPECT_EQ(r.perChipBusySec, busy);
+}
+
 TEST_F(ServingFixture, SameSeedReplaysBitIdentically)
 {
     const double capacity = service.peakRps(solver_max);
@@ -889,13 +913,15 @@ runTieSchedule(const BatchServiceModel &service, int stages,
 // onto one heap at seed time: streaming the schedule must not move
 // a single event. The event counts are that calendar's pops less the
 // Timeouts it pushed a second time at a deadline already armed on
-// the same target, which are no longer pushed: 935 - 206 on the
-// pipeline, 826 - 202 on the replica group, the duplicates counted
-// by tagging them in the older loop.
+// the same target, which are no longer pushed, less the superseded
+// completions and stage-frees a glitch or kill left to pop, which
+// no longer exist: 935 - 206 - 6 on the pipeline, 826 - 202 - 4 on
+// the replica group, the duplicates and the stale pops counted in
+// the older loops.
 TEST_F(ServingFixture, FaultTiesKeepTheirOrderOnPipeline)
 {
     const ServingReport report = runTieSchedule(service, 2, 1);
-    EXPECT_EQ(report.eventsProcessed, 729u);
+    EXPECT_EQ(report.eventsProcessed, 723u);
     EXPECT_EQ(report.faultsInjected, 4u);
     EXPECT_EQ(report.batchesKilled, 2u);
     EXPECT_EQ(report.requestsKilled, 8u);
@@ -905,11 +931,82 @@ TEST_F(ServingFixture, FaultTiesKeepTheirOrderOnPipeline)
 TEST_F(ServingFixture, FaultTiesKeepTheirOrderOnReplicaGroup)
 {
     const ServingReport report = runTieSchedule(service, 1, 2);
-    EXPECT_EQ(report.eventsProcessed, 624u);
+    EXPECT_EQ(report.eventsProcessed, 620u);
     EXPECT_EQ(report.faultsInjected, 4u);
     EXPECT_EQ(report.batchesKilled, 2u);
     EXPECT_EQ(report.requestsKilled, 8u);
     EXPECT_DOUBLE_EQ(report.latencyP99, 1.877521442647435e-07);
+}
+
+/**
+ * Two 4-stage pipelines of a 4-layer network under a dense fault
+ * schedule: about one link glitch and one pulse drop per batch
+ * latency on each group, so glitches keep stretching FIFOs several
+ * batches deep with a stage-free pending, and detections keep
+ * killing heads and tails. Every completion and stage-free a glitch
+ * moves, and every one a kill cancels, is re-keyed in its target's
+ * calendar slot.
+ */
+ServingReport
+runDenseGlitchSchedule(const estimator::NpuEstimate &estimate)
+{
+    const dnn::Network net = dnn::parseNetwork("network Dense4\n"
+                                               "conv c1  3 16 16 3 1 1\n"
+                                               "conv c2 16 16 16 3 1 1\n"
+                                               "conv c3 16 16 16 3 1 1\n"
+                                               "conv c4 16 16 16 3 1 1\n");
+    const BatchServiceModel service(estimate, net);
+    ServingConfig serving;
+    serving.chips = 8;
+    serving.pipelineStages = 4;
+    serving.requests = 3000;
+    serving.batching.maxBatch =
+        npusim::maxBatch(estimate.config, estimate, net);
+    serving.batching.timeoutSec = 1e-4;
+    const GroupTimingModel group(service, 4, 1, serving.link);
+    const GroupTimingModel::Timing &full =
+        group.timing(serving.batching.maxBatch);
+    serving.arrival.ratePerSec = 0.8 * 2.0 *
+                                 (double)serving.batching.maxBatch /
+                                 full.intervalSec;
+
+    reliability::FaultScheduleConfig faults;
+    faults.chips = serving.chips;
+    faults.seed = 36;
+    faults.horizonSec =
+        (double)serving.requests / serving.arrival.ratePerSec;
+    // Per chip, so each group of four sees four times this rate.
+    faults.linkGlitchRatePerSec = 0.25 / full.latencySec;
+    faults.pulseDropRatePerSec = 0.25 / full.latencySec;
+    faults.linkGlitchDelaySec = 0.3 * full.intervalSec;
+    serving.faults = reliability::FaultSchedule::generate(faults);
+    serving.resilience.recovery = RecoveryPolicy::RetryBackoff;
+    serving.resilience.detectLatencySec = 0.5 * full.latencySec;
+    serving.resilience.backoffBaseSec = full.latencySec;
+    const ServingReport report = ServingSimulator(service, serving).run();
+    const obs::AuditReport audit = obs::auditServing(report);
+    EXPECT_TRUE(audit.ok()) << audit.summary();
+    return report;
+}
+
+// The pinned values are those of a calendar that re-pushed every
+// moved completion and stage-free onto its heap and let the
+// superseded entries pop as no-ops: 4957 pops, 170 of them stale. A
+// stale pop did nothing but split the queue-depth integral at an
+// instant where the depth did not change, so the mean depth may move
+// in its last bits only.
+TEST_F(ServingFixture, DenseGlitchesLeaveNoStaleCompletion)
+{
+    const ServingReport r = runDenseGlitchSchedule(estimate);
+    EXPECT_EQ(r.completed, 3000u);
+    EXPECT_EQ(r.faultsInjected, 69u);
+    EXPECT_EQ(r.glitchesAbsorbed, 32u);
+    EXPECT_EQ(r.batchesKilled, 49u);
+    EXPECT_EQ(r.requestsKilled, 1470u);
+    EXPECT_EQ(r.latencyP99, 6.9123010005019066e-05);
+    EXPECT_EQ(r.eventsProcessed, 4957u - 170u);
+    EXPECT_NEAR(r.meanQueueDepth, 233.46134417497188,
+                1e-12 * 233.46134417497188);
 }
 
 // --- degenerate metrics (zero-makespan guard) ------------------------

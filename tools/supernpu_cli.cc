@@ -391,7 +391,7 @@ const OptionRow kOptions[] = {
      "output path (default BENCH_<suite>.json)",
      [](Options &o, const Value &v) { o.benchOut = v.text; }},
     {"--no-timing", Kind::Switch, Bound::Any, "", CmdBench,
-     "omit wall-clock fields: byte-identical output across reruns",
+     "omit wall-clock fields: byte-identical JSON and table across reruns",
      [](Options &o, const Value &) { o.benchRun.includeTiming = false; }},
     {"--baseline", Kind::Path, Bound::Any, "<path>", CmdBench,
      "compare against a saved BENCH_*.json; exit 1 on regression",
@@ -1281,13 +1281,14 @@ cmdBench(const Options &options)
         .cell("median ms")
         .cell("throughput")
         .cell("unit");
+    // Under --no-timing stdout is as rerun-stable as the JSON.
     for (const auto &c : report.cases) {
-        table.row()
-            .cell(c.name)
-            .cell((long long)c.work)
-            .cell(c.medianWallSec * 1e3, 2)
-            .cell(c.throughput, 1)
-            .cell(c.unit);
+        TextTable &row = table.row().cell(c.name).cell((long long)c.work);
+        if (opts.includeTiming)
+            row.cell(c.medianWallSec * 1e3, 2).cell(c.throughput, 1);
+        else
+            row.cell("-").cell("-");
+        row.cell(c.unit);
     }
     table.print();
 
