@@ -1,8 +1,11 @@
 /**
  * @file
- * Thread-safe, single-flight memo: the one result cache behind
- * npusim::SimCache, partition::LayerTimingCache and the per-batch
- * timings of partition::PipelineServiceModel.
+ * Thread-safe, single-flight memo: the result cache behind
+ * npusim::SimCache, its only user. What is derived from a cached
+ * simulation (a partitioner's layer timings and cut DP, a pipeline's
+ * per-batch timing) is not memoized again: it is rederived from the
+ * cached run, and serving::GroupTimingModel keeps its own per-size
+ * table.
  *
  * getOrCompute(key, compute) returns the stored value for `key`, or
  * runs compute() on the calling thread and stores its result. The
@@ -28,11 +31,12 @@
  * past it. Values are handed out as shared_ptr<const Value>, so a
  * value stays valid while a caller holds it even after eviction.
  *
- * A memo is for repeated lookups of deterministic results: serving's
- * per-batch service times, partition sweeps, one placement's
- * evaluation. A one-pass search that would store far more distinct
- * keys than any later lookup reads keeps its results to itself
- * instead (the hybrid planner's search does).
+ * A memo is for repeated lookups of deterministic results: the
+ * simulations behind serving's per-batch service times, a partition
+ * sweep's whole-network run, one placement's evaluation. A one-pass
+ * search that would store far more distinct keys than any later
+ * lookup reads keeps its results to itself instead (the hybrid
+ * planner's search does).
  */
 
 #ifndef SUPERNPU_COMMON_MEMO_HH

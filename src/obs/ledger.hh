@@ -38,7 +38,6 @@
 #include "npusim/result.hh"
 #include "perf/profile.hh"
 #include "npusim/sim_cache.hh"
-#include "partition/layer_timing_cache.hh"
 #include "partition/pipeline_sim.hh"
 #include "reliability/fault_model.hh"
 #include "serving/metrics.hh"
@@ -201,12 +200,10 @@ void addSimCacheStats(RunLedger &ledger,
                       const npusim::SimCacheStats &stats);
 
 /**
- * Record the partitioner's layer-timing memo counters under a
- * "layerTimingCache" section. The counts are host work, not model
- * output. A planner search looks nothing up in the memo; only its
- * winner's serial evaluate() does, so the counts are identical at any
- * job count and the section is safe for the CI jobs=1-vs-N ledger
- * byte-comparison.
+ * Record partition memo counters under a "layerTimingCache" section.
+ * No such memo exists and no command writes the section; this is kept
+ * only for perfbench/, and the benchmark change that drops that call
+ * removes it.
  */
 void addLayerTimingCacheStats(
     RunLedger &ledger, const partition::LayerTimingCacheStats &stats);

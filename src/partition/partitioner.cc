@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -41,8 +40,7 @@ Partitioner::Partitioner(const estimator::NpuEstimate &estimate,
                          LinkConfig link, npusim::SimCache *cache)
     : _sim(estimate), _link(link),
       _cache(cache ? cache : &npusim::SimCache::global()),
-      _configHash(npusim::hashEstimate(estimate)),
-      _timings(0, "partition.timingCache")
+      _configHash(npusim::hashEstimate(estimate))
 {
     _link.check();
 }
@@ -96,21 +94,20 @@ Partitioner::stageHash(std::uint64_t network_hash, int first, int last,
         .value();
 }
 
-std::vector<std::vector<int>>
-Partitioner::cutStages(const LayerTimings &timings, int first_k,
-                       int last_k)
+CutTable
+Partitioner::cutTable(const LayerTimings &timings, int last_k)
 {
     const int n = timings.layerCount();
-    SUPERNPU_ASSERT(first_k >= 1 && first_k <= last_k && last_k <= n,
+    SUPERNPU_ASSERT(last_k >= 1 && last_k <= n,
                     "stage count out of range");
     const std::vector<double> &prefix = timings.prefix;
     const std::vector<double> &link_after = timings.linkAfter;
 
     // Min-max contiguous partition DP: dp[s][j] is the best
     // bottleneck occupancy over layers 0..j split into s stages.
-    // Row s reads only row s-1, so the rows built for any K are the
-    // rows every other K needs: the table grows to the largest K
-    // asked for and each K walks its own chain of cuts.
+    // Row s reads only row s-1, so the rows built for last_k are the
+    // rows every smaller K needs, and each K walks its own chain of
+    // cuts.
     //
     // Each j scans its last cut i downward from j-1. seg_cost(i+1, j)
     // never falls as i falls (prefix sums are nondecreasing and IEEE
@@ -122,16 +119,13 @@ Partitioner::cutStages(const LayerTimings &timings, int first_k,
         return prefix[j + 1] - prefix[i] + link_after[j];
     };
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    CutTable &table = *timings.cuts;
-    std::lock_guard<std::mutex> lock(table.mutex);
-    if (table.frontier.empty()) {
-        table.frontier.resize(n);
-        for (int j = 0; j < n; ++j)
-            table.frontier[j] = seg_cost(0, j);
-        table.cut.resize(2);
-    }
+    CutTable table;
+    table.frontier.resize(n);
+    for (int j = 0; j < n; ++j)
+        table.frontier[j] = seg_cost(0, j);
+    table.cut.resize(2);
     std::vector<double> next;
-    for (int s = (int)table.cut.size(); s <= last_k; ++s) {
+    for (int s = 2; s <= last_k; ++s) {
         const std::vector<double> &prev = table.frontier;
         next.assign(n, kInf);
         std::vector<int> cut(n, -1);
@@ -151,7 +145,17 @@ Partitioner::cutStages(const LayerTimings &timings, int first_k,
         table.frontier.swap(next);
         table.cut.push_back(std::move(cut));
     }
+    return table;
+}
 
+std::vector<std::vector<int>>
+Partitioner::cutStages(const LayerTimings &timings, int first_k,
+                       int last_k)
+{
+    SUPERNPU_ASSERT(first_k >= 1 && first_k <= last_k,
+                    "stage count out of range");
+    const int n = timings.layerCount();
+    const CutTable table = cutTable(timings, last_k);
     std::vector<std::vector<int>> cuts(last_k - first_k + 1);
     for (int k = first_k; k <= last_k; ++k) {
         // Recover the stage boundaries (last layer of each stage).
@@ -194,27 +198,20 @@ Partitioner::partition(std::uint64_t net_hash,
         stages = n;
     }
 
-    // The cut-search inputs — per-layer cycle prefix sums and
-    // per-boundary link costs, plus the DP rows over them — are
-    // memoized per (network, batch): a sweep over K with identical
-    // inputs pays for the derivation (and its whole-network
-    // simulation lookup) only at its first K.
-    const auto timings =
-        _timings.getOrCompute({net_hash, batch}, [&] {
-            return buildTimings(
-                network,
-                _cache->getOrRun({net_hash, _configHash, batch}, _sim,
-                                 network),
-                batch);
-        });
+    // The cut-search inputs: per-layer cycle prefix sums and
+    // per-boundary link costs of the whole network's cached run.
+    const LayerTimings timings = buildTimings(
+        network,
+        _cache->getOrRun({net_hash, _configHash, batch}, _sim, network),
+        batch);
     const std::vector<int> last =
-        cutStages(*timings, stages, stages).front();
+        cutStages(timings, stages, stages).front();
 
     PartitionPlan plan;
     plan.networkName = network.name;
-    plan.configName = timings->configName;
+    plan.configName = timings.configName;
     plan.batch = batch;
-    plan.frequencyGhz = timings->frequencyGhz;
+    plan.frequencyGhz = timings.frequencyGhz;
     plan.link = _link;
     plan.stages.resize(stages);
 
@@ -229,12 +226,12 @@ Partitioner::partition(std::uint64_t net_hash,
             {stageHash(net_hash, first, last[s], n), _configHash, batch},
             [&] {
                 return _sim.runRange(network, first, last[s], batch,
-                                     timings->sim);
+                                     timings.sim);
             });
         stage.stageCycles = stage.sim->totalCycles;
         if (last[s] < n - 1) {
-            stage.linkBytes = timings->linkBytes[last[s]];
-            stage.linkCycles = timings->linkCycles[last[s]];
+            stage.linkBytes = timings.linkBytes[last[s]];
+            stage.linkCycles = timings.linkCycles[last[s]];
         }
         first = last[s] + 1;
 

@@ -9,8 +9,7 @@
  * cost is real simulated cycles: per-layer totals come from one
  * NpuSimulator::run of the whole network (memoized through
  * npusim::SimCache), the DP picks the cuts over those prefix sums
- * plus the outbound link transfer at each candidate boundary (its
- * rows are shared by every K of one (network, batch) point), and
+ * plus the outbound link transfer at each candidate boundary, and
  * every chosen stage is then costed exactly as a standalone
  * sub-network — a stage head refills its ifmap buffer from memory
  * and cannot overlap its first weight fetch with a previous layer,
@@ -18,6 +17,11 @@
  * Such a stage is its cold head layer plus the whole run's later
  * layers, so NpuSimulator::runRange composes it from the whole run;
  * its cache key is an O(1) mix of (network hash, first, last).
+ *
+ * A Partitioner keeps no state beyond its SimCache: each partition()
+ * derives its LayerTimings from the cached whole-network run and
+ * builds the DP rows its K needs, so concurrent calls share nothing
+ * but the SimCache.
  *
  * K=1 equivalence guarantee: a single-stage partition keeps the
  * original network (same name, same layers), so its stage SimResult
@@ -29,19 +33,90 @@
 #ifndef SUPERNPU_PARTITION_PARTITIONER_HH
 #define SUPERNPU_PARTITION_PARTITIONER_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/memo.hh"
 #include "dnn/layer.hh"
 #include "estimator/npu_estimator.hh"
-#include "layer_timing_cache.hh"
 #include "link_model.hh"
 #include "npusim/sim.hh"
 #include "npusim/sim_cache.hh"
 
 namespace supernpu {
 namespace partition {
+
+/**
+ * The cut-search inputs derived from one (network, batch) point: the
+ * per-layer cycle prefix sums of one whole-network simulation, the
+ * outbound link bytes/cycles at every candidate boundary, and that
+ * simulation itself. NpuSimulator::runRange composes every stage a
+ * cut picks from the simulation, and stageCycles() prices a stage
+ * from its exact prefix without composing it.
+ */
+struct LayerTimings
+{
+    std::string configName;
+    double frequencyGhz = 0.0;
+    /** prefix[l] = Σ simulated cycles of layers [0, l); size n+1. */
+    std::vector<double> prefix;
+    /**
+     * The same sums, exact: cycles[l] = Σ totalCycles() of the whole
+     * run's layers [0, l) in uint64 arithmetic, as a SimResult sums
+     * its totals; size n+1.
+     */
+    std::vector<std::uint64_t> cycles;
+    /** Outbound link occupancy if the boundary sits after layer l;
+     *  size n, 0 after the last layer (nothing to ship). */
+    std::vector<double> linkAfter;
+    std::vector<std::uint64_t> linkCycles; ///< size n
+    std::vector<std::uint64_t> linkBytes;  ///< size n
+    /** The whole-network simulation the timings derive from. */
+    std::shared_ptr<const npusim::SimResult> sim;
+
+    int layerCount() const { return (int)prefix.size() - 1; }
+
+    /**
+     * runRange(first, last).totalCycles, without composing the stage:
+     * its cold head layer's `head_cycles` (NpuSimulator::coldHead)
+     * plus the whole run's layers first+1..last. Exact: a SimResult's
+     * totalCycles is its layers' compute, prep and stall cycles summed
+     * in uint64 arithmetic, which is also what cycles[] sums.
+     */
+    std::uint64_t stageCycles(int first, int last,
+                              std::uint64_t head_cycles) const
+    {
+        return head_cycles + cycles[last + 1] - cycles[first + 1];
+    }
+};
+
+/**
+ * The min-max cut DP's rows over one LayerTimings, up to some K.
+ * Row s (the best s-stage split of every layer prefix) is built from
+ * row s-1 alone and never reads the requested K, so one table built
+ * to K answers every K' <= K. Only what reconstruction needs is kept:
+ * every cut row and the frontier dp row.
+ */
+struct CutTable
+{
+    /**
+     * cut[s][j] = last layer of stage s-1 in the best s-stage split
+     * of layers [0, j], or -1 where no such split exists. Rows 0
+     * and 1 stay empty (one stage has no interior cut).
+     */
+    std::vector<std::vector<int>> cut;
+    /** dp row cut.size()-1: the best bottleneck per prefix. */
+    std::vector<double> frontier;
+};
+
+/**
+ * Kept only for perfbench/, which still reads a partition memo's
+ * counters; no such memo exists, so they are always zero. The
+ * benchmark change that drops that read removes this alias.
+ */
+using LayerTimingCacheStats = MemoStats;
 
 /** One contiguous run of layers placed on one chip. */
 struct PipelineStage
@@ -138,17 +213,6 @@ class Partitioner
     }
     const LinkConfig &link() const { return _link; }
 
-    /**
-     * Layer-timing memo counters for this partitioner: how often a
-     * partition() call reused its (network, batch) derivation
-     * instead of re-walking a SimResult; snapshotted into shard
-     * ledgers.
-     */
-    LayerTimingCacheStats timingCacheStats() const
-    {
-        return _timings.stats();
-    }
-
     // --- the pieces partition() is built from, which the hybrid
     // planner's search also runs per (shard geometry, share) class --
 
@@ -172,11 +236,13 @@ class Partitioner
     static std::uint64_t stageHash(std::uint64_t network_hash, int first,
                                    int last, int layer_count);
 
+    /** The cut DP's rows over `timings`, 2..last_k (1 <= last_k <= n). */
+    static CutTable cutTable(const LayerTimings &timings, int last_k);
+
     /**
      * The best K-way split of the network `timings` derive from, for
      * every K in [first_k, last_k], in order: the last layer of each
-     * stage. Extends the entry's shared DP rows up to last_k first,
-     * under one CutTable lock.
+     * stage, walked from one cutTable(timings, last_k).
      */
     static std::vector<std::vector<int>>
     cutStages(const LayerTimings &timings, int first_k, int last_k);
@@ -186,8 +252,6 @@ class Partitioner
     LinkConfig _link;
     npusim::SimCache *_cache;
     std::uint64_t _configHash = 0;
-    /** partition() is const; the memo mutates under its own lock. */
-    mutable LayerTimingCache _timings;
 };
 
 } // namespace partition

@@ -85,24 +85,22 @@ PipelineServiceModel::PipelineServiceModel(
     _net.check();
 }
 
-const PipelineServiceModel::Timing &
+PipelineServiceModel::Timing
 PipelineServiceModel::timing(int batch) const
 {
-    return *_memo.getOrCompute(batch, [&] {
-        PartitionPlan plan = _partitioner.partition(_net, _stages, batch);
-        const double hz = plan.frequencyGhz * 1e9;
-        Timing timing;
-        timing.latencySec = plan.fillLatencySec();
-        timing.intervalSec = plan.intervalSec();
-        double start = 0.0;
-        for (const auto &stage : plan.stages) {
-            double busy = (double)stage.occupancyCycles() / hz;
-            timing.stageStartSec.push_back(start);
-            timing.stageBusySec.push_back(busy);
-            start += busy;
-        }
-        return timing;
-    });
+    const PartitionPlan plan = _partitioner.partition(_net, _stages, batch);
+    const double hz = plan.frequencyGhz * 1e9;
+    Timing timing;
+    timing.latencySec = plan.fillLatencySec();
+    timing.intervalSec = plan.intervalSec();
+    double start = 0.0;
+    for (const auto &stage : plan.stages) {
+        double busy = (double)stage.occupancyCycles() / hz;
+        timing.stageStartSec.push_back(start);
+        timing.stageBusySec.push_back(busy);
+        start += busy;
+    }
+    return timing;
 }
 
 } // namespace partition

@@ -27,7 +27,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/memo.hh"
 #include "partitioner.hh"
 
 namespace supernpu {
@@ -81,11 +80,12 @@ class PipelineSimulator
 };
 
 /**
- * Memoized per-batch pipeline timing of one network on one K-chip
- * group — the pipelined counterpart of serving::BatchServiceModel.
- * Thread-safe; the partition is recomputed per distinct batch size
- * (the balance point moves with batch) through the shared SimCache,
- * and each batch size's Timing is kept in an unbounded Memo.
+ * Per-batch pipeline timing of one network on one K-chip group — the
+ * pipelined counterpart of serving::BatchServiceModel. Stateless and
+ * thread-safe: each call partitions afresh (the balance point moves
+ * with batch) through the shared SimCache and keeps nothing.
+ * serving::GroupTimingModel resolves each batch size once and keeps
+ * the result.
  */
 class PipelineServiceModel
 {
@@ -108,11 +108,8 @@ class PipelineServiceModel
         std::vector<double> stageBusySec;
     };
 
-    /**
-     * Timing of one batch of the given size (memoized). The
-     * reference stays valid for the model's lifetime.
-     */
-    const Timing &timing(int batch) const;
+    /** Timing of one batch of the given size. */
+    Timing timing(int batch) const;
 
     int stages() const { return _stages; }
     const dnn::Network &network() const { return _net; }
@@ -122,8 +119,6 @@ class PipelineServiceModel
     Partitioner _partitioner;
     dnn::Network _net;
     int _stages;
-    /** timing() is const; the memo mutates under its own lock. */
-    mutable Memo<int, Timing> _memo;
 };
 
 } // namespace partition

@@ -554,6 +554,7 @@ runSuite(const BenchOptions &options)
     report.repetitions = options.repetitions;
     report.warmups = options.warmups;
     report.jobs = options.jobs;
+    report.timed = options.includeTiming;
 
     const bool was_profiling = perf::enabled();
     if (options.profile)
@@ -735,7 +736,7 @@ compareToBaseline(const BenchReport &current,
         }
 
         const obs::JsonValue *timing = base_case->find("timing");
-        if (timing != nullptr &&
+        if (current.timed && timing != nullptr &&
             timing->numberAt("throughput") > 0.0 &&
             c.throughput > 0.0) {
             // Timed baseline: gate on wall-clock throughput.
@@ -752,8 +753,9 @@ compareToBaseline(const BenchReport &current,
             continue;
         }
 
-        // Untimed baseline (the committed --no-timing form): gate on
-        // exact equality of the deterministic work metrics.
+        // Untimed run or untimed baseline (the committed --no-timing
+        // form): gate on exact equality of the deterministic work
+        // metrics.
         const obs::JsonValue *base_metrics =
             base_case->find("metrics");
         if (base_metrics == nullptr || !base_metrics->isObject()) {
@@ -782,7 +784,7 @@ compareToBaseline(const BenchReport &current,
             delta.note += "work drifted";
         }
         if (!delta.regressed)
-            delta.note = "metrics identical (untimed baseline)";
+            delta.note = "metrics identical";
         outcome.deltas.push_back(delta);
     }
     return outcome;

@@ -102,6 +102,8 @@ struct BenchReport
     int repetitions = 0;
     int warmups = 0;
     int jobs = 0;
+    /** BenchOptions::includeTiming of the run. */
+    bool timed = true;
     std::vector<CaseResult> cases;
 };
 
@@ -156,13 +158,15 @@ struct CompareOutcome
 };
 
 /**
- * Compare a fresh report against a saved BENCH_*.json. Timed
- * baseline cases gate on throughput: a case regresses when it is
- * more than `threshold_pct` percent slower than the baseline.
- * Untimed baseline cases (saved with --no-timing, the committed
- * form) gate on exact work-metric equality instead — any drift in
- * the deterministic counters is flagged. Cases missing from the
- * baseline are noted but never fail the comparison.
+ * Compare a fresh report against a saved BENCH_*.json. A timed run
+ * against timed baseline cases gates on throughput: a case regresses
+ * when it is more than `threshold_pct` percent slower than the
+ * baseline. An untimed run (BenchReport::timed off), or untimed
+ * baseline cases (saved with --no-timing, the committed form), gate
+ * on exact work-metric equality instead — any drift in the
+ * deterministic counters is flagged. Timed JSON carries the metrics
+ * too, so an untimed run never reads a baseline's wall clock. Cases
+ * missing from the baseline are noted but never fail the comparison.
  */
 CompareOutcome compareToBaseline(const BenchReport &current,
                                  const std::string &baseline_json,

@@ -86,13 +86,14 @@ class BatchServiceModel
  *  - K == 1: one lane, busy for batchSeconds(ceil(size/R)) plus the
  *    ring all-gather of the results when R > 1; interval, latency
  *    and busy coincide.
- *  - K > 1 (R == 1): the memoized partition::PipelineServiceModel's
- *    Timing for the size.
+ *  - K > 1 (R == 1): partition::PipelineServiceModel's Timing for the
+ *    size, which partitions afresh on every call.
  *
  * Either way each batch size is resolved once, at its first call,
  * into a table the model owns; every later call is an index, with no
- * SimCache lookup. A serving run's cache tallies therefore count one
- * lookup per distinct batch size, not one per launch.
+ * SimCache lookup. This table is the only per-size cache on the
+ * serving path, so a run's cache tallies count one resolution's
+ * lookups per distinct batch size, not one per launch.
  */
 class GroupTimingModel
 {

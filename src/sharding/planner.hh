@@ -34,7 +34,7 @@
  * the winner's full plan, at any job count.
  *
  * The search keeps its results to itself: it looks nothing up in,
- * and stores nothing into, the SimCache or the LayerTimingCache.
+ * and stores nothing into, the SimCache.
  * Degrees T with equal shardWidths shard the network into equal
  * layers under different names, and the simulator prices a layer
  * from its shape alone. So the search groups its (T, replica share)
@@ -222,10 +222,14 @@ class HybridPlanner
         return _sharder.link();
     }
 
-    /** The shared partitioner's layer-timing memo counters. */
+    /**
+     * Always zero: the partitioner keeps no memo. Kept only for
+     * perfbench/, which still reads it; the benchmark change that
+     * drops that read removes this.
+     */
     partition::LayerTimingCacheStats timingCacheStats() const
     {
-        return _partitioner.timingCacheStats();
+        return {};
     }
 
   private:

@@ -5,7 +5,7 @@
  * equivalence guarantee (byte-identical ledgers against the
  * single-chip simulator), pipeline composition invariants through
  * obs::auditPipeline, throughput monotonicity on ResNet50, and the
- * memoized PipelineServiceModel the serving layer rides.
+ * PipelineServiceModel the serving layer rides.
  */
 
 #include <gtest/gtest.h>
@@ -172,30 +172,6 @@ TEST_F(PartitionFixture, RepartitioningHitsTheSimCache)
     EXPECT_GT(after.hits, before.hits);
 }
 
-TEST_F(PartitionFixture, RepartitioningHitsTheLayerTimingCache)
-{
-    Partitioner partitioner(estimate, {}, &cache);
-    partitioner.partition(net, 2, batch);
-    const LayerTimingCacheStats first =
-        partitioner.timingCacheStats();
-    EXPECT_EQ(first.misses, 1u);
-    EXPECT_EQ(first.hits, 0u);
-
-    // Any other K of the same (network, batch) reuses the memoized
-    // prefix sums and link costs — the sweep pattern the planner's
-    // K = 1..layers enumeration produces.
-    partitioner.partition(net, 3, batch);
-    const LayerTimingCacheStats second =
-        partitioner.timingCacheStats();
-    EXPECT_EQ(second.misses, first.misses);
-    EXPECT_EQ(second.hits, first.hits + 1);
-
-    // A different batch is a different timing point.
-    partitioner.partition(net, 2, std::max(1, batch - 1));
-    EXPECT_EQ(partitioner.timingCacheStats().misses,
-              first.misses + 1);
-}
-
 TEST_F(PartitionFixture, StageKeysNameTheParentAndTheRange)
 {
     // A stage's cache key is an O(1) mix of its parent's hash and its
@@ -241,75 +217,7 @@ TEST_F(PartitionFixture, StageKeysNameTheParentAndTheRange)
     EXPECT_GE(key_of.size(), 2u * (std::size_t)(n + 1));
 }
 
-// --- layer-timing cache ----------------------------------------------
-
-/** A minimal one-layer LayerTimings tagged by configName. */
-LayerTimings
-namedTimings(const char *name)
-{
-    LayerTimings timings;
-    timings.configName = name;
-    timings.frequencyGhz = 1.0;
-    timings.prefix = {0.0, 2.0};
-    timings.linkAfter = {0.0};
-    timings.linkCycles = {0};
-    timings.linkBytes = {0};
-    return timings;
-}
-
-TEST(LayerTimingCache, MemoizesOneBuildPerKey)
-{
-    LayerTimingCache cache;
-    int builds = 0;
-    const auto build = [&]() {
-        ++builds;
-        return namedTimings("a");
-    };
-    const auto first = cache.getOrCompute({0x51, 4}, build);
-    EXPECT_EQ(builds, 1);
-    EXPECT_EQ(first->layerCount(), 1);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 0u);
-
-    // Same key: the very same shared object, no rebuild.
-    const auto again = cache.getOrCompute({0x51, 4}, build);
-    EXPECT_EQ(builds, 1);
-    EXPECT_EQ(again.get(), first.get());
-    EXPECT_EQ(cache.stats().hits, 1u);
-
-    // A different batch is a different key.
-    const auto other = cache.getOrCompute({0x51, 8}, build);
-    EXPECT_EQ(builds, 2);
-    EXPECT_NE(other.get(), first.get());
-    EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(LayerTimingCache, TrustsTheNetworkHashUntilCleared)
-{
-    // The cache is keyed on (network hash, batch) alone: a colliding
-    // key hands back the FIRST build's timings, never re-running the
-    // builder. hashNetwork must therefore cover every field the
-    // timing derivation reads; this pins that contract, and that
-    // clear() is the only invalidation.
-    LayerTimingCache cache;
-    const auto first = cache.getOrCompute(
-        {7, 1}, [] { return namedTimings("first"); });
-    const auto collided = cache.getOrCompute(
-        {7, 1}, [] { return namedTimings("second"); });
-    EXPECT_EQ(collided.get(), first.get());
-    EXPECT_EQ(collided->configName, "first");
-
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_EQ(cache.stats().misses, 0u);
-    const auto rebuilt = cache.getOrCompute(
-        {7, 1}, [] { return namedTimings("second"); });
-    EXPECT_EQ(rebuilt->configName, "second");
-    EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-// --- cut table shared across K -----------------------------------------
+// --- cut table -----------------------------------------
 
 /** Every field of two plans that the cut search or a stage decides. */
 void
@@ -350,9 +258,8 @@ TEST(CutTable, AnyKOrderMatchesAFreshPartitionerPerK)
     const int batch = npusim::maxBatch(config, estimate, net);
     const int n = (int)net.layers.size();
 
-    // The reference: a fresh Partitioner, hence a fresh DP table,
-    // for every K. Simulations are pure, so the
-    // SimCache may be shared.
+    // The reference: a fresh Partitioner for every K. Simulations
+    // are pure, so the SimCache may be shared.
     npusim::SimCache cache;
     std::vector<PartitionPlan> fresh;
     for (int k = 1; k <= n; ++k)
@@ -374,21 +281,20 @@ TEST(CutTable, AnyKOrderMatchesAFreshPartitionerPerK)
         std::vector<PartitionPlan> plans;
         for (int k : order)
             plans.push_back(shared.partition(net, k, batch));
-        EXPECT_EQ(shared.timingCacheStats().misses, 1u);
         return plans;
     };
 
-    // Descending: the first call builds every row, the rest walk.
+    // Descending: one partitioner, largest K first.
     std::vector<int> order(n);
     for (int i = 0; i < n; ++i)
         order[i] = n - i;
     expect_match(order, serial(order), "descending");
 
-    // Shuffled: the table grows in jumps, walked in between.
+    // Shuffled: no call depends on which K came before it.
     std::shuffle(order.begin(), order.end(), std::mt19937(15));
     expect_match(order, serial(order), "shuffled");
 
-    // Concurrent: pool tasks race to extend and walk one table.
+    // Concurrent: pool tasks share one partitioner and its SimCache.
     Partitioner shared(estimate, {}, &cache);
     ThreadPool pool(4);
     const std::vector<PartitionPlan> racing =
@@ -404,8 +310,7 @@ TEST(CutTable, SharedTableCutsAreMinMaxOptimal)
     // VGG-16 (2^15 of them) and take the min over sets of the max
     // stage cost, with the cost the DP charges — fused per-layer
     // cycles plus the outbound link transfer. One partitioner is
-    // asked for K = n..1, so every K but the first is answered from
-    // rows another K built.
+    // asked for K = n..1.
     sfq::DeviceConfig dev;
     sfq::CellLibrary lib(dev);
     const estimator::NpuConfig config =
@@ -519,8 +424,7 @@ TEST(CutTable, PrunedDpMatchesTheUnprunedReference)
             LayerTimings fresh;
             fresh.prefix = timings.prefix;
             fresh.linkAfter = timings.linkAfter;
-            Partitioner::cutStages(fresh, k, k);
-            const CutTable &table = *fresh.cuts;
+            const CutTable table = Partitioner::cutTable(fresh, k);
             ASSERT_EQ((int)table.cut.size(), std::max(k + 1, 2));
             for (int s = 2; s <= k; ++s)
                 ASSERT_EQ(table.cut[s], cut[s]) << "row " << s;
@@ -709,7 +613,7 @@ TEST_F(PartitionFixture, ServiceModelTimingIsConsistent)
     EXPECT_DOUBLE_EQ(timing.stageStartSec[0], 0.0);
     EXPECT_NEAR(timing.stageStartSec[1], timing.stageBusySec[0],
                 1e-12);
-    // Memoized: identical object on the second call.
+    // Deterministic: the same timing on the second call.
     EXPECT_DOUBLE_EQ(model.timing(batch).latencySec,
                      timing.latencySec);
 }

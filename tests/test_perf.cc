@@ -382,6 +382,36 @@ TEST(BenchHarness, UntimedBaselineGatesOnExactMetrics)
     EXPECT_NE(fail.deltas[0].note.find("drifted"), std::string::npos);
 }
 
+TEST(BenchHarness, UntimedRunGatesOnMetricsAgainstATimedBaseline)
+{
+    bench::BenchOptions options = fastOptions();
+    options.includeTiming = false;
+    const bench::BenchReport current = bench::runSuite(options);
+
+    // A timed baseline 3x faster than this run: an untimed run reads
+    // only its metrics, so the wall clock in it cannot fail the gate.
+    bench::BenchReport faster = current;
+    faster.cases[0].throughput = current.cases[0].throughput * 3.0;
+    const std::string baseline = bench::benchJson(faster, true);
+    ASSERT_NE(baseline.find("\"throughput\""), std::string::npos);
+
+    const bench::CompareOutcome same =
+        bench::compareToBaseline(current, baseline, 10.0);
+    EXPECT_TRUE(same.ok);
+    EXPECT_TRUE(same.deltas[0].comparable);
+    EXPECT_FALSE(same.deltas[0].regressed);
+    EXPECT_EQ(same.deltas[0].baselineThroughput, 0.0);
+
+    bench::BenchReport drifted = current;
+    ASSERT_FALSE(drifted.cases[0].metrics.empty());
+    drifted.cases[0].metrics[0].value += 1;
+    const bench::CompareOutcome fail =
+        bench::compareToBaseline(drifted, baseline, 10.0);
+    EXPECT_FALSE(fail.ok);
+    EXPECT_TRUE(fail.deltas[0].regressed);
+    EXPECT_NE(fail.deltas[0].note.find("drifted"), std::string::npos);
+}
+
 TEST(BenchHarness, MissingAndUnknownBaselineCases)
 {
     const bench::BenchReport current = bench::runSuite(fastOptions());

@@ -493,12 +493,11 @@ TEST_F(ShardingFixture, PlansAreDeterministicAcrossFreshCaches)
 TEST_F(ShardingFixture, ParallelPlanIsByteIdenticalToSerial)
 {
     // One cold-cache sweep at a given job count: every evaluated
-    // plan's books, the winner, and both caches' tallies.
+    // plan's books, the winner, and the SimCache's tallies.
     struct Sweep
     {
         std::string bytes;
         npusim::SimCacheStats sim;
-        partition::LayerTimingCacheStats timings;
     };
     const auto sweep = [&](int jobs) {
         npusim::SimCache fresh;
@@ -519,8 +518,7 @@ TEST_F(ShardingFixture, ParallelPlanIsByteIdenticalToSerial)
         obs::RunLedger ledger;
         obs::addShardPlan(ledger, search.best());
         out << ledger.json();
-        return Sweep{out.str(), fresh.stats(),
-                     planner.timingCacheStats()};
+        return Sweep{out.str(), fresh.stats()};
     };
 
     const Sweep serial = sweep(1);
@@ -529,12 +527,10 @@ TEST_F(ShardingFixture, ParallelPlanIsByteIdenticalToSerial)
         const Sweep parallel = sweep(jobs);
         EXPECT_EQ(parallel.bytes, serial.bytes) << "jobs " << jobs;
         // Single-flight accounting: the fan-out must not change what
-        // either cache counts, or the byte-compared shard ledgers
+        // the cache counts, or the byte-compared shard ledgers
         // (which embed these tallies) would differ across --jobs.
         EXPECT_EQ(parallel.sim.hits, serial.sim.hits);
         EXPECT_EQ(parallel.sim.misses, serial.sim.misses);
-        EXPECT_EQ(parallel.timings.hits, serial.timings.hits);
-        EXPECT_EQ(parallel.timings.misses, serial.timings.misses);
     }
 }
 
@@ -726,7 +722,6 @@ TEST_F(ShardingFixture, MergedGeometriesMatchTheSerialWalk)
         for (int t = 1; r * t <= kBudget; ++t)
             for (int k = 1; r * t * k <= kBudget && k <= n; ++k)
                 walked.push_back(serial.evaluate(narrow, r, t, k, kBatch));
-    EXPECT_EQ(serial.timingCacheStats().misses, points.size());
 
     for (std::size_t capacity : {0, 4}) {
         for (int jobs : {1, 4}) {
@@ -753,8 +748,7 @@ TEST_F(ShardingFixture, MergedGeometriesMatchTheSerialWalk)
 TEST_F(ShardingFixture, SearchLeavesTheCachesAsTheWinnersEvaluateAlone)
 {
     // The search keeps its results to itself: the one thing it does
-    // through the SimCache and the planner's LayerTimingCache is its
-    // winner's evaluate(). So from equally warmed caches, a search
+    // through the SimCache is its winner's evaluate(). So from equally warmed caches, a search
     // and that evaluate() alone leave the same tallies and sizes, and
     // the same residents in the same LRU order (read out by a few
     // further evaluations), at any job count and capacity.
@@ -767,26 +761,21 @@ TEST_F(ShardingFixture, SearchLeavesTheCachesAsTheWinnersEvaluateAlone)
         planner.evaluate(resnet, 4, 1, 2, full);
         planner.evaluate(resnet, 2, 8, 4, full);
     };
-    /** Both caches' tallies and the SimCache's size. */
+    /** The SimCache's tallies and size. */
     struct Left
     {
-        MemoStats sim, timings;
+        MemoStats sim;
         std::size_t simSize;
         bool operator==(const Left &o) const
         {
             return sim.hits == o.sim.hits &&
                    sim.misses == o.sim.misses &&
                    sim.evictions == o.sim.evictions &&
-                   timings.hits == o.timings.hits &&
-                   timings.misses == o.timings.misses &&
-                   timings.evictions == o.timings.evictions &&
                    simSize == o.simSize;
         }
     };
-    const auto left = [](const npusim::SimCache &cache,
-                         const HybridPlanner &planner) {
-        return Left{cache.stats(), planner.timingCacheStats(),
-                    cache.size()};
+    const auto left = [](const npusim::SimCache &cache) {
+        return Left{cache.stats(), cache.size()};
     };
     const auto probe = [&](const npusim::SimCache &cache,
                            const HybridPlanner &planner) {
@@ -796,7 +785,7 @@ TEST_F(ShardingFixture, SearchLeavesTheCachesAsTheWinnersEvaluateAlone)
               std::tuple{1, 32, 1}, std::tuple{2, 8, 4},
               std::tuple{16, 1, 2}, std::tuple{1, 1, 32}}) {
             planner.evaluate(resnet, r, t, k, full);
-            pattern.push_back(left(cache, planner));
+            pattern.push_back(left(cache));
         }
         return pattern;
     };
@@ -820,8 +809,8 @@ TEST_F(ShardingFixture, SearchLeavesTheCachesAsTheWinnersEvaluateAlone)
             lone.evaluate(resnet, best.dataParallel, best.tensorShards,
                           best.pipelineStages, full);
 
-            const Left after_search = left(searched_cache, searcher);
-            EXPECT_TRUE(after_search == left(lone_cache, lone));
+            const Left after_search = left(searched_cache);
+            EXPECT_TRUE(after_search == left(lone_cache));
             if (capacity == 0) {
                 EXPECT_EQ(after_search.sim.evictions, 0u);
             } else {

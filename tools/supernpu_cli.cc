@@ -1170,8 +1170,6 @@ cmdShard(const Options &options)
         obs::addShardPlan(ledger, plan);
         obs::addSimCacheStats(ledger,
                               npusim::SimCache::global().stats());
-        obs::addLayerTimingCacheStats(ledger,
-                                      planner.timingCacheStats());
         if (options.sweep)
             addSweepTable(ledger, "shardSweep",
                           {"chips", "dataParallel", "tensorShards",
